@@ -18,6 +18,8 @@ import argparse
 import json
 from pathlib import Path
 
+import numpy as np
+
 from fracml.fracops import residual_report
 from fracml.kinetics import (
     Forcing,
@@ -59,10 +61,10 @@ def write_database(out_dir, t_max, steps):
     lines = ["set,theorem,t,N_stated,N_rederived\n"]
     for set_id, theorem, nu, a, _ in SETS:
         prob = problem(theorem, nu, a)
-        for i in range(steps + 1):
-            t = t_max * i / steps
-            vs = SOLVERS[(theorem, "stated")](prob, t).value
-            vr = SOLVERS[(theorem, "rederived")](prob, t).value
+        ts = [t_max * i / steps for i in range(steps + 1)]
+        stated = SOLVERS[(theorem, "stated")](prob, np.array(ts)).value
+        rederived = SOLVERS[(theorem, "rederived")](prob, np.array(ts)).value
+        for t, vs, vr in zip(ts, stated.tolist(), rederived.tolist()):
             lines.append(f"{set_id},{theorem},{t:.17g},{vs:.17g},{vr:.17g}\n")
     path = out_dir / "database.csv"
     path.write_text("".join(lines))

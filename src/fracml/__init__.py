@@ -25,6 +25,7 @@ from .mittag import (
 from .kinetics import (
     CorollaryReduction,
     Forcing,
+    GridEvaluation,
     KineticProblem,
     SolutionSeriesConfig,
     corollary_reduction,
@@ -67,6 +68,7 @@ __all__ = [
     "kml",
     "reduction_case",
     "Forcing",
+    "GridEvaluation",
     "KineticProblem",
     "SolutionSeriesConfig",
     "CorollaryReduction",

@@ -23,6 +23,8 @@ import math
 import sys
 from typing import Callable, Optional
 
+import numpy as np
+
 from .errors import DomainError
 from .kinetics import (
     Forcing,
@@ -34,7 +36,7 @@ from .kinetics import (
     solve_theorem3_rederived,
     solve_theorem3_stated,
 )
-from .fracops import residual_report
+from .fracops import check_grids, residual_report
 from .mittag import MLParameters, TwoParamML, kml, ml2
 
 EXIT_OK = 0
@@ -229,20 +231,15 @@ def _resolve_problem(args, cfgmap) -> tuple[KineticProblem, Callable, int, str]:
 
 
 def _grid_values(solver, prob, t_max: float, steps: int) -> list:
-    cfg = SolutionSeriesConfig()
-    values = []
-    for i in range(steps + 1):
-        t = t_max * i / steps
-        try:
-            ev = solver(prob, t, cfg)
-        except OverflowError as exc:
-            raise CliError(EXIT_NO_CONVERGENCE,
-                           f"evaluation overflowed at t = {t:g}: {exc}")
-        if not ev.converged:
-            raise CliError(EXIT_NO_CONVERGENCE,
-                           f"series did not converge at t = {t:g}")
-        values.append((t, ev.value))
-    return values
+    ts = [t_max * i / steps for i in range(steps + 1)]
+    try:
+        ev = solver(prob, np.array(ts), SolutionSeriesConfig())
+    except OverflowError as exc:
+        raise CliError(EXIT_NO_CONVERGENCE, f"evaluation overflowed: {exc}")
+    if not ev.converged:
+        raise CliError(EXIT_NO_CONVERGENCE, "series did not converge at "
+                       f"t = {ev.first_uncertified:g}")
+    return list(zip(ts, ev.value.tolist()))
 
 
 def _cmd_solve(args) -> int:
@@ -259,25 +256,16 @@ def _cmd_solve(args) -> int:
     return EXIT_OK
 
 
-def _parse_grids(raw) -> tuple:
-    if isinstance(raw, str):
-        try:
-            parts = tuple(int(s.strip()) for s in raw.split(","))
-        except ValueError:
-            raise CliError(EXIT_VALIDATION,
-                           "--grids must be a comma-separated list of integers") from None
-    else:
-        parts = tuple(raw)
-    if len(parts) < 2:
-        raise CliError(EXIT_VALIDATION, "--grids needs at least two entries")
-    for g in parts:
-        if g < 16:
-            raise CliError(EXIT_VALIDATION, "--grids entries must be >= 16")
-    for x, y in zip(parts, parts[1:]):
-        if y != 2 * x:
-            raise CliError(EXIT_VALIDATION,
-                           "--grids must double at each refinement")
-    return parts
+def _parse_grids(raw: str) -> tuple:
+    try:
+        grids = tuple(int(s.strip()) for s in raw.split(","))
+    except ValueError:
+        raise CliError(EXIT_VALIDATION,
+                       "--grids must be a comma-separated list of integers") from None
+    try:
+        return check_grids(grids)
+    except DomainError as exc:
+        raise CliError(EXIT_VALIDATION, f"--grids: {exc}") from None
 
 
 def _cmd_verify(args) -> int:

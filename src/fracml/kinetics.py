@@ -29,6 +29,19 @@ adjudicates this numerically, which is why both variants are kept.
 Outer series are truncated with the same geometric-tail certificate as the
 Mittag-Leffler evaluators, applied to outer terms that already include their
 converged inner factor.
+
+Every solver also takes a 1-D array of times and returns a
+:class:`GridEvaluation`.  With at least ``GRID_CROSSOVER`` points whose
+series arguments are nonzero, the series are summed for all points at once:
+for each outer index ``n`` one :func:`fracml.mittag.ml2_batch` call
+evaluates the inner factor at every point still summing, sharing its gamma
+values and the powers of each point's argument.  Per-point logarithms,
+powers and exponentials come from the same scalar calls the per-point path
+makes, and the array arithmetic is IEEE-exact, so each value, term count and
+tail bound is bit-identical to a per-point call.  Smaller grids, points at
+a zero argument, and points the batch does not certify (an inner term
+outside the direct branch, an abort, a failed certificate) are evaluated by
+the per-point code.
 """
 
 from __future__ import annotations
@@ -37,18 +50,22 @@ import dataclasses
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Union
+
+import numpy as np
 
 from .errors import DomainError, UnknownCaseError
 from .mittag import (
     MIN_TERMS,
     MLParameters,
+    PowerTable,
     SeriesEvaluation,
     TwoParamML,
     kml,
     ml2,
+    ml2_batch,
 )
-from .summation import SeriesAbort, sum_series
+from .summation import SeriesAbort, SeriesSumBatch, sum_series, sum_series_batch
 
 
 class Forcing(enum.Enum):
@@ -112,11 +129,66 @@ class SolutionSeriesConfig:
 DEFAULT_CONFIG = SolutionSeriesConfig()
 
 
+# Grids with fewer batchable points than this are evaluated point by point:
+# below it the fixed cost of the array operations per term outweighs the
+# per-point Python work they replace.  Measured with CPython 3.11 and numpy
+# 2.4 on a 2-core x86-64 VM: for database set 1 (theorem 1) the batched grid
+# took 9x the per-point time at 2 points, 1.8x at 16, 0.9x at 32 and 0.5x
+# at 64; sets 2 and 3 break even near 16 points.
+GRID_CROSSOVER = 32
+
+
+@dataclass(frozen=True, eq=False)
+class GridEvaluation:
+    """Solution values on a time grid, one entry per time.
+
+    ``value``, ``point_terms``, ``tail_bound`` and ``point_converged`` hold
+    what a per-point call at each time returns.  ``terms_used`` totals the
+    terms and ``converged`` is True when every point converged.
+    """
+
+    t: np.ndarray
+    value: np.ndarray
+    point_terms: np.ndarray
+    tail_bound: np.ndarray
+    point_converged: np.ndarray
+
+    @property
+    def terms_used(self) -> int:
+        return int(self.point_terms.sum())
+
+    @property
+    def converged(self) -> bool:
+        return bool(self.point_converged.all())
+
+    @property
+    def first_uncertified(self) -> Optional[float]:
+        """The earliest time whose series did not converge, or None."""
+        bad = np.flatnonzero(~self.point_converged)
+        return float(self.t[bad[0]]) if bad.size else None
+
+
+Times = Union[float, np.ndarray]
+Evaluation = Union[SeriesEvaluation, GridEvaluation]
+
+
 def _check_time(t: float) -> float:
     t = float(t)
     if not (math.isfinite(t) and t >= 0.0):
         raise DomainError("t must be finite and >= 0")
     return t
+
+
+def _check_times(t) -> Times:
+    """A validated time: a float, or a 1-D float array for a grid."""
+    if np.ndim(t) == 0:
+        return _check_time(t)
+    ts = np.array(t, dtype=float)
+    if ts.ndim != 1:
+        raise DomainError("t must be a number or a 1-D array of times")
+    if not np.all(np.isfinite(ts) & (ts >= 0.0)):
+        raise DomainError("t must be finite and >= 0")
+    return ts
 
 
 def forcing_value(prob: KineticProblem, t: float,
@@ -135,23 +207,29 @@ def forcing_value(prob: KineticProblem, t: float,
 _ZERO = lambda n: 0.0  # noqa: E731
 
 
-def _solution_series(prob: KineticProblem, cfg: SolutionSeriesConfig,
-                     x: float, y: float,
-                     inner_beta: Callable[[int], float],
-                     extra_log: Callable[[int], float]) -> SeriesEvaluation:
-    """Sum N0 * sum_n C_n exp(extra_log(n)) x**n E_{nu, inner_beta(n)}(y)."""
-    ml = prob.ml
+def _log_coeff(ml: MLParameters) -> Callable[[int], float]:
+    """n -> log C_n = log (gamma)_{nq,k} - log gamma_k(n alpha + beta)."""
     k, alpha, beta, g, q = ml.k, ml.alpha, ml.beta, ml.gamma, ml.q
-    nu = prob.nu
     log_k = math.log(k)
     c0 = g / k
     lg_c0 = math.lgamma(c0)
-    log_n0 = math.log(prob.n0)
 
     def log_coeff(n: int) -> float:
         a = (alpha * n + beta) / k
         return (n * q * log_k + math.lgamma(c0 + n * q) - lg_c0
                 - (a - 1.0) * log_k - math.lgamma(a))
+
+    return log_coeff
+
+
+def _solution_series(prob: KineticProblem, cfg: SolutionSeriesConfig,
+                     x: float, y: float,
+                     inner_beta: Callable[[int], float],
+                     extra_log: Callable[[int], float]) -> SeriesEvaluation:
+    """Sum N0 * sum_n C_n exp(extra_log(n)) x**n E_{nu, inner_beta(n)}(y)."""
+    nu = prob.nu
+    log_n0 = math.log(prob.n0)
+    log_coeff = _log_coeff(prob.ml)
 
     def inner(n: int) -> float:
         ev = ml2(TwoParamML(nu, inner_beta(n)), y, cfg.inner_tol)
@@ -179,6 +257,85 @@ def _solution_series(prob: KineticProblem, cfg: SolutionSeriesConfig,
     return SeriesEvaluation(res.value, res.terms, res.tail_bound, res.converged)
 
 
+def _solution_series_batch(prob: KineticProblem, cfg: SolutionSeriesConfig,
+                           xs: list, ys: list,
+                           inner_beta: Callable[[int], float],
+                           extra_log: Callable[[int], float]) -> SeriesSumBatch:
+    """:func:`_solution_series` at every nonzero pair (xs[i], ys[i]) at once.
+
+    A point's result equals the per-point one where ``converged`` is True;
+    elsewhere the batch gave up on it (see :func:`fracml.mittag.ml2_batch`)
+    and the caller must evaluate it point by point.
+    """
+    nu = prob.nu
+    log_n0 = math.log(prob.n0)
+    log_coeff = _log_coeff(prob.ml)
+    log_x = np.array([math.log(x) for x in xs])
+    powers = PowerTable(ys)
+
+    def term(n: int, pos: np.ndarray) -> tuple:
+        iv, _, settled = ml2_batch(TwoParamML(nu, inner_beta(n)), powers,
+                                   pos, cfg.inner_tol)
+        t = np.zeros(pos.size)
+        bad = ~settled
+        live = np.flatnonzero(settled & (iv != 0.0))
+        if live.size:
+            ivl = iv[live]
+            # The per-point sum in its order, with scalar log and exp.
+            logmag = (log_n0 + log_coeff(n)) + n * log_x[pos[live]]
+            logmag = logmag + extra_log(n)
+            logmag = logmag + list(map(math.log, np.abs(ivl).tolist()))
+            over = logmag > 700.0
+            bad[live[over]] = True
+            ok = ~over
+            mag = list(map(math.exp, logmag[ok].tolist()))
+            t[live[ok]] = np.copysign(mag, ivl[ok])
+        return t, bad
+
+    return sum_series_batch(term, len(xs), cfg.outer_tol, cfg.outer_max_terms,
+                            MIN_TERMS)
+
+
+def _solution_grid(prob: KineticProblem, cfg: SolutionSeriesConfig,
+                   ts: np.ndarray,
+                   point: Callable[[float], tuple],
+                   inner_beta: Callable[[int], float],
+                   extra_log: Callable[[int], float]) -> GridEvaluation:
+    """The solution series at every time of ``ts``; ``point(t)`` gives the
+    series arguments (x, y) exactly as the per-point solver computes them."""
+    size = ts.size
+    value = np.zeros(size)
+    terms = np.zeros(size, dtype=np.int64)
+    tail = np.zeros(size)
+    converged = np.zeros(size, dtype=bool)
+    args = [point(t) for t in ts.tolist()]
+    batch = [i for i, (x, y) in enumerate(args) if x != 0.0 and y != 0.0]
+    if len(batch) >= GRID_CROSSOVER:
+        res = _solution_series_batch(prob, cfg, [args[i][0] for i in batch],
+                                     [args[i][1] for i in batch],
+                                     inner_beta, extra_log)
+        idx = np.array(batch)[res.converged]
+        value[idx] = res.value[res.converged]
+        terms[idx] = res.terms[res.converged]
+        tail[idx] = res.tail_bound[res.converged]
+        converged[idx] = True
+    for i in np.flatnonzero(~converged).tolist():
+        ev = _solution_series(prob, cfg, *args[i], inner_beta, extra_log)
+        value[i], terms[i] = ev.value, ev.terms_used
+        tail[i], converged[i] = ev.tail_bound, ev.converged
+    return GridEvaluation(ts, value, terms, tail, converged)
+
+
+def _evaluate(prob: KineticProblem, cfg: SolutionSeriesConfig, t: Times,
+              point: Callable[[float], tuple],
+              inner_beta: Callable[[int], float],
+              extra_log: Callable[[int], float]) -> Evaluation:
+    if isinstance(t, np.ndarray):
+        return _solution_grid(prob, cfg, t, point, inner_beta, extra_log)
+    x, y = point(t)
+    return _solution_series(prob, cfg, x, y, inner_beta, extra_log)
+
+
 def _require(prob: KineticProblem, forcing: Forcing, equal_rates: bool) -> None:
     if prob.forcing is not forcing:
         raise DomainError(f"this solver requires {forcing.value!r} forcing")
@@ -186,58 +343,70 @@ def _require(prob: KineticProblem, forcing: Forcing, equal_rates: bool) -> None:
         raise DomainError("this solver requires equal rates a == d")
 
 
-def solve_theorem1(prob: KineticProblem, t: float,
-                   cfg: SolutionSeriesConfig = DEFAULT_CONFIG) -> SeriesEvaluation:
-    """Plain-forcing solution N0 sum_n C_n t**n E_{nu,n+1}(-(d t)**nu)."""
-    t = _check_time(t)
+def solve_theorem1(prob: KineticProblem, t: Times,
+                   cfg: SolutionSeriesConfig = DEFAULT_CONFIG) -> Evaluation:
+    """Plain-forcing solution N0 sum_n C_n t**n E_{nu,n+1}(-(d t)**nu).
+
+    ``t`` is a time (result: :class:`SeriesEvaluation`) or a 1-D array of
+    times (result: :class:`GridEvaluation`); so for every solver below.
+    """
+    t = _check_times(t)
     _require(prob, Forcing.PLAIN, equal_rates=True)
-    w = (prob.d * t) ** prob.nu
-    return _solution_series(prob, cfg, x=t, y=-w,
-                            inner_beta=lambda n: n + 1.0, extra_log=_ZERO)
+
+    def point(t: float) -> tuple:
+        return t, -((prob.d * t) ** prob.nu)
+
+    return _evaluate(prob, cfg, t, point, lambda n: n + 1.0, _ZERO)
 
 
-def solve_theorem2_stated(prob: KineticProblem, t: float,
-                          cfg: SolutionSeriesConfig = DEFAULT_CONFIG) -> SeriesEvaluation:
+def solve_theorem2_stated(prob: KineticProblem, t: Times,
+                          cfg: SolutionSeriesConfig = DEFAULT_CONFIG) -> Evaluation:
     """Powered-forcing solution, unweighted series form (equal rates)."""
     _require(prob, Forcing.POWERED, equal_rates=True)
     return solve_theorem3_stated(prob, t, cfg)
 
 
-def solve_theorem2_rederived(prob: KineticProblem, t: float,
-                             cfg: SolutionSeriesConfig = DEFAULT_CONFIG) -> SeriesEvaluation:
+def solve_theorem2_rederived(prob: KineticProblem, t: Times,
+                             cfg: SolutionSeriesConfig = DEFAULT_CONFIG) -> Evaluation:
     """Powered-forcing solution with the Gamma(nu n + 1)/n! weight (equal rates)."""
     _require(prob, Forcing.POWERED, equal_rates=True)
     return solve_theorem3_rederived(prob, t, cfg)
 
 
-def solve_theorem3_stated(prob: KineticProblem, t: float,
-                          cfg: SolutionSeriesConfig = DEFAULT_CONFIG) -> SeriesEvaluation:
+def _powered_point(prob: KineticProblem) -> Callable[[float], tuple]:
+    """t -> (w, -w_a) with w = (d t)**nu and w_a = (a t)**nu."""
+    d, a, nu = prob.d, prob.a, prob.nu
+
+    def point(t: float) -> tuple:
+        return (d * t) ** nu, -((a * t) ** nu)
+
+    return point
+
+
+def solve_theorem3_stated(prob: KineticProblem, t: Times,
+                          cfg: SolutionSeriesConfig = DEFAULT_CONFIG) -> Evaluation:
     """Independent-rates solution N0 sum_n C_n w**n E_{nu,nu n+1}(-(a t)**nu)
     with w = (d t)**nu, unweighted series form."""
-    t = _check_time(t)
+    t = _check_times(t)
     _require(prob, Forcing.POWERED, equal_rates=False)
     nu = prob.nu
-    w = (prob.d * t) ** nu
-    wa = (prob.a * t) ** nu
-    return _solution_series(prob, cfg, x=w, y=-wa,
-                            inner_beta=lambda n: nu * n + 1.0, extra_log=_ZERO)
+    return _evaluate(prob, cfg, t, _powered_point(prob),
+                     lambda n: nu * n + 1.0, _ZERO)
 
 
-def solve_theorem3_rederived(prob: KineticProblem, t: float,
-                             cfg: SolutionSeriesConfig = DEFAULT_CONFIG) -> SeriesEvaluation:
+def solve_theorem3_rederived(prob: KineticProblem, t: Times,
+                             cfg: SolutionSeriesConfig = DEFAULT_CONFIG) -> Evaluation:
     """Independent-rates solution with the Gamma(nu n + 1)/n! weight obtained
     by solving the balance equation with the Laplace transform."""
-    t = _check_time(t)
+    t = _check_times(t)
     _require(prob, Forcing.POWERED, equal_rates=False)
     nu = prob.nu
-    w = (prob.d * t) ** nu
-    wa = (prob.a * t) ** nu
 
     def extra(n: int) -> float:
         return math.lgamma(nu * n + 1.0) - math.lgamma(n + 1.0)
 
-    return _solution_series(prob, cfg, x=w, y=-wa,
-                            inner_beta=lambda n: nu * n + 1.0, extra_log=extra)
+    return _evaluate(prob, cfg, t, _powered_point(prob),
+                     lambda n: nu * n + 1.0, extra)
 
 
 # Parameter substitutions generating the eighteen special cases: six

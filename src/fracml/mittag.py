@@ -22,21 +22,27 @@ cancellation is severe enough that the double-precision term noise would
 exceed the requested tolerance relative to the computed value, the sum is
 transparently re-evaluated on an extended-precision internal path with a
 working precision sized from the measured condition number.
+
+:func:`ml2_batch` evaluates one ``E_{alpha,beta}`` at many arguments at
+once for the kinetic grid solvers.  It reproduces :func:`ml2` bit for bit
+on every point it settles and hands the others back to the caller.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 import sys
 import threading
 from dataclasses import dataclass
 
+import numpy as np
 from mpmath import mp, mpf
 
 from .errors import DomainError
 from .specfun import is_gamma_pole, k_gamma, recip_gamma, signed_log_gamma
-from .summation import SeriesAbort, sum_series
+from .summation import SeriesAbort, sum_series, sum_series_batch
 
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_TERMS = 10_000
@@ -45,6 +51,10 @@ MIN_TERMS = 8
 _EPS = sys.float_info.epsilon
 # |log magnitude| cap before a growing term is declared non-summable.
 _LOG_HUGE = 700.0
+# ml2 builds a term directly as x**n / Gamma(a) while |a| and |n log|x||
+# stay within these limits, and in log form beyond them.
+_DIRECT_GAMMA_MAX = 170.0
+_DIRECT_LOG_MAX = 700.0
 # Error-estimate weights (ulps) for directly- and log-constructed terms.
 _ERR_DIRECT = 3.0
 _ERR_LOG = 60.0
@@ -238,7 +248,8 @@ def ml2(p: TwoParamML, x: float, tol: float = DEFAULT_TOL,
         if is_gamma_pole(a):
             return 0.0
         la = n * log_ax
-        if -170.0 <= a <= 170.0 and -700.0 <= la <= 700.0:
+        if (-_DIRECT_GAMMA_MAX <= a <= _DIRECT_GAMMA_MAX
+                and -_DIRECT_LOG_MAX <= la <= _DIRECT_LOG_MAX):
             t = x**n / math.gamma(a)
             if not math.isfinite(t):
                 raise SeriesAbort("term overflow")
@@ -269,6 +280,96 @@ def ml2(p: TwoParamML, x: float, tol: float = DEFAULT_TOL,
     return SeriesEvaluation(value, used, tail, converged)
 
 
+class PowerTable:
+    """Powers ``x_i**m`` of fixed nonzero points for :func:`ml2_batch`.
+
+    Each column is computed once, with the same scalar ``float`` power
+    :func:`ml2` uses (numpy's vectorized power differs from it in the last
+    bit on a fraction of inputs), and shared by every ``E_{alpha,beta}``
+    evaluated at these points.  Entries whose ``|m log|x_i||`` exceeds the
+    direct-branch limit are NaN.
+    """
+
+    def __init__(self, xs: list):
+        self.xs = xs
+        self.x = np.array(xs)
+        self.log_ax = np.array([math.log(abs(x)) for x in xs])
+        self._columns: list = []
+
+    def column(self, m: int) -> np.ndarray:
+        """The powers x_i**m; NaN outside the direct branch."""
+        while len(self._columns) <= m:
+            j = len(self._columns)
+            la = j * self.log_ax
+            direct = (-_DIRECT_LOG_MAX <= la) & (la <= _DIRECT_LOG_MAX)
+            if direct.all():
+                powers = list(map(pow, self.xs, itertools.repeat(j)))
+            else:  # skip the powers that could overflow
+                powers = [x**j if ok else math.nan
+                          for x, ok in zip(self.xs, direct.tolist())]
+            self._columns.append(np.array(powers))
+        return self._columns[m]
+
+
+def _should_escalate_batch(x: np.ndarray, abs_sum: np.ndarray,
+                           value: np.ndarray, err_units: np.ndarray,
+                           tol: float) -> np.ndarray:
+    # _should_escalate, elementwise; max(|value|, 1e-300) keeps a NaN as
+    # Python's max does.
+    av = np.abs(value)
+    return ((x < 0.0) & (abs_sum > 4.0 * av)
+            & (_EPS * err_units > tol * np.where(1e-300 > av, 1e-300, av)))
+
+
+def ml2_batch(p: TwoParamML, powers: PowerTable, idx: np.ndarray,
+              tol: float = DEFAULT_TOL,
+              max_terms: int = DEFAULT_MAX_TERMS) -> tuple:
+    """Evaluate ``E_{alpha,beta}`` at the points ``powers.xs[i]``, ``i`` in
+    ``idx``, all at once.
+
+    Returns ``(value, terms_used, settled)`` arrays aligned with ``idx``.
+    Where ``settled`` is True the point is certified and its value and term
+    count equal those of :func:`ml2` with the same arguments bit for bit;
+    a cancelling point is re-summed by the same extended-precision path.
+    ``settled`` is False for a point whose series leaves the direct term
+    branch, meets a non-finite term, or fails its certificate; the caller
+    evaluates those points with :func:`ml2`.  Each gamma value is computed
+    once for all points.
+    """
+    _check_tol(tol)
+    alpha, beta = p.alpha, p.beta
+    x = powers.x[idx]
+    err_units = np.zeros(idx.size)
+
+    def term(n: int, pos: np.ndarray) -> tuple:
+        a = alpha * n + beta
+        if is_gamma_pole(a):
+            return np.zeros(pos.size), np.zeros(pos.size, dtype=bool)
+        if not -_DIRECT_GAMMA_MAX <= a <= _DIRECT_GAMMA_MAX:
+            return np.full(pos.size, math.nan), np.ones(pos.size, dtype=bool)
+        t = powers.column(n)[idx[pos]] / math.gamma(a)
+        err_units[pos] += _ERR_DIRECT * np.abs(t)
+        # Not finite: an overflowing term, or NaN from outside the branch.
+        return t, ~np.isfinite(t)
+
+    def cert_ok(n: int) -> bool:
+        return alpha * n + beta >= 2.0
+
+    res = sum_series_batch(term, idx.size, tol, max_terms, MIN_TERMS, cert_ok)
+    value, used, tail = res.value, res.terms, res.tail_bound
+    escalate = res.converged & _should_escalate_batch(x, res.abs_sum, value,
+                                                      err_units, tol)
+    for i in np.flatnonzero(escalate).tolist():
+        v, used_mp, tl = _ml2_extended(alpha, beta, float(x[i]),
+                                       float(res.abs_sum[i]), float(value[i]),
+                                       max_terms)
+        value[i], tail[i] = v, tl
+        used[i] = max(int(used[i]), used_mp)
+    av = np.abs(value)
+    settled = res.converged & (tail <= tol * np.where(av > 1.0, av, 1.0))
+    return value, used, settled
+
+
 def _ml2_extended(alpha: float, beta: float, x: float, abs_sum: float,
                   approx: float, max_terms: int) -> tuple[float, int, float]:
     xm, al, be = mpf(x), mpf(alpha), mpf(beta)
@@ -288,8 +389,8 @@ def kml(p: MLParameters, z: float, tol: float = DEFAULT_TOL,
 
     Terms are assembled in log space from the step-k Pochhammer ratio, the
     step-k gamma and the factorial; convergence semantics match :func:`ml2`.
-    For parameter choices where the series diverges (large integer q), the
-    result is reported with ``converged=False``.
+    For ``q > 1 + alpha/k`` the series diverges for every ``z != 0`` and the
+    result is NaN with ``converged=False``.
     """
     _check_tol(tol)
     z = float(z)
@@ -299,6 +400,10 @@ def kml(p: MLParameters, z: float, tol: float = DEFAULT_TOL,
         return SeriesEvaluation(1.0 / k_gamma(p.beta, p.k), 1, 0.0, True)
 
     k, alpha, beta, g, q = p.k, p.alpha, p.beta, p.gamma, p.q
+    if q > 1.0 + alpha / k:
+        # The term ratio grows like n**(q - alpha/k - 1): the radius of
+        # convergence is 0, whatever the early terms suggest at tiny |z|.
+        return SeriesEvaluation(math.nan, 0, math.inf, False)
     log_k = math.log(k)
     c0 = g / k
     lg_c0 = math.lgamma(c0)

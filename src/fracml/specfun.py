@@ -107,16 +107,6 @@ def k_gamma(g: float, k: float) -> float:
     return value
 
 
-def log_k_gamma(g: float, k: float) -> float:
-    """ln of the step-k gamma, valid for g/k > 0 (series construction)."""
-    if k <= 0.0:
-        raise DomainError("k must be > 0")
-    z = g / k
-    if z <= 0.0:
-        raise DomainError("log_k_gamma requires g/k > 0")
-    return (z - 1.0) * math.log(k) + math.lgamma(z)
-
-
 def k_gamma_general(g: float, s: float, k: float) -> float:
     """Step-s gamma via the step-k one: (s/k)**(g/s - 1) * gamma_k(k*g/s).
 
@@ -193,8 +183,3 @@ def k_pochhammer_general(g: float, n, q: float, k: float) -> float:
         raise DomainError("k must be > 0")
     return k ** (n * q) * generalized_pochhammer(g / k, n, q)
 
-
-def log_k_pochhammer_general(g: float, n: int, q: float, k: float) -> float:
-    """ln (g)_{nq,k} for g, k > 0 (series construction; value is positive)."""
-    c = g / k
-    return n * q * math.log(k) + math.lgamma(c + n * q) - math.lgamma(c)

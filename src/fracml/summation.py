@@ -11,12 +11,19 @@ certificate is: at the first index ``n >= min_terms`` where
 the tail is bounded by ``|term_{n+1}| / (1 - r)``.  If no index certifies
 within ``max_terms``, the partial sum is returned with ``converged=False``;
 a wrong answer is never reported silently.
+
+:func:`sum_series_batch` sums many independent series at once with the same
+accumulator and the same certificate, elementwise.  It uses only IEEE-exact
+array operations (``+ - * /``, ``abs``, comparisons), so every series it
+settles has the bit pattern :func:`sum_series` gives for the same terms.
 """
 
 from __future__ import annotations
 
 import math
 from typing import Callable, NamedTuple, Optional
+
+import numpy as np
 
 
 class SeriesAbort(Exception):
@@ -95,3 +102,90 @@ def sum_series(
     except SeriesAbort:
         return SeriesSum(acc.value, n, math.inf, False, abs_sum)
     return SeriesSum(acc.value, max_terms, math.inf, False, abs_sum)
+
+
+class SeriesSumBatch(NamedTuple):
+    """Per-series fields of :class:`SeriesSum`, as arrays."""
+
+    value: np.ndarray
+    terms: np.ndarray
+    tail_bound: np.ndarray
+    converged: np.ndarray
+    abs_sum: np.ndarray
+
+
+def sum_series_batch(
+    term: Callable[[int, np.ndarray], tuple],
+    size: int,
+    tol: float,
+    max_terms: int,
+    min_terms: int = 8,
+    cert_ok: Optional[Callable[[int], bool]] = None,
+) -> SeriesSumBatch:
+    """Sum ``size`` series at once, each exactly as :func:`sum_series` would.
+
+    ``term(n, pos)`` returns the ``n``-th terms of the series at positions
+    ``pos`` (an index array into ``range(size)``) and a boolean array marking
+    the series whose term aborts, as ``SeriesAbort`` does for the scalar
+    version.  A series leaves ``pos`` once it certifies, aborts or runs out
+    of terms, so ``term`` is only asked for terms the scalar loop computes.
+    ``cert_ok(n)`` is shared by all series.
+    """
+    value = np.zeros(size)
+    terms = np.full(size, max_terms)
+    tail = np.full(size, math.inf)
+    converged = np.zeros(size, dtype=bool)
+    abs_out = np.zeros(size)
+    pos = np.arange(size)
+    with np.errstate(all="ignore"):
+        t, bad = term(0, pos)
+        if bad.any():
+            terms[pos[bad]] = 0
+            pos, t = pos[~bad], t[~bad]
+        acc = np.zeros(pos.size)
+        carry = np.zeros(pos.size)
+        abs_sum = np.zeros(pos.size)
+        at = np.abs(t)
+        n = 0
+        while n < max_terms and pos.size:
+            # CompensatedSum.add, elementwise.
+            s = acc + t
+            carry += np.where(np.abs(acc) >= at, (acc - s) + t, (t - s) + acc)
+            acc = s
+            abs_sum += at
+            t_next, bad = term(n + 1, pos)
+            an = np.abs(t_next)
+            leave = bad
+            if n >= min_terms and (cert_ok is None or cert_ok(n)):
+                partial = acc + carry
+                ap = np.abs(partial)
+                # tol * max(1.0, |partial|), with Python's max on NaN.
+                small = at <= tol * np.where(ap > 1.0, ap, 1.0)
+                if small.any():
+                    geometric = small & (t != 0.0) & (an < 0.5 * at) & ~bad
+                    flat = small & (t == 0.0) & (t_next == 0.0) & ~bad
+                    done = geometric | flat
+                    if done.any():
+                        p = pos[done]
+                        r = an / at
+                        value[p] = partial[done]
+                        terms[p] = n + 1
+                        tail[p] = np.where(geometric, an / (1.0 - r),
+                                           0.0)[done]
+                        converged[p] = True
+                        abs_out[p] = abs_sum[done]
+                        leave = done | bad
+            if bad.any():
+                p = pos[bad]
+                value[p] = (acc + carry)[bad]
+                terms[p] = n
+                abs_out[p] = abs_sum[bad]
+            if leave.any():
+                keep = ~leave
+                pos, t_next, an = pos[keep], t_next[keep], an[keep]
+                acc, carry, abs_sum = acc[keep], carry[keep], abs_sum[keep]
+            t, at = t_next, an
+            n += 1
+        value[pos] = acc + carry
+        abs_out[pos] = abs_sum
+    return SeriesSumBatch(value, terms, tail, converged, abs_out)

@@ -132,10 +132,13 @@ def test_criterion_4_theorem1_residual():
         assert rep.max_residuals[-1] <= 1e-6
 
 
-def _archive_report(name, meta, rep):
-    ARTIFACTS.mkdir(exist_ok=True)
-    payload = dict(meta)
-    payload.update({
+def _assert_matches_record(name, meta, rep):
+    # The checked-in record must be what this run computes, exactly; the
+    # test never rewrites it (scripts/make_database.py does).
+    with open(ARTIFACTS / name) as fh:
+        record = json.load(fh)
+    expected = dict(meta)
+    expected.update({
         "grids": list(rep.grid_steps),
         "max_residuals": list(rep.max_residuals),
         "l2_residuals": list(rep.l2_residuals),
@@ -143,9 +146,7 @@ def _archive_report(name, meta, rep):
         "satisfies_equation_gate": bool(rep.order_estimate >= 1.5
                                         and rep.max_residuals[-1] <= 1e-5),
     })
-    with open(ARTIFACTS / name, "w", newline="") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    assert record == expected, name
 
 
 def test_criterion_5_powered_forcing_residuals():
@@ -166,13 +167,13 @@ def test_criterion_5_powered_forcing_residuals():
             assert rep.order_estimate >= 1.8
             assert rep.max_residuals[-1] <= 1e-5
             meta = dict(shared, set=set_id, theorem=theorem, nu=nu, a=a)
-            _archive_report(f"residuals_set{set_id}_rederived.json",
-                            dict(meta, variant="rederived"), rep)
+            _assert_matches_record(f"residuals_set{set_id}_rederived.json",
+                                   dict(meta, variant="rederived"), rep)
             # Record of the unweighted series form: no pass assertion, the
-            # report itself is the artifact that adjudicates it.
+            # report itself is the record that adjudicates it.
             rep_stated = residual_report(prob, stated, c, 0.4, (64, 128, 256))
-            _archive_report(f"residuals_set{set_id}_stated.json",
-                            dict(meta, variant="stated"), rep_stated)
+            _assert_matches_record(f"residuals_set{set_id}_stated.json",
+                                   dict(meta, variant="stated"), rep_stated)
 
 
 def test_criterion_6_variant_and_rate_collapses():

@@ -266,3 +266,35 @@ class TestDeterminism:
         second = run_subprocess(argv)
         assert first.returncode == second.returncode == 0
         assert first.stdout == second.stdout
+
+
+class TestArtifacts:
+    """The checked-in records are exactly what the CLI computes now."""
+
+    ARTIFACTS = REPO / "artifacts"
+
+    def test_table_reproduces_database(self, capsys):
+        code, out, _ = run(["table", "--t-max", "0.5", "--steps", "50"],
+                           capsys)
+        assert code == 0
+        with open(self.ARTIFACTS / "database.csv", newline="") as fh:
+            assert out == fh.read()
+
+    @pytest.mark.parametrize("name", [
+        f"residuals_set{s}_{v}.json" for s in (1, 2, 3)
+        for v in ("stated", "rederived")])
+    def test_verify_reproduces_record(self, name, capsys):
+        with open(self.ARTIFACTS / name) as fh:
+            record = json.load(fh)
+        argv = ["verify"]
+        for flag in ("theorem", "variant", "N0", "gamma", "tau", "k", "alpha",
+                     "beta", "d", "a", "nu", "t_max"):
+            argv += ["--" + flag.replace("_", "-"), repr(record[flag])
+                     if isinstance(record[flag], float) else str(record[flag])]
+        argv += ["--grids", ",".join(str(g) for g in record["grids"])]
+        code, out, _ = run(argv, capsys)
+        report = json.loads(out)
+        for key in ("grids", "max_residuals", "l2_residuals", "order_estimate"):
+            assert report[key] == record[key], key
+        assert report["pass"] == record["satisfies_equation_gate"]
+        assert code == (0 if record["satisfies_equation_gate"] else 4)

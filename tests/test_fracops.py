@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import oracles
+import fracml.fracops
 from fracml.errors import DomainError
 from fracml.fracops import (
     SampledFunction,
@@ -225,3 +226,35 @@ class TestResidualReport:
 
         rep = residual_report(db_problem(), flaky, 3.0, 0.5, (16, 32))
         assert not rep.complete
+
+    def test_finest_grid_is_evaluated_once(self, monkeypatch):
+        solver_times = []
+        forcing_times = []
+
+        def solver(prob, t, cfg):
+            solver_times.append(np.array(t))
+            return solve_theorem1(prob, t, cfg)
+
+        forcing = fracml.fracops.forcing_value
+
+        def counting_forcing(prob, t, tol):
+            forcing_times.append(t)
+            return forcing(prob, t, tol)
+
+        monkeypatch.setattr(fracml.fracops, "forcing_value", counting_forcing)
+        rep = residual_report(db_problem(), solver, 3.0, 0.5, (64, 128, 256))
+        assert rep.complete
+        assert len(solver_times) == 1
+        assert solver_times[0].tolist() == grid(0.5, 256).tolist()
+        assert forcing_times == grid(0.5, 256).tolist()
+
+    def test_coarse_grids_are_exact_subsamples_of_the_finest(self):
+        # The premise of sampling only the finest grid: doubling grids
+        # share their points bit for bit.
+        rng = random.Random(4)
+        for t_max in [0.5, 0.4, 1.0, 3.7] + [rng.uniform(1e-3, 1e3)
+                                            for _ in range(200)]:
+            finest = grid(t_max, 1024)
+            for steps in (16, 32, 64, 128, 256, 512):
+                coarse = grid(t_max, steps)
+                assert coarse.tolist() == finest[::1024 // steps].tolist()

@@ -1,12 +1,18 @@
 import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp, mpf
 
 import oracles
+import fracml.kinetics
+import fracml.mittag
 from fracml.errors import DomainError, UnknownCaseError
 from fracml.kinetics import (
+    GRID_CROSSOVER,
     Forcing,
     KineticProblem,
     SolutionSeriesConfig,
@@ -18,7 +24,7 @@ from fracml.kinetics import (
     solve_theorem3_rederived,
     solve_theorem3_stated,
 )
-from fracml.mittag import MLParameters
+from fracml.mittag import MLParameters, SeriesEvaluation
 from fracml.specfun import k_gamma
 
 DB_PARAMS = MLParameters(k=2.0, alpha=6.0, beta=7.0, gamma=2.0, q=1.0)
@@ -264,3 +270,130 @@ class TestAgainstBruteForce:
             ref = float(oracles.mp_stated_solution(3, coeff, 1.2, 0.8, 2.5,
                                                    0.4, t))
             assert rel(got.value, ref) < 1e-11
+
+
+def _point(grid, i):
+    """Point i of a grid result, in the form a per-point call returns."""
+    return SeriesEvaluation(float(grid.value[i]), int(grid.point_terms[i]),
+                            float(grid.tail_bound[i]),
+                            bool(grid.point_converged[i]))
+
+
+def _assert_grid_matches_points(solver, prob, ts):
+    grid = solver(prob, np.array(ts))
+    assert grid.t.tolist() == ts
+    for i, t in enumerate(ts):
+        ev = solver(prob, t)
+        assert _point(grid, i) == ev, (solver.__name__, t)
+    assert grid.terms_used == sum(solver(prob, t).terms_used for t in ts)
+    assert grid.converged == all(solver(prob, t).converged for t in ts)
+    return grid
+
+
+def _record_calls(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def recording(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, recording)
+    return calls
+
+
+def _problem_for(solver, ml, d, a, nu):
+    if solver is solve_theorem1:
+        return problem(nu=nu, d=d, ml=ml)
+    if solver in (solve_theorem2_stated, solve_theorem2_rederived):
+        return problem(nu=nu, forcing=Forcing.POWERED, d=d, ml=ml)
+    return problem(nu=nu, forcing=Forcing.POWERED, d=d, a=a, ml=ml)
+
+
+class TestGridEvaluation:
+    """A grid call returns, point for point, exactly what per-point calls
+    return: values, term counts, tail bounds and convergence flags."""
+
+    @settings(max_examples=40)
+    @given(solver=st.sampled_from(ALL_SOLVERS),
+           k=st.floats(0.5, 2.0), alpha=st.floats(2.0, 6.0),
+           beta=st.floats(0.5, 7.0), gamma=st.floats(0.5, 3.0),
+           q=st.sampled_from([0.5, 1.0]),
+           d=st.floats(0.5, 3.0),
+           a=st.one_of(st.floats(0.5, 3.0), st.floats(5.0, 9.0)),
+           nu=st.floats(0.5, 2.5), t_max=st.floats(0.05, 1.0),
+           size=st.sampled_from([2, 5, GRID_CROSSOVER, GRID_CROSSOVER + 1,
+                                 GRID_CROSSOVER + 9]))
+    def test_grid_equals_per_point_calls(self, solver, k, alpha, beta, gamma,
+                                         q, d, a, nu, t_max, size):
+        # The grid starts at t = 0, which is never batched, so sizes
+        # GRID_CROSSOVER and GRID_CROSSOVER + 1 straddle the crossover.
+        # Rates a in [5, 9] make the inner factors of theorem 3 cancel and
+        # escalate at the far end.
+        ml = MLParameters(k=k, alpha=alpha, beta=beta, gamma=gamma, q=q)
+        prob = _problem_for(solver, ml, d, a, nu)
+        ts = [t_max * i / (size - 1) for i in range(size)]
+        _assert_grid_matches_points(solver, prob, ts)
+
+    def test_database_grid_is_batched_without_fallback(self, monkeypatch):
+        calls = _record_calls(monkeypatch, fracml.kinetics, "_solution_series")
+        ts = np.linspace(0.0, 0.5, 257).tolist()
+        grid = solve_theorem1(problem(), np.array(ts))
+        assert grid.converged
+        assert len(calls) == 1  # t = 0 only: the series argument is zero
+        monkeypatch.undo()
+        for i, t in enumerate(ts):
+            assert _point(grid, i) == solve_theorem1(problem(), t)
+
+    def test_escalated_inner_factors_match(self, monkeypatch):
+        escalations = _record_calls(monkeypatch, fracml.mittag, "_ml2_extended")
+        prob = problem(nu=1.0, d=12.0)
+        ts = [1.0 * i / GRID_CROSSOVER for i in range(GRID_CROSSOVER + 1)]
+        grid = solve_theorem1(prob, np.array(ts))
+        assert escalations  # taken inside the batched evaluation
+        monkeypatch.undo()
+        assert grid.converged
+        for i, t in enumerate(ts):
+            assert _point(grid, i) == solve_theorem1(prob, t)
+
+    def test_points_outside_the_direct_branch_fall_back(self, monkeypatch):
+        # With w = (60 t)**7 the outer series needs n >= 17 at the far end,
+        # where the inner gamma arguments 7 m + 7 n + 1 pass 170.
+        calls = _record_calls(monkeypatch, fracml.kinetics, "_solution_series")
+        ml = MLParameters(k=1.0, alpha=1.0, beta=1.0, gamma=1.0, q=1.0)
+        prob = problem(nu=7.0, forcing=Forcing.POWERED, d=60.0, a=0.5, ml=ml)
+        ts = [1.0 * i / GRID_CROSSOVER for i in range(GRID_CROSSOVER + 1)]
+        grid = solve_theorem3_stated(prob, np.array(ts))
+        assert len(calls) > 1
+        monkeypatch.undo()
+        assert grid.converged
+        for i, t in enumerate(ts):
+            assert _point(grid, i) == solve_theorem3_stated(prob, t)
+
+    def test_small_grid_stays_per_point(self, monkeypatch):
+        def no_batch(*args):
+            raise AssertionError("batched below the crossover")
+
+        monkeypatch.setattr(fracml.kinetics, "_solution_series_batch",
+                            no_batch)
+        ts = [0.1 * i for i in range(GRID_CROSSOVER - 1)]
+        _assert_grid_matches_points(solve_theorem1, problem(), ts)
+
+    def test_unconverged_point_is_reported(self):
+        cfg = SolutionSeriesConfig(outer_max_terms=8)
+        prob = problem(nu=1.0)
+        ts = np.linspace(0.0, 0.5, GRID_CROSSOVER + 1)
+        grid = solve_theorem1(prob, ts, cfg)
+        assert not grid.converged
+        assert grid.first_uncertified == ts[1]
+        assert isinstance(grid.terms_used, int)
+        for i, t in enumerate(ts.tolist()):
+            assert _point(grid, i) == solve_theorem1(prob, t, cfg)
+
+    def test_time_validation(self):
+        with pytest.raises(DomainError):
+            solve_theorem1(problem(), np.array([0.0, -0.1]))
+        with pytest.raises(DomainError):
+            solve_theorem1(problem(), np.array([0.0, math.nan]))
+        with pytest.raises(DomainError):
+            solve_theorem1(problem(), np.zeros((2, 2)))

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,10 +9,12 @@ import oracles
 from fracml.errors import DomainError
 from fracml.mittag import (
     MLParameters,
+    PowerTable,
     ReductionCase,
     TwoParamML,
     kml,
     ml2,
+    ml2_batch,
     reduction_case,
 )
 from fracml.specfun import k_gamma, k_pochhammer, recip_gamma
@@ -160,10 +163,12 @@ class TestGeneralizedEvaluator:
             assert rel(kml(p, z).value, ref) < 1e-11
 
     def test_divergent_series_is_flagged(self):
-        # q = 2 > 1 + alpha/k: term ratios grow without bound.
+        # q = 2 > 1 + alpha/k: term ratios grow without bound, so the series
+        # has no value at any z != 0, even where its early terms shrink.
         p = MLParameters(k=1.0, alpha=0.5, beta=1.0, gamma=1.0, q=2.0)
-        ev = kml(p, 2.0)
-        assert not ev.converged
+        for z in (2.0, 1e-6, -1e-6):
+            ev = kml(p, z)
+            assert not ev.converged
 
     @settings(max_examples=100)
     @given(alpha=st.floats(0.5, 5.0), beta=st.floats(0.5, 5.0),
@@ -184,6 +189,35 @@ class TestGeneralizedEvaluator:
                 direct += (k_pochhammer(1.7, n, 2.0) * z**n
                            / (k_gamma(1.5 * n + 2.0, 2.0) * math.factorial(n)))
             assert rel(kml(p, z).value, direct) < 1e-10
+
+
+class TestBatchEvaluator:
+    @settings(max_examples=60)
+    @given(alpha=st.floats(0.5, 3.0),
+           beta=st.one_of(st.floats(-3.0, 5.0),
+                          st.integers(-3, 5).map(float)),
+           xs=st.lists(st.floats(-6.0, 6.0).filter(lambda x: x != 0.0),
+                       min_size=1, max_size=12),
+           tol=st.sampled_from([1e-10, 1e-13]))
+    def test_settled_points_equal_ml2(self, alpha, beta, xs, tol):
+        # Integer beta <= 0 puts gamma poles among the first terms; negative
+        # x with alpha near 1/2 cancels and escalates.
+        p = TwoParamML(alpha, beta)
+        value, used, settled = ml2_batch(p, PowerTable(xs),
+                                         np.arange(len(xs)), tol)
+        for i, x in enumerate(xs):
+            if settled[i]:
+                ev = ml2(p, x, tol)
+                assert ev.converged
+                assert (value[i], used[i]) == (ev.value, ev.terms_used)
+
+    def test_ordinary_points_settle(self):
+        xs = [-3.0, -0.5, 0.25, 2.0, 4.0]
+        p = TwoParamML(1.5, 2.5)
+        value, used, settled = ml2_batch(p, PowerTable(xs), np.arange(5))
+        assert settled.all()
+        assert value.tolist() == [ml2(p, x).value for x in xs]
+        assert used.tolist() == [ml2(p, x).terms_used for x in xs]
 
 
 class TestReductionCase:

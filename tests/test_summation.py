@@ -1,0 +1,60 @@
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fracml.summation import SeriesAbort, sum_series, sum_series_batch
+
+# One series: term(n) = scale * ratio**n, sign-alternating or not, zero
+# before index `zeros`, aborting at index `abort` (never when None).
+series = st.tuples(
+    st.floats(-1e3, 1e3, allow_nan=False),
+    st.floats(0.0, 1.5),
+    st.booleans(),
+    st.integers(0, 12),
+    st.one_of(st.none(), st.integers(0, 40)),
+)
+
+
+def scalar_term(spec):
+    scale, ratio, alternate, zeros, abort = spec
+
+    def term(n):
+        if n == abort:
+            raise SeriesAbort("abort")
+        if n < zeros:
+            return 0.0
+        t = scale * ratio**n
+        return -t if alternate and n % 2 else t
+
+    return term
+
+
+@settings(max_examples=150)
+@given(specs=st.lists(series, min_size=1, max_size=12),
+       tol=st.sampled_from([1e-6, 1e-12, 1e-15]),
+       max_terms=st.integers(1, 60),
+       cert_from=st.integers(0, 15))
+def test_batch_equals_scalar_sum(specs, tol, max_terms, cert_from):
+    terms = [scalar_term(s) for s in specs]
+
+    def cert_ok(n):
+        return n >= cert_from
+
+    def batch_term(n, pos):
+        out, bad = np.zeros(pos.size), np.zeros(pos.size, dtype=bool)
+        for j, i in enumerate(pos.tolist()):
+            try:
+                out[j] = terms[i](n)
+            except SeriesAbort:
+                bad[j] = True
+        return out, bad
+
+    res = sum_series_batch(batch_term, len(specs), tol, max_terms, 8, cert_ok)
+    for i, term in enumerate(terms):
+        ref = sum_series(term, tol, max_terms, 8, cert_ok)
+        got = (res.value[i], res.terms[i], res.tail_bound[i],
+               res.converged[i], res.abs_sum[i])
+        assert got == tuple(ref), (i, specs[i])
+        assert math.copysign(1.0, res.value[i]) == math.copysign(1.0, ref.value)
