@@ -37,7 +37,7 @@ from .kinetics import (
     solve_theorem3_stated,
 )
 from .fracops import check_grids, residual_report
-from .mittag import MLParameters, TwoParamML, kml, ml2
+from .mittag import MLParameters, TwoParamML, _valid_exponent_step, kml, ml2
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -124,10 +124,6 @@ def _finite(v) -> bool:
     return math.isfinite(v)
 
 
-def _valid_tau(v) -> bool:
-    return math.isfinite(v) and (0 < v < 1 or (v >= 1 and v == round(v)))
-
-
 # ---------------------------------------------------------------------------
 # eval-ml / eval-kml
 
@@ -167,7 +163,7 @@ def _resolve_ml_params(args, cfgmap) -> MLParameters:
                     requirement="must be > 0")
     gamma = _resolve(args, cfgmap, "gamma", float, check=_pos,
                      requirement="must be > 0")
-    tau = _resolve(args, cfgmap, "tau", float, check=_valid_tau,
+    tau = _resolve(args, cfgmap, "tau", float, check=_valid_exponent_step,
                    requirement="must lie in (0,1) or be a positive integer")
     return MLParameters(k=k, alpha=alpha, beta=beta, gamma=gamma, q=tau)
 
@@ -206,7 +202,7 @@ _SOLVERS = {
 }
 
 
-def _resolve_problem(args, cfgmap) -> tuple[KineticProblem, Callable, int, str]:
+def _resolve_problem(args, cfgmap) -> tuple[KineticProblem, Callable]:
     theorem = _resolve(args, cfgmap, "theorem", int,
                        check=lambda v: v in (1, 2, 3),
                        requirement="must be 1, 2 or 3")
@@ -225,9 +221,13 @@ def _resolve_problem(args, cfgmap) -> tuple[KineticProblem, Callable, int, str]:
     if theorem in (1, 2) and a != d:
         raise CliError(EXIT_VALIDATION,
                        f"--a must equal --d for theorem {theorem}")
+    return _problem(theorem, n0, params, d, a, nu), _SOLVERS[(theorem, variant)]
+
+
+def _problem(theorem: int, n0: float, params: MLParameters, d: float,
+             a: float, nu: float) -> KineticProblem:
     forcing = Forcing.PLAIN if theorem == 1 else Forcing.POWERED
-    prob = KineticProblem(n0=n0, ml=params, d=d, nu=nu, forcing=forcing, a=a)
-    return prob, _SOLVERS[(theorem, variant)], theorem, variant
+    return KineticProblem(n0=n0, ml=params, d=d, nu=nu, forcing=forcing, a=a)
 
 
 def _grid_values(solver, prob, t_max: float, steps: int) -> list:
@@ -244,7 +244,7 @@ def _grid_values(solver, prob, t_max: float, steps: int) -> list:
 
 def _cmd_solve(args) -> int:
     cfgmap = _config_map(args, _PROBLEM_KEYS | {"t-max", "steps", "out"})
-    prob, solver, _, _ = _resolve_problem(args, cfgmap)
+    prob, solver = _resolve_problem(args, cfgmap)
     t_max = _resolve(args, cfgmap, "t-max", float, check=_pos,
                      requirement="must be > 0")
     steps = _resolve(args, cfgmap, "steps", int, check=lambda v: v >= 1,
@@ -271,16 +271,15 @@ def _parse_grids(raw: str) -> tuple:
 def _cmd_verify(args) -> int:
     cfgmap = _config_map(args, _PROBLEM_KEYS | {"t-max", "grids", "threshold",
                                                 "out"})
-    prob, solver, theorem, _ = _resolve_problem(args, cfgmap)
+    prob, solver = _resolve_problem(args, cfgmap)
     t_max = _resolve(args, cfgmap, "t-max", float, check=_pos,
                      requirement="must be > 0")
     grids = _parse_grids(_resolve(args, cfgmap, "grids", str))
     threshold = _resolve(args, cfgmap, "threshold", float, default=1e-5,
                          check=_pos, requirement="must be > 0")
     out = _resolve(args, cfgmap, "out", str, default=None)
-    c = prob.d if theorem in (1, 2) else prob.a
     try:
-        report = residual_report(prob, solver, c, t_max, grids)
+        report = residual_report(prob, solver, t_max, grids)
     except OverflowError as exc:
         raise CliError(EXIT_NO_CONVERGENCE, f"evaluation overflowed: {exc}")
     if not report.complete:
@@ -299,12 +298,14 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if passed else EXIT_VERIFY_FAILED
 
 
-# The three database parameter sets: (set id, theorem, nu, a); the shared
-# values are N0=0.05, gamma=2, tau=1, k=2, alpha=6, beta=7, d=3.
-_TABLE_SETS = (
-    (1, 1, 1.0, 3.0),
-    (2, 2, 5.0, 3.0),
-    (3, 3, 7.0, 3.0),
+# The paper's solution database: the flags its three parameter sets share,
+# and for each set (set id, theorem, nu, a, t_max of its residual check).
+DATABASE_FLAGS = {"N0": 0.05, "gamma": 2.0, "tau": 1.0, "k": 2.0,
+                  "alpha": 6.0, "beta": 7.0, "d": 3.0}
+DATABASE_SETS = (
+    (1, 1, 1.0, 3.0, 0.5),
+    (2, 2, 5.0, 3.0, 0.4),
+    (3, 3, 7.0, 3.0, 0.4),
 )
 
 
@@ -315,12 +316,12 @@ def _cmd_table(args) -> int:
     steps = _resolve(args, cfgmap, "steps", int, default=50,
                      check=lambda v: v >= 1, requirement="must be >= 1")
     out = _resolve(args, cfgmap, "out", str, default=None)
-    params = MLParameters(k=2.0, alpha=6.0, beta=7.0, gamma=2.0, q=1.0)
+    db = DATABASE_FLAGS
+    params = MLParameters(k=db["k"], alpha=db["alpha"], beta=db["beta"],
+                          gamma=db["gamma"], q=db["tau"])
     lines = ["set,theorem,t,N_stated,N_rederived\n"]
-    for set_id, theorem, nu, a in _TABLE_SETS:
-        forcing = Forcing.PLAIN if theorem == 1 else Forcing.POWERED
-        prob = KineticProblem(n0=0.05, ml=params, d=3.0, nu=nu,
-                              forcing=forcing, a=a)
+    for set_id, theorem, nu, a, _ in DATABASE_SETS:
+        prob = _problem(theorem, db["N0"], params, db["d"], a, nu)
         stated = _grid_values(_SOLVERS[(theorem, "stated")], prob, t_max, steps)
         if theorem == 1:
             rederived = stated

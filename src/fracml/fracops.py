@@ -51,17 +51,14 @@ from .mittag import SeriesEvaluation
 
 @dataclass(frozen=True, eq=False)
 class SampledFunction:
-    """Samples of a function on the uniform grid t_i = t0 + i*step, t0 = 0."""
+    """Samples of a function on the uniform grid t_i = i*step."""
 
     step: float
     values: np.ndarray
-    t0: float = 0.0
 
     def __post_init__(self):
         if not (math.isfinite(self.step) and self.step > 0.0):
             raise DomainError("step must be finite and > 0")
-        if self.t0 != 0.0:
-            raise DomainError("grids must start at t0 = 0")
         v = np.asarray(self.values, dtype=float)
         if v.ndim != 1 or v.size < 2:
             raise DomainError("values must be a 1-D sequence of length >= 2")
@@ -71,7 +68,7 @@ class SampledFunction:
 
     @property
     def times(self) -> np.ndarray:
-        return self.t0 + self.step * np.arange(self.values.size)
+        return self.step * np.arange(self.values.size)
 
     def __len__(self) -> int:
         return self.values.size
@@ -148,28 +145,26 @@ def check_grids(grids: Sequence[int]) -> tuple:
 
 def residual_report(prob: KineticProblem,
                     solver: Callable[..., SeriesEvaluation],
-                    c: float,
                     t_max: float,
                     grids: Sequence[int],
                     cfg: Optional[SolutionSeriesConfig] = None) -> ResidualReport:
     """Defect of a claimed solution against its kinetic equation.
 
-    On each grid the residual R_i = N_i - N0 f(t_i) + c**nu (I^nu N)_i is
-    formed from solver samples and the product-trapezoidal integral; for a
-    true solution max|R| shrinks at second order as the step halves, while
-    a wrong solution leaves a non-vanishing floor.
+    On each grid the residual R_i = N_i - N0 f(t_i) + a**nu (I^nu N)_i, with
+    the removal rate ``a = prob.a``, is formed from solver samples and the
+    product-trapezoidal integral; for a true solution max|R| shrinks at
+    second order as the step halves, while a wrong solution leaves a
+    non-vanishing floor.
 
     ``solver(prob, ts, cfg)`` is called once, with the times of the finest
     grid; its ``value`` is either one value per time or a single value for
     all of them, and its ``converged`` flag sets ``complete``.
     """
-    if not (math.isfinite(c) and c > 0.0):
-        raise DomainError("c must be finite and > 0")
     if not (math.isfinite(t_max) and t_max > 0.0):
         raise DomainError("t_max must be finite and > 0")
     grids = check_grids(grids)
     cfg = cfg if cfg is not None else DEFAULT_CONFIG
-    cpow = c ** prob.nu
+    apow = prob.a ** prob.nu
     finest = grids[-1]
     ts = np.linspace(0.0, t_max, finest + 1)
     ev = solver(prob, ts, cfg)
@@ -184,7 +179,7 @@ def residual_report(prob: KineticProblem,
         nvals = nvals_all[::finest // steps]
         fvals = fvals_all[::finest // steps]
         integ = rl_integral(SampledFunction(h, nvals), prob.nu).values
-        resid = nvals - fvals + cpow * integ
+        resid = nvals - fvals + apow * integ
         max_res.append(float(np.max(np.abs(resid))))
         l2_res.append(float(math.sqrt(h * float(np.sum(resid * resid)))))
     ratios = [math.log2(max(a, 1e-300) / max(b, 1e-300))

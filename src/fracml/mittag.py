@@ -52,7 +52,9 @@ _EPS = sys.float_info.epsilon
 # |log magnitude| cap before a growing term is declared non-summable.
 _LOG_HUGE = 700.0
 # ml2 builds a term directly as x**n / Gamma(a) while |a| and |n log|x||
-# stay within these limits, and in log form beyond them.
+# stay within these limits, and in log form beyond them (Gamma(a) ~ 1/a
+# overflows for |a| below about 5.6e-309).
+_DIRECT_GAMMA_MIN = 1e-300
 _DIRECT_GAMMA_MAX = 170.0
 _DIRECT_LOG_MAX = 700.0
 # Error-estimate weights (ulps) for directly- and log-constructed terms.
@@ -248,7 +250,7 @@ def ml2(p: TwoParamML, x: float, tol: float = DEFAULT_TOL,
         if is_gamma_pole(a):
             return 0.0
         la = n * log_ax
-        if (-_DIRECT_GAMMA_MAX <= a <= _DIRECT_GAMMA_MAX
+        if (_DIRECT_GAMMA_MIN <= abs(a) <= _DIRECT_GAMMA_MAX
                 and -_DIRECT_LOG_MAX <= la <= _DIRECT_LOG_MAX):
             t = x**n / math.gamma(a)
             if not math.isfinite(t):
@@ -345,7 +347,7 @@ def ml2_batch(p: TwoParamML, powers: PowerTable, idx: np.ndarray,
         a = alpha * n + beta
         if is_gamma_pole(a):
             return np.zeros(pos.size), np.zeros(pos.size, dtype=bool)
-        if not -_DIRECT_GAMMA_MAX <= a <= _DIRECT_GAMMA_MAX:
+        if not _DIRECT_GAMMA_MIN <= abs(a) <= _DIRECT_GAMMA_MAX:
             return np.full(pos.size, math.nan), np.ones(pos.size, dtype=bool)
         t = powers.column(n)[idx[pos]] / math.gamma(a)
         err_units[pos] += _ERR_DIRECT * np.abs(t)

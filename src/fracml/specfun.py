@@ -26,8 +26,10 @@ import operator
 from .errors import DomainError, PoleError
 
 # Largest argument for which Gamma fits in a double; math.gamma raises
-# OverflowError beyond ~171.62.
+# OverflowError beyond ~171.62, and for |x| below about 5.6e-309, where
+# Gamma(x) ~ 1/x.
 _GAMMA_OVERFLOW = 171.62
+_GAMMA_TINY = 1e-300
 
 
 def _as_count(n, name: str = "n") -> int:
@@ -86,7 +88,7 @@ def recip_gamma(x: float) -> float:
     """1 / Gamma(x), with the entire-function convention of 0.0 at poles."""
     if is_gamma_pole(x):
         return 0.0
-    if -_GAMMA_OVERFLOW < x <= _GAMMA_OVERFLOW:
+    if -_GAMMA_OVERFLOW < x <= _GAMMA_OVERFLOW and abs(x) >= _GAMMA_TINY:
         return 1.0 / math.gamma(x)
     lg, sg = signed_log_gamma(x)
     return sg * math.exp(-lg)

@@ -5,6 +5,8 @@ products and adaptive quadrature in mpmath, sharing no code with the
 implementations under test.
 """
 
+from functools import lru_cache
+
 from mpmath import mp, mpf
 
 DPS = 50
@@ -21,8 +23,13 @@ def mp_k_gamma(g, k):
         return k ** (g / k - 1) * mp.gamma(g / k)
 
 
+@lru_cache(maxsize=None)
 def mp_ml2_partial(alpha, beta, x, terms):
-    """Partial sum of sum_n x**n / Gamma(alpha n + beta) over n < terms."""
+    """Partial sum of sum_n x**n / Gamma(alpha n + beta) over n < terms.
+
+    A pure function of its arguments at DPS digits, so it is memoized: the
+    solution oracles below repeat the same inner series across test cases.
+    """
     with mp.workdps(DPS):
         alpha, beta, x = mpf(alpha), mpf(beta), mpf(x)
         total = mpf(0)

@@ -126,7 +126,7 @@ def test_criterion_4_theorem1_residual():
     with criterion(4, "plain-forcing residual, database set", 30.0):
         prob = KineticProblem(n0=0.05, ml=DB_PARAMS, d=3.0, nu=1.0,
                               forcing=Forcing.PLAIN)
-        rep = residual_report(prob, solve_theorem1, 3.0, 0.5, (64, 128, 256))
+        rep = residual_report(prob, solve_theorem1, 0.5, (64, 128, 256))
         assert rep.complete
         assert rep.order_estimate >= 1.8
         assert rep.max_residuals[-1] <= 1e-6
@@ -161,8 +161,7 @@ def test_criterion_5_powered_forcing_residuals():
         for set_id, theorem, nu, a, rederived, stated in cases:
             prob = KineticProblem(n0=0.05, ml=DB_PARAMS, d=3.0, nu=nu,
                                   forcing=Forcing.POWERED, a=a)
-            c = 3.0 if theorem == 2 else a
-            rep = residual_report(prob, rederived, c, 0.4, (64, 128, 256))
+            rep = residual_report(prob, rederived, 0.4, (64, 128, 256))
             assert rep.complete
             assert rep.order_estimate >= 1.8
             assert rep.max_residuals[-1] <= 1e-5
@@ -171,7 +170,7 @@ def test_criterion_5_powered_forcing_residuals():
                                    dict(meta, variant="rederived"), rep)
             # Record of the unweighted series form: no pass assertion, the
             # report itself is the record that adjudicates it.
-            rep_stated = residual_report(prob, stated, c, 0.4, (64, 128, 256))
+            rep_stated = residual_report(prob, stated, 0.4, (64, 128, 256))
             _assert_matches_record(f"residuals_set{set_id}_stated.json",
                                    dict(meta, variant="stated"), rep_stated)
 
@@ -254,14 +253,14 @@ def test_criterion_8_negative_controls(capsys):
             return SeriesEvaluation(0.0, 1, 0.0, True)
 
         scale = max(forcing_value(prob, 0.5 * i / 64).value for i in range(65))
-        rep = residual_report(prob, perturbed, 3.0, 0.5, (16, 32, 64))
+        rep = residual_report(prob, perturbed, 0.5, (16, 32, 64))
         assert not gate(rep)
         assert rep.max_residuals[-1] >= 1e-3 * scale
-        rep = residual_report(prob, dead, 3.0, 0.5, (16, 32, 64))
+        rep = residual_report(prob, dead, 0.5, (16, 32, 64))
         assert not gate(rep)
         assert rep.max_residuals[-1] >= 0.5 * scale
         # control: the honest solver passes the same gate
-        assert gate(residual_report(prob, solve_theorem1, 3.0, 0.5,
+        assert gate(residual_report(prob, solve_theorem1, 0.5,
                                     (16, 32, 64)))
 
         code = main(["eval-ml", "--alpha", "0", "--beta", "1", "--x", "1"])

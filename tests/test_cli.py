@@ -24,10 +24,10 @@ def run(argv, capsys):
     return code, out, err
 
 
-def run_subprocess(argv):
+def run_subprocess(argv, program=("-m", "fracml")):
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO / "src") + os.pathsep + env.get("PYTHONPATH", "")
-    return subprocess.run([sys.executable, "-m", "fracml", *argv],
+    return subprocess.run([sys.executable, *program, *argv],
                           capture_output=True, env=env, cwd=REPO)
 
 
@@ -298,3 +298,14 @@ class TestArtifacts:
             assert report[key] == record[key], key
         assert report["pass"] == record["satisfies_equation_gate"]
         assert code == (0 if record["satisfies_equation_gate"] else 4)
+
+    def test_make_database_reproduces_artifacts(self, tmp_path):
+        proc = run_subprocess(["--out-dir", str(tmp_path)],
+                              [str(REPO / "scripts" / "make_database.py")])
+        assert proc.returncode == 0, proc.stderr
+        names = sorted(path.name for path in self.ARTIFACTS.iterdir())
+        assert len(names) == 7
+        assert sorted(path.name for path in tmp_path.iterdir()) == names
+        for name in names:
+            assert ((tmp_path / name).read_bytes()
+                    == (self.ARTIFACTS / name).read_bytes()), name

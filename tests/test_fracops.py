@@ -31,10 +31,6 @@ class TestSampledFunction:
         with pytest.raises(DomainError):
             SampledFunction(0.1, [1.0])
 
-    def test_requires_zero_origin(self):
-        with pytest.raises(DomainError):
-            SampledFunction(0.1, [1.0, 2.0], t0=0.5)
-
     def test_times(self):
         f = SampledFunction(0.25, [0.0, 1.0, 2.0])
         assert np.allclose(f.times, [0.0, 0.25, 0.5])
@@ -180,16 +176,14 @@ class TestResidualReport:
     def test_grid_validation(self):
         prob = db_problem()
         with pytest.raises(DomainError):
-            residual_report(prob, solve_theorem1, 3.0, 0.5, (8, 16))
+            residual_report(prob, solve_theorem1, 0.5, (8, 16))
         with pytest.raises(DomainError):
-            residual_report(prob, solve_theorem1, 3.0, 0.5, (64,))
+            residual_report(prob, solve_theorem1, 0.5, (64,))
         with pytest.raises(DomainError):
-            residual_report(prob, solve_theorem1, 3.0, 0.5, (64, 100))
-        with pytest.raises(DomainError):
-            residual_report(prob, solve_theorem1, 0.0, 0.5, (16, 32))
+            residual_report(prob, solve_theorem1, 0.5, (64, 100))
 
     def test_true_solution_converges_at_second_order(self):
-        rep = residual_report(db_problem(), solve_theorem1, 3.0, 0.5, (16, 32, 64))
+        rep = residual_report(db_problem(), solve_theorem1, 0.5, (16, 32, 64))
         assert rep.complete
         assert rep.order_estimate > 1.8
         assert rep.max_residuals[-1] < 1e-6
@@ -201,7 +195,7 @@ class TestResidualReport:
             return SeriesEvaluation(0.0, 1, 0.0, True)
 
         prob = db_problem()
-        rep = residual_report(prob, zero_solver, 3.0, 0.5, (16, 32, 64))
+        rep = residual_report(prob, zero_solver, 0.5, (16, 32, 64))
         scale = max(forcing_value(prob, 0.5 * i / 64).value for i in range(65))
         # Residual equals the forcing itself: a non-vanishing floor.
         assert rep.max_residuals[-1] > 0.5 * scale
@@ -214,7 +208,7 @@ class TestResidualReport:
                                     ev.tail_bound, ev.converged)
 
         prob = db_problem()
-        rep = residual_report(prob, perturbed, 3.0, 0.5, (16, 32, 64))
+        rep = residual_report(prob, perturbed, 0.5, (16, 32, 64))
         scale = max(forcing_value(prob, 0.5 * i / 64).value for i in range(65))
         assert rep.max_residuals[-1] > 1e-3 * scale
         assert rep.order_estimate < 0.5
@@ -224,7 +218,7 @@ class TestResidualReport:
             ev = solve_theorem1(prob, t, cfg)
             return SeriesEvaluation(ev.value, ev.terms_used, math.inf, False)
 
-        rep = residual_report(db_problem(), flaky, 3.0, 0.5, (16, 32))
+        rep = residual_report(db_problem(), flaky, 0.5, (16, 32))
         assert not rep.complete
 
     def test_finest_grid_is_evaluated_once(self, monkeypatch):
@@ -242,7 +236,7 @@ class TestResidualReport:
             return forcing(prob, t, tol)
 
         monkeypatch.setattr(fracml.fracops, "forcing_value", counting_forcing)
-        rep = residual_report(db_problem(), solver, 3.0, 0.5, (64, 128, 256))
+        rep = residual_report(db_problem(), solver, 0.5, (64, 128, 256))
         assert rep.complete
         assert len(solver_times) == 1
         assert solver_times[0].tolist() == grid(0.5, 256).tolist()

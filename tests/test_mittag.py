@@ -211,6 +211,19 @@ class TestBatchEvaluator:
                 assert ev.converged
                 assert (value[i], used[i]) == (ev.value, ev.terms_used)
 
+    def test_subnormal_beta(self):
+        # 1/Gamma(beta) ~ beta is representable though Gamma(beta) is not.
+        p = TwoParamML(1.0, 2.2250738585e-313)
+        assert ml2(p, 0.0).value == pytest.approx(2.2250738585e-313, rel=1e-12)
+        xs = [1.0, -0.5]
+        value, _, settled = ml2_batch(p, PowerTable(xs), np.arange(2))
+        assert not settled.any()
+        for x in xs:
+            ev = ml2(p, x)
+            assert ev.converged
+            # E_{1,0}(x) = x e^x
+            assert ev.value == pytest.approx(x * math.exp(x), rel=1e-12)
+
     def test_ordinary_points_settle(self):
         xs = [-3.0, -0.5, 0.25, 2.0, 4.0]
         p = TwoParamML(1.5, 2.5)
