@@ -18,6 +18,7 @@ byte-identical output.  Every flag may also be supplied through a
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -284,7 +285,7 @@ def _cmd_verify(args) -> int:
         raise CliError(EXIT_NO_CONVERGENCE, f"evaluation overflowed: {exc}")
     if not report.complete:
         raise CliError(EXIT_NO_CONVERGENCE,
-                       "solver failed to converge on a grid point")
+                       "solver or forcing failed to converge on a grid point")
     passed = (report.order_estimate >= 1.5
               and report.max_residuals[-1] <= threshold)
     payload = {
@@ -373,7 +374,9 @@ def _add_problem_flags(sub) -> None:
                      help="right endpoint of the time grid")
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    # Built once per process: parsing leaves the parser unchanged.
     parser = argparse.ArgumentParser(
         prog="fracml",
         description="Mittag-Leffler functions and fractional kinetic "

@@ -23,12 +23,14 @@ accurate for smooth ones, which is what the grid-refinement residual report
 relies on.
 
 The residual report samples the solver and the forcing once, on the finest
-grid, in one grid call of the solver (see :mod:`fracml.kinetics`), and takes
+grid, in one grid call of each (see :mod:`fracml.kinetics`), and takes
 each coarser grid as every ``G // g``-th sample.  Because the grids
 double, ``np.linspace(0, t_max, g + 1)`` equals
 ``np.linspace(0, t_max, G + 1)[::G // g]`` exactly (``t_max / g`` and
 ``t_max / G`` differ by a power of two), so the report is bit-identical to
-sampling every grid afresh.
+sampling every grid afresh.  A report is complete only when the solver and
+the forcing converged at every sample; otherwise the CLI's ``verify``
+exits 3 and prints no report.
 """
 
 from __future__ import annotations
@@ -79,8 +81,8 @@ class ResidualReport:
     """Grid-refinement residual norms and an empirical convergence order.
 
     ``order_estimate`` is the mean of log2(max_res[j] / max_res[j+1]) over
-    successive grid halvings; ``complete`` is False when any solver
-    evaluation failed to converge (its point is still recorded).
+    successive grid halvings; ``complete`` is False when any solver or
+    forcing evaluation failed to converge (its point is still recorded).
     """
 
     grid_steps: tuple
@@ -156,9 +158,11 @@ def residual_report(prob: KineticProblem,
     second order as the step halves, while a wrong solution leaves a
     non-vanishing floor.
 
-    ``solver(prob, ts, cfg)`` is called once, with the times of the finest
-    grid; its ``value`` is either one value per time or a single value for
-    all of them, and its ``converged`` flag sets ``complete``.
+    ``solver(prob, ts, cfg)`` and ``forcing_value(prob, ts, tol)`` are each
+    called once, with the times of the finest grid.  The solver's ``value``
+    is either one value per time or a single value for all of them.
+    ``complete`` is False unless both the solver and every forcing point
+    converged.
     """
     if not (math.isfinite(t_max) and t_max > 0.0):
         raise DomainError("t_max must be finite and > 0")
@@ -170,8 +174,8 @@ def residual_report(prob: KineticProblem,
     ev = solver(prob, ts, cfg)
     # A per-point solver (a test double) may return one value for all times.
     nvals_all = np.broadcast_to(np.asarray(ev.value, dtype=float), ts.shape)
-    fvals_all = np.array([forcing_value(prob, t, cfg.inner_tol).value
-                          for t in ts.tolist()])
+    forcing = forcing_value(prob, ts, cfg.inner_tol)
+    fvals_all = forcing.value
     max_res = []
     l2_res = []
     for steps in grids:
@@ -186,7 +190,7 @@ def residual_report(prob: KineticProblem,
               for a, b in zip(max_res, max_res[1:])]
     order = sum(ratios) / len(ratios)
     return ResidualReport(grids, tuple(max_res), tuple(l2_res), order,
-                          bool(ev.converged))
+                          bool(ev.converged) and forcing.converged)
 
 
 def laplace_numeric(f: SampledFunction, p: float,

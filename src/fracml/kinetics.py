@@ -32,16 +32,28 @@ converged inner factor.
 
 Every solver also takes a 1-D array of times and returns a
 :class:`GridEvaluation`.  With at least ``GRID_CROSSOVER`` points whose
-series arguments are nonzero, the series are summed for all points at once:
-for each outer index ``n`` one :func:`fracml.mittag.ml2_batch` call
-evaluates the inner factor at every point still summing, sharing its gamma
-values and the powers of each point's argument.  Per-point logarithms,
-powers and exponentials come from the same scalar calls the per-point path
-makes, and the array arithmetic is IEEE-exact, so each value, term count and
-tail bound is bit-identical to a per-point call.  Smaller grids, points at
-a zero argument, and points the batch does not certify (an inner term
-outside the direct branch, an abort, a failed certificate) are evaluated by
-the per-point code.
+series arguments are nonzero, the series are summed for all points at once.
+The inner factors ``E_{nu,b(n)}(y_i)`` are evaluated for a block of outer
+indices at a time, in one :class:`fracml.mittag.ML2Rows` whose rows are the
+offsets ``b(n)``: first ``n = 0..MIN_TERMS+1``, which every outer sum
+computes, then blocks that double the indices covered.  The rows share the
+powers of each point's argument and take one gamma value per row and inner
+term; a cancelling factor is re-summed in extended precision only when an
+outer sum uses its term.  Per-point logarithms, powers and exponentials
+come from the same scalar calls the per-point path makes, and the array
+arithmetic is IEEE-exact, so each value, term count and tail bound is
+bit-identical to a per-point call.  Smaller grids, points at a zero
+argument, and points the batch does not certify (an inner term outside the
+direct branch, an abort, a failed certificate) are evaluated by the
+per-point code.
+
+An inner factor that is exactly 0.0 at a nonzero argument has underflowed
+(the functions' real zeros are never hit exactly): the outer sum aborts
+there and the point is reported unconverged, because two zero terms would
+otherwise pass the flat-tail certificate.
+
+:func:`forcing_value` likewise takes a time array and evaluates the forcing
+at all of its points with one :func:`fracml.mittag.kml_batch` call.
 """
 
 from __future__ import annotations
@@ -57,13 +69,14 @@ import numpy as np
 from .errors import DomainError, UnknownCaseError
 from .mittag import (
     MIN_TERMS,
+    ML2Rows,
     MLParameters,
     PowerTable,
     SeriesEvaluation,
     TwoParamML,
     kml,
+    kml_batch,
     ml2,
-    ml2_batch,
 )
 from .summation import SeriesAbort, SeriesSumBatch, sum_series, sum_series_batch
 
@@ -132,10 +145,15 @@ DEFAULT_CONFIG = SolutionSeriesConfig()
 # Grids with fewer batchable points than this are evaluated point by point:
 # below it the fixed cost of the array operations per term outweighs the
 # per-point Python work they replace.  Measured with CPython 3.11 and numpy
-# 2.4 on a 2-core x86-64 VM: for database set 1 (theorem 1) the batched grid
-# took 9x the per-point time at 2 points, 1.8x at 16, 0.9x at 32 and 0.5x
-# at 64; sets 2 and 3 break even near 16 points.
-GRID_CROSSOVER = 32
+# 2.4 on a 2-core x86-64 VM, batched over per-point time at 4 / 8 / 16
+# points: database set 1 (theorem 1) 1.6 / 0.86 / 0.46, sets 2 and 3
+# 0.55-1.3 / 0.54-0.56 / 0.19-0.31, and a theorem-1 problem with d = 30,
+# whose inner factors escalate, 1.10 / 0.87 / 0.81.
+GRID_CROSSOVER = 8
+
+# A block of inner factors holds at most this many (row, point) entries (or
+# one row), which bounds its arrays at about 2 MB each on very large grids.
+BLOCK_ENTRIES = 1 << 18
 
 
 @dataclass(frozen=True, eq=False)
@@ -191,15 +209,26 @@ def _check_times(t) -> Times:
     return ts
 
 
-def forcing_value(prob: KineticProblem, t: float,
-                  tol: float = 1e-12) -> SeriesEvaluation:
-    """N0 times the forcing E(z) at z = t (plain) or z = (d t)**nu (powered)."""
-    t = _check_time(t)
-    if prob.forcing is Forcing.PLAIN:
-        z = t
-    else:
-        z = (prob.d * t) ** prob.nu
-    ev = kml(prob.ml, z, tol)
+def forcing_value(prob: KineticProblem, t: Times,
+                  tol: float = 1e-12) -> Evaluation:
+    """N0 times the forcing E(z) at z = t (plain) or z = (d t)**nu (powered).
+
+    ``t`` is a time (result: :class:`SeriesEvaluation`) or a 1-D array of
+    times (result: :class:`GridEvaluation`, from one
+    :func:`fracml.mittag.kml_batch` call, equal point for point to per-time
+    calls).
+    """
+    t = _check_times(t)
+
+    def arg(t: float) -> float:
+        return t if prob.forcing is Forcing.PLAIN else (prob.d * t) ** prob.nu
+
+    if isinstance(t, np.ndarray):
+        value, terms, tail, converged = kml_batch(
+            prob.ml, [arg(ti) for ti in t.tolist()], tol)
+        return GridEvaluation(t, prob.n0 * value, terms, prob.n0 * tail,
+                              converged)
+    ev = kml(prob.ml, arg(t), tol)
     return SeriesEvaluation(prob.n0 * ev.value, ev.terms_used,
                             prob.n0 * ev.tail_bound, ev.converged)
 
@@ -246,6 +275,11 @@ def _solution_series(prob: KineticProblem, cfg: SolutionSeriesConfig,
     def term(n: int) -> float:
         iv = inner(n)
         if iv == 0.0:
+            if y != 0.0:
+                # An entire function's real zeros are never hit exactly:
+                # a zero factor underflowed, and two of them would fake
+                # the flat-tail certificate.
+                raise SeriesAbort("inner Mittag-Leffler factor underflowed")
             return 0.0
         logmag = (log_n0 + log_coeff(n) + n * log_x + extra_log(n)
                   + math.log(abs(iv)))
@@ -263,33 +297,50 @@ def _solution_series_batch(prob: KineticProblem, cfg: SolutionSeriesConfig,
                            extra_log: Callable[[int], float]) -> SeriesSumBatch:
     """:func:`_solution_series` at every nonzero pair (xs[i], ys[i]) at once.
 
-    A point's result equals the per-point one where ``converged`` is True;
-    elsewhere the batch gave up on it (see :func:`fracml.mittag.ml2_batch`)
-    and the caller must evaluate it point by point.
+    The inner factors are evaluated for a block of outer indices at a time,
+    at the points still summing when the block starts, in one
+    :class:`fracml.mittag.ML2Rows`: first the indices ``0..MIN_TERMS+1``,
+    which every outer sum computes, then blocks that double the indices
+    covered, each limited to ``BLOCK_ENTRIES`` entries.  A point's result
+    equals the per-point one where ``converged`` is True; elsewhere the
+    batch gave up on it (see :meth:`fracml.mittag.ML2Rows.take`) and the
+    caller must evaluate it point by point.
     """
     nu = prob.nu
     log_n0 = math.log(prob.n0)
     log_coeff = _log_coeff(prob.ml)
     log_x = np.array([math.log(x) for x in xs])
     powers = PowerTable(ys)
+    # The current block: outer indices start..end-1, the inner factors of
+    # row n - start, and each point's column in it.
+    start = end = 0
+    rows = None
+    col = np.zeros(len(xs), dtype=np.int64)
 
     def term(n: int, pos: np.ndarray) -> tuple:
-        iv, _, settled = ml2_batch(TwoParamML(nu, inner_beta(n)), powers,
-                                   pos, cfg.inner_tol)
-        t = np.zeros(pos.size)
-        bad = ~settled
-        live = np.flatnonzero(settled & (iv != 0.0))
-        if live.size:
-            ivl = iv[live]
-            # The per-point sum in its order, with scalar log and exp.
-            logmag = (log_n0 + log_coeff(n)) + n * log_x[pos[live]]
-            logmag = logmag + extra_log(n)
-            logmag = logmag + list(map(math.log, np.abs(ivl).tolist()))
-            over = logmag > 700.0
-            bad[live[over]] = True
-            ok = ~over
-            mag = list(map(math.exp, logmag[ok].tolist()))
-            t[live[ok]] = np.copysign(mag, ivl[ok])
+        nonlocal start, end, rows
+        if n >= end:
+            start = n
+            end = min(2 * n if n else MIN_TERMS + 2, cfg.outer_max_terms + 1,
+                      n + max(1, BLOCK_ENTRIES // pos.size))
+            rows = ML2Rows(nu, [inner_beta(j) for j in range(start, end)],
+                           powers, pos, cfg.inner_tol)
+            col[pos] = np.arange(pos.size)
+        iv, _, settled = rows.take(n - start, col[pos])
+        # A zero factor at a nonzero argument underflowed: abort, as the
+        # per-point sum does.  The terms of aborting points are not used;
+        # theirs are formed from |factor| = 1 and zeroed.
+        bad = ~settled | (iv == 0.0)
+        aiv = np.where(bad, 1.0, np.abs(iv)).tolist()
+        # The per-point sum in its order, with scalar log and exp.
+        logmag = (log_n0 + log_coeff(n)) + n * log_x[pos]
+        logmag = logmag + extra_log(n)
+        logmag = logmag + np.fromiter(map(math.log, aiv), float, pos.size)
+        bad |= logmag > 700.0
+        logmag[bad] = 0.0
+        mag = np.fromiter(map(math.exp, logmag.tolist()), float, pos.size)
+        t = np.copysign(mag, iv)
+        t[bad] = 0.0
         return t, bad
 
     return sum_series_batch(term, len(xs), cfg.outer_tol, cfg.outer_max_terms,

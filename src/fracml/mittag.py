@@ -23,9 +23,21 @@ exceed the requested tolerance relative to the computed value, the sum is
 transparently re-evaluated on an extended-precision internal path with a
 working precision sized from the measured condition number.
 
-:func:`ml2_batch` evaluates one ``E_{alpha,beta}`` at many arguments at
-once for the kinetic grid solvers.  It reproduces :func:`ml2` bit for bit
-on every point it settles and hands the others back to the caller.
+Batched forms serve the kinetic grid solvers and the residual check.
+:class:`ML2Rows` evaluates ``E_{alpha,beta_r}`` for several offsets
+``beta_r`` at many arguments in one compensated sum, deferring each
+extended-precision re-sum until its entry is asked for; :func:`ml2_batch`
+is its one-row case.  Both reproduce :func:`ml2` bit for bit on every entry
+they settle and hand the others back to the caller.  :func:`kml_batch`
+evaluates :func:`kml` at many arguments, forming each term's
+log-coefficient once for all of them, and returns exactly what :func:`kml`
+returns at each; points it does not settle itself go to :func:`kml`.  Only
+IEEE-exact operations are vectorized; logarithms, powers, exponentials and
+gamma values come from the scalar calls the per-point evaluators make.
+
+At ``z = 0`` :func:`kml` is ``1/gamma_k(beta)``, formed by
+:func:`fracml.specfun.recip_k_gamma`, so a ``beta`` whose Gamma value
+leaves the double range still gives a value.
 """
 
 from __future__ import annotations
@@ -36,12 +48,13 @@ import math
 import sys
 import threading
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from mpmath import mp, mpf
 
 from .errors import DomainError
-from .specfun import is_gamma_pole, k_gamma, recip_gamma, signed_log_gamma
+from .specfun import is_gamma_pole, recip_gamma, recip_k_gamma, signed_log_gamma
 from .summation import SeriesAbort, sum_series, sum_series_batch
 
 DEFAULT_TOL = 1e-12
@@ -296,20 +309,24 @@ class PowerTable:
         self.xs = xs
         self.x = np.array(xs)
         self.log_ax = np.array([math.log(abs(x)) for x in xs])
+        # j * |log|x_i|| rounds monotonically in |log|x_i||, so column j is
+        # all direct when it holds for the largest.
+        self._max_log = float(np.abs(self.log_ax).max(initial=0.0))
         self._columns: list = []
 
     def column(self, m: int) -> np.ndarray:
         """The powers x_i**m; NaN outside the direct branch."""
         while len(self._columns) <= m:
             j = len(self._columns)
-            la = j * self.log_ax
-            direct = (-_DIRECT_LOG_MAX <= la) & (la <= _DIRECT_LOG_MAX)
-            if direct.all():
-                powers = list(map(pow, self.xs, itertools.repeat(j)))
+            if j * self._max_log <= _DIRECT_LOG_MAX:
+                powers = np.fromiter(map(pow, self.xs, itertools.repeat(j)),
+                                     float, len(self.xs))
             else:  # skip the powers that could overflow
-                powers = [x**j if ok else math.nan
-                          for x, ok in zip(self.xs, direct.tolist())]
-            self._columns.append(np.array(powers))
+                la = j * self.log_ax
+                direct = (-_DIRECT_LOG_MAX <= la) & (la <= _DIRECT_LOG_MAX)
+                powers = np.array([x**j if ok else math.nan
+                                   for x, ok in zip(self.xs, direct.tolist())])
+            self._columns.append(powers)
         return self._columns[m]
 
 
@@ -323,11 +340,97 @@ def _should_escalate_batch(x: np.ndarray, abs_sum: np.ndarray,
             & (_EPS * err_units > tol * np.where(1e-300 > av, 1e-300, av)))
 
 
+def _certified(tail: np.ndarray, value: np.ndarray, tol: float) -> np.ndarray:
+    # tail <= tol * max(1.0, |value|), elementwise; fmax, like Python's max
+    # with 1.0 first, gives 1.0 for a NaN.
+    return tail <= tol * np.fmax(np.abs(value), 1.0)
+
+
+class ML2Rows:
+    """``E_{alpha,beta_r}(x_i)`` for several offsets ``beta_r`` (rows) at the
+    points ``x_i`` of a :class:`PowerTable` (columns), summed in one
+    :func:`~fracml.summation.sum_series_batch` call.
+
+    Each row follows :func:`ml2`'s term, pole, direct-branch and certificate
+    rules for its own ``beta_r``, with one scalar ``math.gamma`` per row and
+    term.  A cancelling entry is re-summed in extended precision only when
+    :meth:`take` asks for it.
+    """
+
+    def __init__(self, alpha: float, betas: list, powers: PowerTable,
+                 idx: np.ndarray, tol: float = DEFAULT_TOL,
+                 max_terms: int = DEFAULT_MAX_TERMS):
+        _check_tol(tol)
+        self.alpha, self.betas, self.tol = alpha, betas, tol
+        self.max_terms = max_terms
+        self.width = width = idx.size
+        rows = np.repeat(np.arange(len(betas)), width)
+        points = np.tile(idx, len(betas))
+        self.x = x = powers.x[points]
+        beta_arr = np.array(betas, dtype=float)
+        err_units = np.zeros(rows.size)
+
+        live = [None, None, None]   # pos, and its rows and points
+
+        def term(m: int, pos: np.ndarray) -> tuple:
+            den = []
+            poles = []
+            for r, beta in enumerate(betas):
+                a = alpha * m + beta
+                if is_gamma_pole(a):
+                    den.append(math.inf)
+                    poles.append(r)
+                elif _DIRECT_GAMMA_MIN <= abs(a) <= _DIRECT_GAMMA_MAX:
+                    den.append(math.gamma(a))
+                else:
+                    den.append(math.nan)
+            if live[0] is not pos:
+                live[:] = pos, rows[pos], points[pos]
+            r = live[1]
+            t = powers.column(m)[live[2]] / np.array(den)[r]
+            if poles:
+                t[np.isin(r, poles)] = 0.0
+            err_units[pos] += _ERR_DIRECT * np.abs(t)
+            # Not finite: an overflowing term, a NaN power from outside the
+            # branch, or a NaN gamma value from outside it.
+            return t, ~np.isfinite(t)
+
+        def cert_ok(m: int):
+            ok = alpha * m + beta_arr >= 2.0
+            return True if ok.all() else ok[rows]
+
+        res = sum_series_batch(term, rows.size, tol, max_terms, MIN_TERMS,
+                               cert_ok)
+        self.res = res
+        self.escalate = res.converged & _should_escalate_batch(
+            x, res.abs_sum, res.value, err_units, tol)
+        self.settled = res.converged & _certified(res.tail_bound, res.value,
+                                                  tol)
+
+    def take(self, row: int, cols: np.ndarray) -> tuple:
+        """``(value, terms_used, settled)`` of row ``row`` at columns
+        ``cols``.  Where ``settled`` is True the entry is certified and
+        equals :func:`ml2` bit for bit; elsewhere the caller evaluates it
+        with :func:`ml2`."""
+        f = row * self.width + cols
+        value, used = self.res.value[f], self.res.terms[f]
+        settled = self.settled[f]
+        for j in np.flatnonzero(self.escalate[f]).tolist():
+            i = f[j]
+            v, used_mp, tail = _ml2_extended(
+                self.alpha, self.betas[row], float(self.x[i]),
+                float(self.res.abs_sum[i]), float(value[j]), self.max_terms)
+            value[j] = v
+            used[j] = max(int(used[j]), used_mp)
+            settled[j] = tail <= self.tol * max(1.0, abs(v))
+        return value, used, settled
+
+
 def ml2_batch(p: TwoParamML, powers: PowerTable, idx: np.ndarray,
               tol: float = DEFAULT_TOL,
               max_terms: int = DEFAULT_MAX_TERMS) -> tuple:
     """Evaluate ``E_{alpha,beta}`` at the points ``powers.xs[i]``, ``i`` in
-    ``idx``, all at once.
+    ``idx``, all at once: the one-row case of :class:`ML2Rows`.
 
     Returns ``(value, terms_used, settled)`` arrays aligned with ``idx``.
     Where ``settled`` is True the point is certified and its value and term
@@ -335,41 +438,10 @@ def ml2_batch(p: TwoParamML, powers: PowerTable, idx: np.ndarray,
     a cancelling point is re-summed by the same extended-precision path.
     ``settled`` is False for a point whose series leaves the direct term
     branch, meets a non-finite term, or fails its certificate; the caller
-    evaluates those points with :func:`ml2`.  Each gamma value is computed
-    once for all points.
+    evaluates those points with :func:`ml2`.
     """
-    _check_tol(tol)
-    alpha, beta = p.alpha, p.beta
-    x = powers.x[idx]
-    err_units = np.zeros(idx.size)
-
-    def term(n: int, pos: np.ndarray) -> tuple:
-        a = alpha * n + beta
-        if is_gamma_pole(a):
-            return np.zeros(pos.size), np.zeros(pos.size, dtype=bool)
-        if not _DIRECT_GAMMA_MIN <= abs(a) <= _DIRECT_GAMMA_MAX:
-            return np.full(pos.size, math.nan), np.ones(pos.size, dtype=bool)
-        t = powers.column(n)[idx[pos]] / math.gamma(a)
-        err_units[pos] += _ERR_DIRECT * np.abs(t)
-        # Not finite: an overflowing term, or NaN from outside the branch.
-        return t, ~np.isfinite(t)
-
-    def cert_ok(n: int) -> bool:
-        return alpha * n + beta >= 2.0
-
-    res = sum_series_batch(term, idx.size, tol, max_terms, MIN_TERMS, cert_ok)
-    value, used, tail = res.value, res.terms, res.tail_bound
-    escalate = res.converged & _should_escalate_batch(x, res.abs_sum, value,
-                                                      err_units, tol)
-    for i in np.flatnonzero(escalate).tolist():
-        v, used_mp, tl = _ml2_extended(alpha, beta, float(x[i]),
-                                       float(res.abs_sum[i]), float(value[i]),
-                                       max_terms)
-        value[i], tail[i] = v, tl
-        used[i] = max(int(used[i]), used_mp)
-    av = np.abs(value)
-    settled = res.converged & (tail <= tol * np.where(av > 1.0, av, 1.0))
-    return value, used, settled
+    rows = ML2Rows(p.alpha, [p.beta], powers, idx, tol, max_terms)
+    return rows.take(0, np.arange(idx.size))
 
 
 def _ml2_extended(alpha: float, beta: float, x: float, abs_sum: float,
@@ -399,25 +471,17 @@ def kml(p: MLParameters, z: float, tol: float = DEFAULT_TOL,
     if not math.isfinite(z):
         raise DomainError("z must be finite")
     if z == 0.0:
-        return SeriesEvaluation(1.0 / k_gamma(p.beta, p.k), 1, 0.0, True)
-
-    k, alpha, beta, g, q = p.k, p.alpha, p.beta, p.gamma, p.q
-    if q > 1.0 + alpha / k:
-        # The term ratio grows like n**(q - alpha/k - 1): the radius of
-        # convergence is 0, whatever the early terms suggest at tiny |z|.
+        value = recip_k_gamma(p.beta, p.k)
+        return SeriesEvaluation(value, 1, 0.0, math.isfinite(value))
+    if _diverges(p):
         return SeriesEvaluation(math.nan, 0, math.inf, False)
-    log_k = math.log(k)
-    c0 = g / k
-    lg_c0 = math.lgamma(c0)
+    log_coeff = _kml_log_coeff(p)
     log_az = math.log(abs(z))
     err_units = 0.0
 
     def term(n: int) -> float:
         nonlocal err_units
-        lognum = n * q * log_k + math.lgamma(c0 + n * q) - lg_c0
-        a = (alpha * n + beta) / k
-        logden = (a - 1.0) * log_k + math.lgamma(a) + math.lgamma(n + 1.0)
-        logmag = lognum - logden + n * log_az
+        logmag = log_coeff(n) + n * log_az
         if logmag > _LOG_HUGE:
             raise SeriesAbort("term overflow")
         t = math.exp(logmag)
@@ -426,10 +490,7 @@ def kml(p: MLParameters, z: float, tol: float = DEFAULT_TOL,
         err_units += _ERR_LOG * abs(t)
         return t
 
-    def cert_ok(n: int) -> bool:
-        return (alpha * n + beta) / k >= 2.0
-
-    res = sum_series(term, tol, max_terms, MIN_TERMS, cert_ok)
+    res = sum_series(term, tol, max_terms, MIN_TERMS, _kml_cert_ok(p))
     value, used, tail = res.value, res.terms, res.tail_bound
     if res.converged and _should_escalate(z, res.abs_sum, value, err_units, tol):
         value, used_mp, tail = _kml_extended(p, z, res.abs_sum, value,
@@ -437,6 +498,89 @@ def kml(p: MLParameters, z: float, tol: float = DEFAULT_TOL,
         used = max(used, used_mp)
     converged = res.converged and tail <= tol * max(1.0, abs(value))
     return SeriesEvaluation(value, used, tail, converged)
+
+
+def _diverges(p: MLParameters) -> bool:
+    # The term ratio grows like n**(q - alpha/k - 1): for q > 1 + alpha/k
+    # the radius of convergence is 0, whatever the early terms suggest at
+    # tiny |z|.
+    return p.q > 1.0 + p.alpha / p.k
+
+
+def _kml_log_coeff(p: MLParameters) -> Callable[[int], float]:
+    """n -> log of the n-th kml coefficient (gamma)_{nq,k} / (gamma_k(n alpha
+    + beta) n!), the term's magnitude without ``z**n``."""
+    k, alpha, beta, g, q = p.k, p.alpha, p.beta, p.gamma, p.q
+    log_k = math.log(k)
+    c0 = g / k
+    lg_c0 = math.lgamma(c0)
+
+    def log_coeff(n: int) -> float:
+        lognum = n * q * log_k + math.lgamma(c0 + n * q) - lg_c0
+        a = (alpha * n + beta) / k
+        logden = (a - 1.0) * log_k + math.lgamma(a) + math.lgamma(n + 1.0)
+        return lognum - logden
+
+    return log_coeff
+
+
+def _kml_cert_ok(p: MLParameters) -> Callable[[int], bool]:
+    k, alpha, beta = p.k, p.alpha, p.beta
+    return lambda n: (alpha * n + beta) / k >= 2.0
+
+
+def kml_batch(p: MLParameters, zs: list, tol: float = DEFAULT_TOL,
+              max_terms: int = DEFAULT_MAX_TERMS) -> tuple:
+    """Evaluate the generalized k-Mittag-Leffler series at every real ``zs[i]``
+    at once.
+
+    Returns ``(value, terms_used, tail_bound, converged)`` arrays aligned
+    with ``zs``, each entry equal bit for bit to the field of
+    :func:`kml` at ``zs[i]``.  The log-coefficient of each term is formed
+    once for all points with :func:`kml`'s scalar calls; each point adds its
+    own ``n log|z|`` and takes a scalar ``math.exp``.  Points at ``z = 0``,
+    all points of a divergent series, and points that abort, fail their
+    certificate or need extended precision are evaluated by :func:`kml`.
+    """
+    _check_tol(tol)
+    zs = [float(z) for z in zs]
+    z = np.array(zs)
+    if not np.isfinite(z).all():
+        raise DomainError("z must be finite")
+    value = np.zeros(z.size)
+    used = np.zeros(z.size, dtype=np.int64)
+    tail = np.zeros(z.size)
+    settled = np.zeros(z.size, dtype=bool)
+    idx = np.flatnonzero(z != 0.0)
+    if idx.size and not _diverges(p):
+        log_coeff = _kml_log_coeff(p)
+        log_az = np.array([math.log(abs(zs[i])) for i in idx.tolist()])
+        negative = z[idx] < 0.0
+        err_units = np.zeros(idx.size)
+
+        def term(n: int, pos: np.ndarray) -> tuple:
+            logmag = log_coeff(n) + n * log_az[pos]
+            over = logmag > _LOG_HUGE
+            logmag[over] = 0.0  # an aborting term is not used
+            t = np.fromiter(map(math.exp, logmag.tolist()), float, pos.size)
+            if n % 2:
+                t[negative[pos]] *= -1.0
+            err_units[pos] += _ERR_LOG * np.abs(t)
+            return t, over
+
+        res = sum_series_batch(term, idx.size, tol, max_terms, MIN_TERMS,
+                               _kml_cert_ok(p))
+        ok = (res.converged & _certified(res.tail_bound, res.value, tol)
+              & ~_should_escalate_batch(z[idx], res.abs_sum, res.value,
+                                        err_units, tol))
+        done = idx[ok]
+        value[done], used[done] = res.value[ok], res.terms[ok]
+        tail[done], settled[done] = res.tail_bound[ok], True
+    for i in np.flatnonzero(~settled).tolist():
+        ev = kml(p, zs[i], tol, max_terms)
+        value[i], used[i], tail[i] = ev.value, ev.terms_used, ev.tail_bound
+        settled[i] = ev.converged
+    return value, used, tail, settled
 
 
 def _kml_extended(p: MLParameters, z: float, abs_sum: float,

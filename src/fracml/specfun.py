@@ -30,6 +30,8 @@ from .errors import DomainError, PoleError
 # Gamma(x) ~ 1/x.
 _GAMMA_OVERFLOW = 171.62
 _GAMMA_TINY = 1e-300
+# |log| of the largest power of k that recip_k_gamma forms directly.
+_LOG_POW_MAX = 700.0
 
 
 def _as_count(n, name: str = "n") -> int:
@@ -107,6 +109,27 @@ def k_gamma(g: float, k: float) -> float:
     if math.isinf(value):
         raise OverflowError("k_gamma overflows double range")
     return value
+
+
+def recip_k_gamma(g: float, k: float) -> float:
+    """1 / gamma_k(g) for k > 0, by the range rule of :func:`recip_gamma`:
+    ``1.0 / k_gamma(g, k)`` while Gamma(g/k) and the power of k are doubles,
+    log form beyond; 0.0 at poles, and an infinity where 1 / gamma_k(g)
+    itself exceeds the double range (a tiny k)."""
+    z = g / k
+    if is_gamma_pole(z):
+        return 0.0
+    log_pow = (z - 1.0) * math.log(k)
+    if (-_GAMMA_OVERFLOW < z <= _GAMMA_OVERFLOW and abs(z) >= _GAMMA_TINY
+            and abs(log_pow) <= _LOG_POW_MAX):
+        den = k ** (z - 1.0) * math.gamma(z)
+        if den != 0.0 and math.isfinite(den):
+            return 1.0 / den
+    lg, sg = signed_log_gamma(z)
+    try:
+        return sg * math.exp(-log_pow - lg)
+    except OverflowError:
+        return sg * math.inf
 
 
 def k_gamma_general(g: float, s: float, k: float) -> float:

@@ -129,7 +129,8 @@ def sum_series_batch(
     the series whose term aborts, as ``SeriesAbort`` does for the scalar
     version.  A series leaves ``pos`` once it certifies, aborts or runs out
     of terms, so ``term`` is only asked for terms the scalar loop computes.
-    ``cert_ok(n)`` is shared by all series.
+    ``cert_ok(n)`` returns one flag shared by all series, or a boolean array
+    with one flag per series (indexed like ``range(size)``).
     """
     value = np.zeros(size)
     terms = np.full(size, max_terms)
@@ -156,11 +157,14 @@ def sum_series_batch(
             t_next, bad = term(n + 1, pos)
             an = np.abs(t_next)
             leave = bad
-            if n >= min_terms and (cert_ok is None or cert_ok(n)):
+            ok = n >= min_terms and (cert_ok is None or cert_ok(n))
+            if isinstance(ok, np.ndarray):
+                ok = ok[pos]
+            if ok is True or (ok is not False and ok.any()):
                 partial = acc + carry
-                ap = np.abs(partial)
-                # tol * max(1.0, |partial|), with Python's max on NaN.
-                small = at <= tol * np.where(ap > 1.0, ap, 1.0)
+                # tol * max(1.0, |partial|); fmax, like Python's max with 1.0
+                # first, gives 1.0 for a NaN.
+                small = ok & (at <= tol * np.fmax(np.abs(partial), 1.0))
                 if small.any():
                     geometric = small & (t != 0.0) & (an < 0.5 * at) & ~bad
                     flat = small & (t == 0.0) & (t_next == 0.0) & ~bad

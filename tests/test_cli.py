@@ -7,15 +7,20 @@ from pathlib import Path
 
 import pytest
 
+import fracml.cli as cli
 from fracml.cli import main
 from fracml.kinetics import Forcing, KineticProblem, solve_theorem1
-from fracml.mittag import MLParameters, TwoParamML, ml2
+from fracml.mittag import MLParameters, SeriesEvaluation, TwoParamML, ml2
 from fracml.specfun import k_gamma
 
 REPO = Path(__file__).resolve().parent.parent
 
 DB_FLAGS = ["--N0", "0.05", "--gamma", "2", "--tau", "1", "--k", "2",
             "--alpha", "6", "--beta", "7", "--d", "3"]
+# q = 2 > 1 + alpha/k: the forcing series diverges at every t > 0.
+DIVERGENT_FLAGS = ["--theorem", "1", "--variant", "stated", "--N0", "0.05",
+                   "--gamma", "2", "--tau", "2", "--k", "1", "--alpha", "0.5",
+                   "--beta", "7", "--d", "3", "--nu", "1", "--t-max", "0.5"]
 
 
 def run(argv, capsys):
@@ -87,6 +92,19 @@ class TestEvalKml:
         assert "converge" in err
         assert out.strip().split("\n")[1].endswith("false")
 
+    @pytest.mark.parametrize("beta, expected", [("400", 0.0),
+                                                ("1e-310", 1e-310)])
+    def test_extreme_beta_at_zero(self, beta, expected, capsys):
+        # Gamma(beta) overflows, but 1/Gamma(beta) is a double (0.0 at
+        # beta = 400, where it underflows).
+        code, out, _ = run(["eval-kml", "--k", "1", "--alpha", "1",
+                            "--beta", beta, "--gamma", "1", "--tau", "1",
+                            "--z", "0"], capsys)
+        assert code == 0
+        value, terms, tail, converged = out.splitlines()[1].split(",")
+        assert float(value) == pytest.approx(expected, rel=1e-12, abs=0.0)
+        assert (terms, tail, converged) == ("1", "0", "true")
+
     def test_invalid_tau(self, capsys):
         code, _, err = run(["eval-kml", "--k", "1", "--alpha", "1",
                             "--beta", "1", "--gamma", "1", "--tau", "1.5",
@@ -142,6 +160,15 @@ class TestSolve:
         assert code == 2
         assert "--a" in err
 
+    def test_underflowed_inner_factors_exit_3(self, capsys):
+        # The outer series diverges; once its inner factors underflow to
+        # 0.0 it must not be certified as converged.
+        code, out, err = run(["solve", *DIVERGENT_FLAGS, "--steps", "4"],
+                             capsys)
+        assert code == 3
+        assert out == ""
+        assert "converge" in err
+
     def test_csv_round_trip_is_exact(self, capsys):
         code, out, _ = run(["solve", "--theorem", "1", "--variant", "stated",
                             *DB_FLAGS, "--nu", "1", "--t-max", "0.5",
@@ -189,6 +216,19 @@ class TestVerify:
         assert report["pass"] is False
         assert report["order_estimate"] < 0.5
 
+    def test_unconverged_forcing_exits_3(self, capsys, monkeypatch):
+        # A converging solver double isolates the forcing, whose series
+        # diverges: the report is incomplete and nothing is printed.
+        def zero_solver(prob, t, cfg):
+            return SeriesEvaluation(0.0, 1, 0.0, True)
+
+        monkeypatch.setitem(cli._SOLVERS, (1, "stated"), zero_solver)
+        code, out, err = run(["verify", *DIVERGENT_FLAGS, "--grids", "16,32"],
+                             capsys)
+        assert code == 3
+        assert out == ""
+        assert "converge" in err
+
     def test_grid_validation(self, capsys):
         base = ["verify", "--theorem", "1", "--variant", "stated", *DB_FLAGS,
                 "--nu", "1", "--t-max", "0.5"]
@@ -223,6 +263,29 @@ class TestTable:
                      if line.split(",")[0] == "2"
                      and line.split(",")[3] != line.split(",")[4]]
         assert differing
+
+
+class TestParser:
+    def test_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
+        fresh = cli._build_parser.__wrapped__()
+        assert fresh.format_help() == cli._build_parser().format_help()
+
+    def test_calls_do_not_share_values(self, capsys):
+        code, _, _ = run(["eval-ml", "--alpha", "1", "--beta", "1",
+                          "--x", "1"], capsys)
+        assert code == 0
+        code, _, err = run(["eval-ml", "--alpha", "1", "--beta", "1"], capsys)
+        assert code == 2
+        assert "--x" in err
+
+    def test_help_and_usage_errors_repeat(self, capsys):
+        first = run(["--help"], capsys)
+        assert first[0] == 0 and first[1].startswith("usage: fracml")
+        assert run(["--help"], capsys) == first
+        bad = run(["solve", "--steps", "x"], capsys)
+        assert bad[0] == 2 and "invalid int value" in bad[2]
+        assert run(["solve", "--steps", "x"], capsys) == bad
 
 
 class TestConfigFile:

@@ -221,6 +221,19 @@ class TestResidualReport:
         rep = residual_report(db_problem(), flaky, 0.5, (16, 32))
         assert not rep.complete
 
+    def test_unconverged_forcing_marks_report_incomplete(self):
+        # q = 2 > 1 + alpha/k: the forcing has no value at t > 0.  A
+        # converging solver double leaves the forcing's flag alone to decide.
+        def zero_solver(prob, t, cfg):
+            return SeriesEvaluation(0.0, 1, 0.0, True)
+
+        ml = MLParameters(k=1.0, alpha=0.5, beta=7.0, gamma=2.0, q=2.0)
+        prob = KineticProblem(n0=0.05, ml=ml, d=3.0, nu=1.0)
+        rep = residual_report(prob, zero_solver, 0.5, (16, 32))
+        assert not rep.complete
+        assert residual_report(db_problem(), zero_solver, 0.5,
+                               (16, 32)).complete
+
     def test_finest_grid_is_evaluated_once(self, monkeypatch):
         solver_times = []
         forcing_times = []
@@ -232,7 +245,7 @@ class TestResidualReport:
         forcing = fracml.fracops.forcing_value
 
         def counting_forcing(prob, t, tol):
-            forcing_times.append(t)
+            forcing_times.append(np.array(t))
             return forcing(prob, t, tol)
 
         monkeypatch.setattr(fracml.fracops, "forcing_value", counting_forcing)
@@ -240,7 +253,8 @@ class TestResidualReport:
         assert rep.complete
         assert len(solver_times) == 1
         assert solver_times[0].tolist() == grid(0.5, 256).tolist()
-        assert forcing_times == grid(0.5, 256).tolist()
+        assert len(forcing_times) == 1
+        assert forcing_times[0].tolist() == grid(0.5, 256).tolist()
 
     def test_coarse_grids_are_exact_subsamples_of_the_finest(self):
         # The premise of sampling only the finest grid: doubling grids

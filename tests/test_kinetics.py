@@ -1,5 +1,6 @@
 import math
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from fracml.kinetics import (
     solve_theorem3_rederived,
     solve_theorem3_stated,
 )
-from fracml.mittag import MLParameters, SeriesEvaluation
+from fracml.mittag import MIN_TERMS, MLParameters, SeriesEvaluation
 from fracml.specfun import k_gamma
 
 DB_PARAMS = MLParameters(k=2.0, alpha=6.0, beta=7.0, gamma=2.0, q=1.0)
@@ -302,6 +303,30 @@ def _record_calls(monkeypatch, module, name):
     return calls
 
 
+def _grid_and_points(solver, prob, ts):
+    """A grid call and per-point calls at ``ts``, with the arguments of the
+    extended-precision inner re-sums each made, sorted.  Re-sums at the
+    inner argument of a point the grid call left to the per-point code are
+    left out of both lists (the batch may have started that point's
+    re-sums before it gave up on it)."""
+    kinetics, mittag = fracml.kinetics, fracml.mittag
+    with mock.patch.object(mittag, "_ml2_extended",
+                           wraps=mittag._ml2_extended) as escalations, \
+            mock.patch.object(kinetics, "_solution_series",
+                              wraps=kinetics._solution_series) as per_point:
+        grid = solver(prob, np.array(ts))
+        left = {c.args[3] for c in per_point.call_args_list}
+        grid_esc = escalations.call_args_list[:]
+        escalations.reset_mock()
+        points = [solver(prob, t) for t in ts]
+        point_esc = escalations.call_args_list[:]
+
+    def batched(calls):
+        return sorted(c.args for c in calls if c.args[2] not in left)
+
+    return grid, points, batched(grid_esc), batched(point_esc)
+
+
 def _problem_for(solver, ml, d, a, nu):
     if solver is solve_theorem1:
         return problem(nu=nu, d=d, ml=ml)
@@ -369,6 +394,84 @@ class TestGridEvaluation:
         assert grid.converged
         for i, t in enumerate(ts):
             assert _point(grid, i) == solve_theorem3_stated(prob, t)
+
+    @settings(max_examples=15, deadline=None)
+    @given(solver=st.sampled_from(ALL_SOLVERS),
+           k=st.floats(1.0, 2.0), alpha=st.floats(0.5, 1.5),
+           beta=st.floats(0.5, 3.0), gamma=st.floats(0.5, 2.0),
+           d=st.floats(0.5, 1.5), a=st.floats(0.5, 1.5),
+           nu=st.floats(0.7, 1.5), t_max=st.floats(1.5, 2.5),
+           size=st.sampled_from([GRID_CROSSOVER + 1, GRID_CROSSOVER + 6]))
+    def test_long_outer_series_equal_per_point_calls(
+            self, solver, k, alpha, beta, gamma, d, a, nu, t_max, size):
+        # Slowly decaying coefficients need more than MIN_TERMS + 2 outer
+        # terms, so the inner factors come from later blocks too; some of
+        # them cancel and escalate, and some points underflow or exhaust
+        # the outer budget.
+        ml = MLParameters(k=k, alpha=alpha, beta=beta, gamma=gamma, q=1.0)
+        prob = _problem_for(solver, ml, d, a, nu)
+        ts = [t_max * i / (size - 1) for i in range(size)]
+        grid, points, grid_esc, point_esc = _grid_and_points(solver, prob,
+                                                             ts)
+        assert [_point(grid, i) for i in range(size)] == points
+        assert grid_esc == point_esc
+
+    def test_later_blocks_and_deferred_escalation(self):
+        ml = MLParameters(k=1.0, alpha=1.0, beta=1.0, gamma=1.0, q=1.0)
+        prob = problem(nu=1.0, forcing=Forcing.POWERED, d=6.0, a=15.0, ml=ml)
+        ts = [1.5 * i / GRID_CROSSOVER for i in range(GRID_CROSSOVER + 1)]
+        grid, points, grid_esc, point_esc = _grid_and_points(
+            solve_theorem3_stated, prob, ts)
+        assert grid.converged
+        assert grid.point_terms.max() > 2 * (MIN_TERMS + 2)  # a third block
+        # Inner factors of outer indices past the first block escalate.
+        assert any(beta > MIN_TERMS + 2 for _, beta, *_ in grid_esc)
+        # Only the factors the outer sums use are re-summed in extended
+        # precision: the same calls, with the same arguments, as per point.
+        assert grid_esc == point_esc
+        assert [_point(grid, i) for i in range(len(ts))] == points
+
+    def test_blocks_limited_by_entries(self, monkeypatch):
+        # With room for 20 entries, 9 points get 2 outer indices per block
+        # (1 once more than 20 points are summing).
+        monkeypatch.setattr(fracml.kinetics, "BLOCK_ENTRIES", 20)
+        ml = MLParameters(k=1.0, alpha=1.0, beta=1.0, gamma=1.0, q=1.0)
+        prob = problem(nu=1.0, forcing=Forcing.POWERED, d=3.0, a=2.0, ml=ml)
+        for size in (GRID_CROSSOVER + 1, 3 * GRID_CROSSOVER):
+            ts = [1.5 * i / (size - 1) for i in range(size)]
+            grid = _assert_grid_matches_points(solve_theorem3_stated, prob, ts)
+            assert grid.point_terms.max() > MIN_TERMS + 2
+
+    def test_underflowed_inner_factor_is_not_certified(self):
+        # From n ~ 171 the inner factors E_{1,n+1}(-t) underflow to 0.0; two
+        # zero terms must not pass for a flat, certified tail.  The true
+        # value is N0 E(20) ~ 1.04e174.
+        ml = MLParameters(k=1.0, alpha=0.5, beta=1.0, gamma=1.0, q=1.0)
+        prob = KineticProblem(1.0, ml, 1e-12, 1.0)
+        ev = solve_theorem1(prob, 20.0)
+        assert not ev.converged
+        ts = [20.0 * i / GRID_CROSSOVER for i in range(GRID_CROSSOVER + 1)]
+        grid = _assert_grid_matches_points(solve_theorem1, prob, ts)
+        assert not grid.point_converged[-1]
+
+    @settings(max_examples=40, deadline=None)
+    @given(forcing=st.sampled_from(list(Forcing)),
+           k=st.floats(0.5, 2.0), alpha=st.floats(0.5, 6.0),
+           beta=st.floats(0.5, 7.0), gamma=st.floats(0.5, 3.0),
+           q=st.sampled_from([0.5, 1.0, 2.0]), d=st.floats(0.5, 3.0),
+           nu=st.floats(0.5, 2.5), t_max=st.floats(0.05, 4.0),
+           size=st.integers(2, 40))
+    def test_forcing_grid_equals_per_point_calls(self, forcing, k, alpha,
+                                                 beta, gamma, q, d, nu,
+                                                 t_max, size):
+        # q = 2 with alpha < k draws divergent forcing series (NaN values).
+        ml = MLParameters(k=k, alpha=alpha, beta=beta, gamma=gamma, q=q)
+        prob = problem(nu=nu, d=d, forcing=forcing, ml=ml)
+        ts = [t_max * i / (size - 1) for i in range(size)]
+        grid = forcing_value(prob, np.array(ts))
+        assert grid.t.tolist() == ts
+        for i, t in enumerate(ts):
+            assert repr(_point(grid, i)) == repr(forcing_value(prob, t))
 
     def test_small_grid_stays_per_point(self, monkeypatch):
         def no_batch(*args):

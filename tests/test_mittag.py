@@ -1,18 +1,22 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
+import fracml.mittag as mittag
 from fracml.errors import DomainError
 from fracml.mittag import (
     MLParameters,
     PowerTable,
     ReductionCase,
     TwoParamML,
+    SeriesEvaluation,
     kml,
+    kml_batch,
     ml2,
     ml2_batch,
     reduction_case,
@@ -162,6 +166,39 @@ class TestGeneralizedEvaluator:
             ref = float(oracles.mp_kml(2.0, 1.0, 2.0, 1.5, 0.5, z))
             assert rel(kml(p, z).value, ref) < 1e-11
 
+    def test_extreme_beta_at_zero(self):
+        # 1/gamma_k(beta) by the range rule of recip_gamma, where Gamma(beta/k)
+        # or the power of k leaves the double range.
+        ev = kml(MLParameters(1.0, 1.0, 400.0, 1.0, 1.0), 0.0)
+        assert ev == SeriesEvaluation(0.0, 1, 0.0, True)
+        ev = kml(MLParameters(1.0, 1.0, 1e-310, 1.0, 1.0), 0.0)
+        assert ev.converged
+        assert ev.value == pytest.approx(1e-310, rel=1e-12)
+        # k**(beta/k - 1) = 1e-356 underflows, Gamma(90) = 1.65e136.
+        ev = kml(MLParameters(1e-4, 1.0, 0.009, 1.0, 1.0), 0.0)
+        with mpmath.workdps(30):
+            z = mpmath.mpf(0.009) / mpmath.mpf(1e-4)
+            ref = 1 / (mpmath.mpf(1e-4) ** (z - 1) * mpmath.gamma(z))
+        assert ev.converged
+        assert rel(ev.value, float(ref)) < 1e-12
+        # k = 1e-5: 1/gamma_k(beta) ~ e**780 is not a double.
+        ev = kml(MLParameters(1e-5, 1.0, 0.001, 1.0, 1.0), 0.0)
+        assert ev.value == math.inf
+        assert not ev.converged
+
+    @settings(max_examples=100)
+    @given(k=st.floats(0.1, 10.0), beta=st.floats(1e-3, 300.0))
+    def test_in_range_value_at_zero_is_unchanged(self, k, beta):
+        # The forcing at t = 0 takes this path: in range it must keep its
+        # bits.
+        assume(beta / k <= 171.0)
+        p = MLParameters(k, 1.0, beta, 1.0, 1.0)
+        try:
+            expected = 1.0 / k_gamma(beta, k)
+        except (OverflowError, ZeroDivisionError):
+            return
+        assert kml(p, 0.0).value == expected
+
     def test_divergent_series_is_flagged(self):
         # q = 2 > 1 + alpha/k: term ratios grow without bound, so the series
         # has no value at any z != 0, even where its early terms shrink.
@@ -231,6 +268,74 @@ class TestBatchEvaluator:
         assert settled.all()
         assert value.tolist() == [ml2(p, x).value for x in xs]
         assert used.tolist() == [ml2(p, x).terms_used for x in xs]
+
+
+def _fields(value, used, tail, converged, i):
+    # repr tells NaN, signed zeros and every bit of a float apart.
+    return repr(SeriesEvaluation(float(value[i]), int(used[i]),
+                                 float(tail[i]), bool(converged[i])))
+
+
+class TestKmlBatch:
+    @settings(max_examples=80, deadline=None)
+    @given(k=st.floats(0.5, 2.0), alpha=st.floats(0.5, 4.0),
+           beta=st.one_of(st.floats(0.1, 5.0),
+                          st.sampled_from([2.2250738585e-313, 1e-305,
+                                           350.0, 400.0])),
+           gamma=st.floats(0.1, 5.0),
+           q=st.sampled_from([0.5, 1.0, 2.0, 3.0]),
+           zs=st.lists(st.one_of(st.floats(-12.0, 12.0), st.just(0.0)),
+                       min_size=1, max_size=10),
+           tol=st.sampled_from([1e-10, 1e-13]))
+    def test_equals_kml(self, k, alpha, beta, gamma, q, zs, tol):
+        # Negative z cancels and escalates; q = 2, 3 with small alpha/k is
+        # divergent; a subnormal or huge beta takes the log form at z = 0
+        # and aborts or vanishes elsewhere.
+        p = MLParameters(k, alpha, beta, gamma, q)
+        out = kml_batch(p, zs, tol)
+        for i, z in enumerate(zs):
+            assert _fields(*out, i) == repr(kml(p, z, tol)), z
+
+    def test_escalated_points_equal_kml(self, monkeypatch):
+        # k = q = gamma = beta = 1: E(z) = exp(z), which cancels badly at
+        # z << 0.
+        calls = []
+        original = mittag._kml_extended
+
+        def recording(*args):
+            calls.append(args[1])
+            return original(*args)
+
+        monkeypatch.setattr(mittag, "_kml_extended", recording)
+        p = MLParameters(1.0, 1.0, 1.0, 1.0, 1.0)
+        zs = [-20.0, -3.0, 0.0, 2.5, -15.5]
+        out = kml_batch(p, zs)
+        assert calls == [-20.0, -3.0, -15.5]  # once each
+        for i, z in enumerate(zs):
+            ev = kml(p, z)
+            assert ev.converged
+            assert _fields(*out, i) == repr(ev)
+        assert out[0][0] == pytest.approx(math.exp(-20.0), rel=1e-11)
+
+    def test_database_grid_is_summed_at_once(self, monkeypatch):
+        calls = []
+        original = mittag.kml
+
+        def recording(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(mittag, "kml", recording)
+        p = MLParameters(k=2.0, alpha=6.0, beta=7.0, gamma=2.0, q=1.0)
+        zs = np.linspace(0.0, 0.5, 257).tolist()
+        value, used, tail, converged = kml_batch(p, zs)
+        assert converged[1:].all()
+        assert len(calls) == 1  # z = 0 only
+
+    def test_rejects_non_finite_z(self):
+        p = MLParameters(1.0, 1.0, 1.0, 1.0, 1.0)
+        with pytest.raises(DomainError):
+            kml_batch(p, [0.5, math.inf])
 
 
 class TestReductionCase:

@@ -58,3 +58,31 @@ def test_batch_equals_scalar_sum(specs, tol, max_terms, cert_from):
                res.converged[i], res.abs_sum[i])
         assert got == tuple(ref), (i, specs[i])
         assert math.copysign(1.0, res.value[i]) == math.copysign(1.0, ref.value)
+
+
+@settings(max_examples=100)
+@given(specs=st.lists(st.tuples(series, st.integers(0, 15)), min_size=1,
+                      max_size=12),
+       tol=st.sampled_from([1e-6, 1e-12, 1e-15]),
+       max_terms=st.integers(1, 60))
+def test_per_series_certificate_equals_scalar_sum(specs, tol, max_terms):
+    # cert_ok may return one flag per series, as for the rows of a block of
+    # Mittag-Leffler functions with different offsets.
+    # Aborts are covered above; these series run to their end.
+    terms = [scalar_term(s[:4] + (None,)) for s, _ in specs]
+    cert_from = np.array([c for _, c in specs])
+
+    def batch_term(n, pos):
+        out = np.array([terms[i](n) for i in pos.tolist()])
+        return out, np.zeros(pos.size, dtype=bool)
+
+    def cert_ok(n):
+        return n >= cert_from
+
+    res = sum_series_batch(batch_term, len(specs), tol, max_terms, 8, cert_ok)
+    for i, term in enumerate(terms):
+        ref = sum_series(term, tol, max_terms, 8,
+                         lambda n, c=int(cert_from[i]): n >= c)
+        got = (res.value[i], res.terms[i], res.tail_bound[i],
+               res.converged[i], res.abs_sum[i])
+        assert got == tuple(ref), (i, specs[i])
