@@ -136,6 +136,19 @@ def _eval_row(ev) -> str:
     return f"{_fmt(ev.value)},{ev.terms_used},{_fmt(ev.tail_bound)},{flag}\n"
 
 
+def _no_convergence(ev) -> str:
+    """The stderr line for an unconverged evaluation, from its status."""
+    if ev.status == "overflow":
+        return (f"error: series did not converge: a term overflowed after "
+                f"{ev.terms_used} terms")
+    if ev.status == "divergent":
+        return ("error: series does not converge at this argument: it lies "
+                "beyond the radius of convergence")
+    if ev.status == "budget":
+        return "error: series did not converge within the term budget"
+    return f"error: {ev.status} evaluation did not converge to the tolerance"
+
+
 def _cmd_eval_ml(args) -> int:
     cfgmap = _config_map(args, {"alpha", "beta", "x", "tol", "out"})
     alpha = _resolve(args, cfgmap, "alpha", float, check=_pos,
@@ -150,8 +163,7 @@ def _cmd_eval_ml(args) -> int:
     ev = ml2(TwoParamML(alpha, beta), x, tol)
     _emit(_EVAL_HEADER + _eval_row(ev), out)
     if not ev.converged:
-        print("error: series did not converge within the term budget",
-              file=sys.stderr)
+        print(_no_convergence(ev), file=sys.stderr)
         return EXIT_NO_CONVERGENCE
     return EXIT_OK
 
@@ -181,8 +193,7 @@ def _cmd_eval_kml(args) -> int:
     ev = kml(params, z, tol)
     _emit(_EVAL_HEADER + _eval_row(ev), out)
     if not ev.converged:
-        print("error: series did not converge within the term budget",
-              file=sys.stderr)
+        print(_no_convergence(ev), file=sys.stderr)
         return EXIT_NO_CONVERGENCE
     return EXIT_OK
 

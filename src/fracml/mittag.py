@@ -17,16 +17,39 @@ form (or directly through the gamma function while its argument is in
 range), and Gamma poles met inside a series contribute zero terms via the
 reciprocal-gamma convention.
 
-Alternating arguments are summed with compensated accumulation; when the
-cancellation is severe enough that the double-precision term noise would
-exceed the requested tolerance relative to the computed value, the sum is
-transparently re-evaluated on an extended-precision internal path with a
-working precision sized from the measured condition number.
+Every value comes from one of three paths, named by
+:attr:`SeriesEvaluation.status`:
+
+* ``series``   -- the double-precision series, summed with compensated
+  accumulation and certified by the geometric tail bound;
+* ``contour``  -- for :func:`ml2` at ``x < 0`` with ``0 < alpha <= 2``, the
+  inverse Laplace transform of ``s**(alpha-beta) / (s**alpha - x)`` by the
+  trapezoidal rule on a parabolic contour (:func:`_ml2_contour`);
+* ``extended`` -- the series re-summed in extended precision (mpmath) with a
+  working precision sized from the measured condition number.
+
+An alternating series whose double-precision term noise would exceed the
+requested tolerance relative to the computed value goes to
+:func:`_ml2_cancelling`: the contour first, the extended-precision re-sum
+only where the contour does not certify (:func:`kml` has no contour and
+re-sums directly).  A negative-axis :func:`ml2` series that aborts on a
+term overflow also tries the contour, with no extended-precision fallback.
+
+The contour certificate is relative and is an error estimate, not a proven
+bound: the value is accepted only when ``10 * est <= tol * |value|``, where
+``est`` adds the difference from a second contour with half the step and a
+longer range, the rounding of the quadrature sum and the conditioning of the
+pole residues.  The series certificate bounds the truncation error by
+``tol * max(1, |value|)``; the stricter relative form keeps the contour as
+accurate relative to small values as the extended-precision path it
+replaces.  Results that do not converge say why: ``overflow`` (a term
+overflowed), ``budget`` (the term budget ran out) or ``divergent`` (a
+:func:`kml` argument beyond the radius of convergence).
 
 Batched forms serve the kinetic grid solvers and the residual check.
 :class:`ML2Rows` evaluates ``E_{alpha,beta_r}`` for several offsets
 ``beta_r`` at many arguments in one compensated sum, deferring each
-extended-precision re-sum until its entry is asked for; :func:`ml2_batch`
+cancelling entry's contour or re-sum until it is asked for; :func:`ml2_batch`
 is its one-row case.  Both reproduce :func:`ml2` bit for bit on every entry
 they settle and hand the others back to the caller.  :func:`kml_batch`
 evaluates :func:`kml` at many arguments, forming each term's
@@ -42,13 +65,14 @@ leaves the double range still gives a value.
 
 from __future__ import annotations
 
+import cmath
 import enum
 import itertools
 import math
 import sys
 import threading
-from dataclasses import dataclass
-from typing import Callable
+from dataclasses import dataclass, field
+from typing import Callable, Optional
 
 import numpy as np
 from mpmath import mp, mpf
@@ -127,12 +151,20 @@ class MLParameters:
 
 @dataclass(frozen=True)
 class SeriesEvaluation:
-    """A series value plus truncation diagnostics."""
+    """A series value plus truncation diagnostics.
+
+    ``status`` says how :func:`ml2` or :func:`kml` obtained the value
+    (``series``, ``contour``, ``extended``) or why it did not converge
+    (``overflow``, ``budget``, ``divergent``); see the module docstring.  It
+    is None where no evaluator set it.  Equality and ``repr`` ignore it: two
+    evaluations are equal when their values and certificates are.
+    """
 
     value: float
     terms_used: int
     tail_bound: float
     converged: bool
+    status: Optional[str] = field(default=None, compare=False, repr=False)
 
 
 class ReductionCase(enum.Enum):
@@ -251,7 +283,7 @@ def ml2(p: TwoParamML, x: float, tol: float = DEFAULT_TOL,
     if not math.isfinite(x):
         raise DomainError("x must be finite")
     if x == 0.0:
-        return SeriesEvaluation(recip_gamma(p.beta), 1, 0.0, True)
+        return SeriesEvaluation(recip_gamma(p.beta), 1, 0.0, True, "series")
 
     alpha, beta = p.alpha, p.beta
     log_ax = math.log(abs(x))
@@ -287,12 +319,45 @@ def ml2(p: TwoParamML, x: float, tol: float = DEFAULT_TOL,
 
     res = sum_series(term, tol, max_terms, MIN_TERMS, cert_ok)
     value, used, tail = res.value, res.terms, res.tail_bound
-    if res.converged and _should_escalate(x, res.abs_sum, value, err_units, tol):
-        value, used_mp, tail = _ml2_extended(alpha, beta, x, res.abs_sum,
-                                             value, max_terms)
-        used = max(used, used_mp)
-    converged = res.converged and tail <= tol * max(1.0, abs(value))
-    return SeriesEvaluation(value, used, tail, converged)
+    converged, status = res.converged, _series_status(res)
+    if converged and _should_escalate(x, res.abs_sum, value, err_units, tol):
+        value, used_x, tail, status = _ml2_cancelling(
+            alpha, beta, x, res.abs_sum, value, tol, max_terms)
+        used = max(used, used_x)
+    elif res.abort is not None and x < 0.0:
+        contour = _ml2_contour(alpha, beta, x, tol)
+        if contour is not None:
+            (value, tail), status, converged = contour, "contour", True
+    converged = converged and tail <= tol * max(1.0, abs(value))
+    return SeriesEvaluation(value, used, tail, converged, status)
+
+
+def _series_status(res) -> str:
+    # The only SeriesAbort the evaluators' terms raise is a term overflow.
+    if res.converged:
+        return "series"
+    return "overflow" if res.abort is not None else "budget"
+
+
+def _ml2_cancelling(alpha: float, beta: float, x: float, abs_sum: float,
+                    approx: float, tol: float,
+                    max_terms: int) -> tuple[float, int, float, str]:
+    """``E_{alpha,beta}(x)`` at ``x < 0`` where the double-precision sum
+    (``approx``, with absolute term sum ``abs_sum``) cancels too much to meet
+    ``tol``.
+
+    The one place both :func:`ml2` and :meth:`ML2Rows.take` send such an
+    entry: the contour (:func:`_ml2_contour`) when it certifies, otherwise
+    the extended-precision re-sum.  Returns ``(value, terms, tail_bound,
+    status)``; ``terms`` counts the extended-precision terms, 0 for the
+    contour.
+    """
+    contour = _ml2_contour(alpha, beta, x, tol)
+    if contour is not None:
+        return contour[0], 0, contour[1], "contour"
+    value, used, tail = _ml2_extended(alpha, beta, x, abs_sum, approx,
+                                      max_terms)
+    return value, used, tail, "extended"
 
 
 class PowerTable:
@@ -353,7 +418,7 @@ class ML2Rows:
 
     Each row follows :func:`ml2`'s term, pole, direct-branch and certificate
     rules for its own ``beta_r``, with one scalar ``math.gamma`` per row and
-    term.  A cancelling entry is re-summed in extended precision only when
+    term.  A cancelling entry goes to :func:`_ml2_cancelling` only when
     :meth:`take` asks for it.
     """
 
@@ -417,11 +482,12 @@ class ML2Rows:
         settled = self.settled[f]
         for j in np.flatnonzero(self.escalate[f]).tolist():
             i = f[j]
-            v, used_mp, tail = _ml2_extended(
+            v, used_x, tail, _ = _ml2_cancelling(
                 self.alpha, self.betas[row], float(self.x[i]),
-                float(self.res.abs_sum[i]), float(value[j]), self.max_terms)
+                float(self.res.abs_sum[i]), float(value[j]), self.tol,
+                self.max_terms)
             value[j] = v
-            used[j] = max(int(used[j]), used_mp)
+            used[j] = max(int(used[j]), used_x)
             settled[j] = tail <= self.tol * max(1.0, abs(v))
         return value, used, settled
 
@@ -435,7 +501,7 @@ def ml2_batch(p: TwoParamML, powers: PowerTable, idx: np.ndarray,
     Returns ``(value, terms_used, settled)`` arrays aligned with ``idx``.
     Where ``settled`` is True the point is certified and its value and term
     count equal those of :func:`ml2` with the same arguments bit for bit;
-    a cancelling point is re-summed by the same extended-precision path.
+    a cancelling point goes through the same :func:`_ml2_cancelling`.
     ``settled`` is False for a point whose series leaves the direct term
     branch, meets a non-finite term, or fails its certificate; the caller
     evaluates those points with :func:`ml2`.
@@ -457,14 +523,182 @@ def _ml2_extended(alpha: float, beta: float, x: float, abs_sum: float,
     return _extended_sum(term, abs_sum, approx, max_terms)
 
 
+# Contour parameters after Garrappa, "Numerical evaluation of two and three
+# parameter Mittag-Leffler functions", SIAM J. Numer. Anal. 53 (2015): the
+# initial accuracy target (his default), and the node count above which the
+# target is relaxed tenfold.  _CONTOUR_SAFETY is C in the relative
+# certificate C * est <= tol * |value|.
+_CONTOUR_EPS = 1e-15
+_CONTOUR_MAX_NODES = 200
+_CONTOUR_SAFETY = 10.0
+_LOG_EPS = math.log(_EPS)
+
+
+def _contour_rb(phi1: float, p: float, log_eps: float) -> Optional[tuple]:
+    """Garrappa's ``OptimalParam_RB`` for the region between the origin, a
+    singularity of strength ``p``, and the simple poles at level ``phi1``
+    (``phi(s) = (Re s + |s|) / 2``).  Returns ``(mu, h, N)``, or None when
+    the region is not admissible."""
+    log_f_max = log_eps - _LOG_EPS
+    sq1 = min(math.sqrt(phi1), 2.0 * math.sqrt(log_f_max))
+    if p < 1e-14:
+        log_f_min = math.log(1.01)
+    else:
+        # f_min = 1.01 * sq1 / sq1**max(p, 1), in logs: a strong singularity
+        # at the origin overflows it when the pole is close.
+        log_f_min = math.log(1.01) + (1.0 - max(p, 1.0)) * math.log(sq1)
+    if log_f_min >= log_f_max:
+        return None
+    f_max, f_min = math.exp(log_f_max), math.exp(log_f_min)
+    if p < 1e-14:
+        f_bar = f_min + f_min / f_max * (f_max - f_min)
+        sb0, sb1 = 0.0, 2.0 * sq1 / (2.0 + 1.0 / f_bar)
+    else:
+        f_min = max(f_min, 1.5)
+        f_bar = f_min + f_min / f_max * (f_max - f_min)
+        fp, fq = f_bar ** (-1.0 / p), 1.0 / f_bar
+        w = -phi1 / log_eps
+        den = 2.0 + w - (1.0 + w) * fp + fq
+        sb0, sb1 = fp * sq1 / den, (2.0 + w - (1.0 + w) * fp) * sq1 / den
+    log_e = log_eps - math.log(f_bar)
+    w = -sb1 * sb1 / log_e
+    mu = (((1.0 + w) * sb0 + sb1) / (2.0 + w)) ** 2
+    h = -2.0 * math.pi / log_e * (sb1 - sb0) / ((1.0 + w) * sb0 + sb1)
+    return mu, h, math.ceil(math.sqrt(1.0 - log_e / mu) / h)
+
+
+def _contour_ru(phi0: float, p: float, log_eps: float) -> Optional[tuple]:
+    """Garrappa's ``OptimalParam_RU`` for the unbounded region right of the
+    singularity of strength ``p`` at level ``phi0``.  Returns ``(mu, h,
+    N)``, or None when the region is not admissible."""
+    sq0 = math.sqrt(phi0)
+    phib = 1.01 * phi0 if phi0 > 0.0 else 0.01
+    sqb = math.sqrt(phib)
+    for _ in range(100):
+        lp = log_eps / phib
+        n = math.ceil(phib / math.pi
+                      * (1.0 - 1.5 * lp + math.sqrt(1.0 - 2.0 * lp)))
+        a = math.pi * n / phib
+        sq_mu = sqb * abs(4.0 - a) / abs(7.0 - math.sqrt(1.0 + 12.0 * a))
+        # Stop once f_bar = ((sqb - sq0) / sq_mu)**-p lies in (1, 10).
+        log_fbar = -p * math.log((sqb - sq0) / sq_mu)
+        if p < 1e-14 or 0.0 < log_fbar < math.log(10.0):
+            break
+        sqb = 5.0 ** (-1.0 / p) * sq_mu + sq0
+        phib = sqb * sqb
+    else:
+        return None
+    mu = sq_mu * sq_mu
+    h = (-3.0 * a - 2.0 + 2.0 * math.sqrt(1.0 + 12.0 * a)) / (4.0 - a) / n
+    threshold = log_eps - _LOG_EPS
+    if mu > threshold:
+        # Keep round-off under control: move the contour left.
+        q = 0.0 if p < 1e-14 else 5.0 ** (-1.0 / p) * math.sqrt(mu)
+        phib = (q + sq0) ** 2
+        if phib >= threshold:
+            return None
+        w = math.sqrt(_LOG_EPS / (_LOG_EPS - log_eps))
+        u = math.sqrt(-phib / _LOG_EPS)
+        mu = threshold
+        n = math.ceil(w * log_eps / 2.0 / math.pi / (u * w - 1.0))
+        h = w / n
+    return mu, h, n
+
+
+def _contour_params(alpha: float, beta: float,
+                    x: float) -> Optional[tuple]:
+    """Garrappa's contour for ``E_{alpha,beta}(x)``, ``x < 0``, ``alpha <=
+    2``: ``(mu, h, N, pole)``, where ``pole`` is the upper of the two
+    conjugate poles the contour leaves to its right, or None.
+
+    The singularities of ``s**(alpha-beta) / (s**alpha - x)`` are the branch
+    point at the origin, of strength ``max(0, 2 (beta - alpha - 1))``, and
+    for ``alpha > 1`` the simple poles ``|x|**(1/alpha) e**(+-i pi/alpha)``.
+    Of the regions between them the one needing the fewest nodes wins; while
+    that is more than ``_CONTOUR_MAX_NODES`` the accuracy target is relaxed
+    tenfold, and the certificate of :func:`_ml2_contour` judges the result.
+    """
+    p0 = max(0.0, 2.0 * (beta - alpha - 1.0))
+    pole, phi1 = None, 0.0
+    if alpha > 1.0:
+        pole = cmath.rect((-x) ** (1.0 / alpha), math.pi / alpha)
+        phi1 = (pole.real + abs(pole)) / 2.0
+        if phi1 <= 1e-15:  # inside every contour, with the origin
+            pole = None
+    log_eps = math.log(_CONTOUR_EPS)
+    while log_eps < 0.0:
+        if pole is None:
+            regions = [(_contour_ru(0.0, p0, log_eps), None)]
+        else:
+            regions = [(_contour_rb(phi1, p0, log_eps), pole)]
+            if phi1 < log_eps - _LOG_EPS:
+                regions.append((_contour_ru(phi1, 1.0, log_eps), None))
+        best = min(((par, right) for par, right in regions if par is not None),
+                   key=lambda region: region[0][2], default=None)
+        if best is not None and best[0][2] <= _CONTOUR_MAX_NODES:
+            return (*best[0], best[1])
+        log_eps += math.log(10.0)
+    return None
+
+
+def _ml2_contour(alpha: float, beta: float, x: float,
+                 tol: float) -> Optional[tuple[float, float]]:
+    """``E_{alpha,beta}(x)`` for ``0 < alpha <= 2`` and ``x < 0`` as the
+    inverse Laplace transform of ``s**(alpha-beta) / (s**alpha - x)`` at
+    ``t = 1``, by the trapezoidal rule on the parabola ``mu (1 + i u)**2``
+    of :func:`_contour_params`, plus the residues ``e**s s**(1-beta) /
+    alpha`` of the poles the parabola leaves to its right.
+
+    Returns ``(value, est)`` when ``_CONTOUR_SAFETY * est <= tol * |value|``,
+    else None (also for ``alpha > 2``).  ``est`` is an error estimate: the
+    difference from the rule with step ``h`` on ``N`` nodes, evaluated on the
+    same nodes as the returned rule (step ``h/2`` on ``ceil(2.5 N)`` nodes,
+    so it also reaches further), plus the rounding ``eps * (1 + |alpha -
+    beta|) * sum |w_j e**s_j F(s_j)|`` of the sum and ``eps * (1 + |s*|)
+    |Res|`` for the residues.
+    """
+    if alpha > 2.0:
+        return None
+    params = _contour_params(alpha, beta, x)
+    if params is None:
+        return None
+    mu, h, n, pole = params
+    u = (0.5 * h) * np.arange(math.ceil(2.5 * n) + 1)
+    with np.errstate(all="ignore"):
+        z = mu * (1.0 + 1j * u) ** 2
+        f = (np.exp(z) * z ** (alpha - beta) / (z ** alpha - x)
+             * (2.0 * mu * (1j - u)))
+        f[0] *= 0.5
+        # The integrand at -u is minus the conjugate of that at u, so the
+        # rule over nodes -m..m is (step / pi) Im of the sum over 0..m with
+        # the middle node halved.
+        fine = 0.5 * h / math.pi * f.sum().imag
+        coarse = h / math.pi * f[:2 * n + 1:2].sum().imag
+        # The rounding of z**(alpha-beta) grows with its exponent.
+        rounding = (_EPS * (1.0 + abs(alpha - beta))
+                    * 0.5 * h / math.pi * np.abs(f).sum())
+        est = abs(fine - coarse) + rounding
+    value, est = float(fine), float(est)
+    if pole is not None:
+        try:
+            res = 2.0 / alpha * cmath.exp(pole) * pole ** (1.0 - beta)
+        except OverflowError:
+            return None
+        value += res.real
+        est += _EPS * (1.0 + abs(pole)) * abs(res)
+    if _CONTOUR_SAFETY * est <= tol * abs(value):
+        return value, est
+    return None
+
+
 def kml(p: MLParameters, z: float, tol: float = DEFAULT_TOL,
         max_terms: int = DEFAULT_MAX_TERMS) -> SeriesEvaluation:
     """Evaluate the generalized k-Mittag-Leffler series at real ``z``.
 
     Terms are assembled in log space from the step-k Pochhammer ratio, the
     step-k gamma and the factorial; convergence semantics match :func:`ml2`.
-    For ``q > 1 + alpha/k`` the series diverges for every ``z != 0`` and the
-    result is NaN with ``converged=False``.
+    Beyond the radius of convergence (:func:`_radius`) the result is NaN with
+    ``converged=False`` and status ``divergent``, without summing a term.
     """
     _check_tol(tol)
     z = float(z)
@@ -472,9 +706,11 @@ def kml(p: MLParameters, z: float, tol: float = DEFAULT_TOL,
         raise DomainError("z must be finite")
     if z == 0.0:
         value = recip_k_gamma(p.beta, p.k)
-        return SeriesEvaluation(value, 1, 0.0, math.isfinite(value))
-    if _diverges(p):
-        return SeriesEvaluation(math.nan, 0, math.inf, False)
+        ok = math.isfinite(value)
+        return SeriesEvaluation(value, 1, 0.0, ok,
+                                "series" if ok else "overflow")
+    if abs(z) > _radius(p):
+        return SeriesEvaluation(math.nan, 0, math.inf, False, "divergent")
     log_coeff = _kml_log_coeff(p)
     log_az = math.log(abs(z))
     err_units = 0.0
@@ -492,19 +728,30 @@ def kml(p: MLParameters, z: float, tol: float = DEFAULT_TOL,
 
     res = sum_series(term, tol, max_terms, MIN_TERMS, _kml_cert_ok(p))
     value, used, tail = res.value, res.terms, res.tail_bound
+    status = _series_status(res)
     if res.converged and _should_escalate(z, res.abs_sum, value, err_units, tol):
         value, used_mp, tail = _kml_extended(p, z, res.abs_sum, value,
                                              max_terms)
-        used = max(used, used_mp)
+        used, status = max(used, used_mp), "extended"
     converged = res.converged and tail <= tol * max(1.0, abs(value))
-    return SeriesEvaluation(value, used, tail, converged)
+    return SeriesEvaluation(value, used, tail, converged, status)
 
 
-def _diverges(p: MLParameters) -> bool:
-    # The term ratio grows like n**(q - alpha/k - 1): for q > 1 + alpha/k
-    # the radius of convergence is 0, whatever the early terms suggest at
-    # tiny |z|.
-    return p.q > 1.0 + p.alpha / p.k
+def _radius(p: MLParameters) -> float:
+    """The radius of convergence of the kml series in ``z``.
+
+    The term ratio behaves like ``k q**q / (alpha/k)**(alpha/k) *
+    n**(q - alpha/k - 1)``: for ``q > 1 + alpha/k`` the radius is 0,
+    whatever the early terms suggest at tiny ``|z|``; at ``q == 1 +
+    alpha/k`` it is ``(alpha/k)**(alpha/k) / (k q**q)``; below, infinite.
+    """
+    r = p.alpha / p.k
+    if p.q != 1.0 + r:
+        return 0.0 if p.q > 1.0 + r else math.inf
+    try:
+        return math.exp(r * math.log(r) - math.log(p.k) - p.q * math.log(p.q))
+    except OverflowError:
+        return math.inf
 
 
 def _kml_log_coeff(p: MLParameters) -> Callable[[int], float]:
@@ -539,8 +786,9 @@ def kml_batch(p: MLParameters, zs: list, tol: float = DEFAULT_TOL,
     :func:`kml` at ``zs[i]``.  The log-coefficient of each term is formed
     once for all points with :func:`kml`'s scalar calls; each point adds its
     own ``n log|z|`` and takes a scalar ``math.exp``.  Points at ``z = 0``,
-    all points of a divergent series, and points that abort, fail their
-    certificate or need extended precision are evaluated by :func:`kml`.
+    points beyond the radius of convergence, and points that abort, fail
+    their certificate or need extended precision are evaluated by
+    :func:`kml`.
     """
     _check_tol(tol)
     zs = [float(z) for z in zs]
@@ -551,8 +799,8 @@ def kml_batch(p: MLParameters, zs: list, tol: float = DEFAULT_TOL,
     used = np.zeros(z.size, dtype=np.int64)
     tail = np.zeros(z.size)
     settled = np.zeros(z.size, dtype=bool)
-    idx = np.flatnonzero(z != 0.0)
-    if idx.size and not _diverges(p):
+    idx = np.flatnonzero((z != 0.0) & (np.abs(z) <= _radius(p)))
+    if idx.size:
         log_coeff = _kml_log_coeff(p)
         log_az = np.array([math.log(abs(zs[i])) for i in idx.tolist()])
         negative = z[idx] < 0.0

@@ -9,7 +9,8 @@ certificate is: at the first index ``n >= min_terms`` where
 * ``r = |term_{n+1}| / |term_n| < 1/2``,
 
 the tail is bounded by ``|term_{n+1}| / (1 - r)``.  If no index certifies
-within ``max_terms``, the partial sum is returned with ``converged=False``;
+within ``max_terms``, or a term generator raises :class:`SeriesAbort`, the
+partial sum is returned with ``converged=False`` (and the abort's reason);
 a wrong answer is never reported silently.
 
 :func:`sum_series_batch` sums many independent series at once with the same
@@ -64,6 +65,8 @@ class SeriesSum(NamedTuple):
     tail_bound: float
     converged: bool
     abs_sum: float
+    # The message of the SeriesAbort that ended the sum, or None.
+    abort: Optional[str] = None
 
 
 def sum_series(
@@ -99,8 +102,8 @@ def sum_series(
                         return SeriesSum(partial, n + 1, 0.0, True, abs_sum)
             t = t_next
             n += 1
-    except SeriesAbort:
-        return SeriesSum(acc.value, n, math.inf, False, abs_sum)
+    except SeriesAbort as exc:
+        return SeriesSum(acc.value, n, math.inf, False, abs_sum, str(exc))
     return SeriesSum(acc.value, max_terms, math.inf, False, abs_sum)
 
 

@@ -5,6 +5,7 @@ products and adaptive quadrature in mpmath, sharing no code with the
 implementations under test.
 """
 
+import math
 from functools import lru_cache
 
 from mpmath import mp, mpf
@@ -43,6 +44,40 @@ def mp_ml2_partial(alpha, beta, x, terms):
 
 def mp_ml2(alpha, beta, x, terms=400):
     return mp_ml2_partial(alpha, beta, x, terms)
+
+
+@lru_cache(maxsize=None)
+def mp_ml2_sum(alpha, beta, x):
+    """E_{alpha,beta}(x) to about DPS significant digits, by summing the
+    series term by term in mpmath.
+
+    The largest term is about e**(|x|**(1/alpha)), so the working precision
+    adds its digits; where the sum cancels to below 1, a second pass adds
+    the digits lost to the cancellation.  The sum stops past the largest
+    term, once three consecutive terms are below the working precision
+    relative to it.
+    """
+    dps = DPS + int(abs(x) ** (1.0 / alpha) / math.log(10.0))
+    value = _mp_ml2_to_precision(alpha, beta, x, dps)
+    if 0.0 < abs(value) < 1.0:
+        dps += math.ceil(-math.log10(abs(value)))
+        value = _mp_ml2_to_precision(alpha, beta, x, dps)
+    return value
+
+
+def _mp_ml2_to_precision(alpha, beta, x, dps):
+    with mp.workdps(dps):
+        alpha, beta, x = mpf(alpha), mpf(beta), mpf(x)
+        thresh = mpf(10) ** -dps
+        total, peak, small, n = mpf(0), mpf(0), 0, 0
+        while small < 3:
+            a = alpha * n + beta
+            t = x**n * mp.rgamma(a)
+            total += t
+            peak = max(peak, abs(t))
+            small = small + 1 if a > 2 and abs(t) <= thresh * peak else 0
+            n += 1
+        return float(total)
 
 
 def mp_kml(k, alpha, beta, gamma, q, z, terms=300):

@@ -74,6 +74,24 @@ class TestEvalMl:
         printed = float(out.strip().split("\n")[1].split(",")[0])
         assert printed == ml2(TwoParamML(1.5, 2.5), -2.25).value
 
+    def test_overflow_is_named(self, capsys):
+        # E_{1/2,1}(30) = e**900 erfc(-30) is not a double: the series
+        # stops on a term overflow long before the term budget.
+        code, out, err = run(["eval-ml", "--alpha", "0.5", "--beta", "1",
+                              "--x", "30"], capsys)
+        assert code == 3
+        assert out.splitlines()[1].split(",")[1:] == ["751", "inf", "false"]
+        assert "term overflowed after 751 terms" in err
+        assert "converge" in err and "budget" not in err
+
+    def test_overflowing_negative_argument_takes_the_contour(self, capsys):
+        code, out, _ = run(["eval-ml", "--alpha", "0.5", "--beta", "1",
+                            "--x", "-30"], capsys)
+        assert code == 0
+        value, terms, _, converged = out.splitlines()[1].split(",")
+        assert (terms, converged) == ("751", "true")
+        assert abs(float(value) - 0.01879588886141675) <= 1e-12 * 0.0188
+
 
 class TestEvalKml:
     def test_database_value(self, capsys):
@@ -91,6 +109,16 @@ class TestEvalKml:
         assert code == 3
         assert "converge" in err
         assert out.strip().split("\n")[1].endswith("false")
+
+    def test_beyond_the_radius_exits_3_at_once(self, capsys):
+        # q = 1 + alpha/k = 2: the radius is 1/4, and no term is summed
+        # at z = 0.5.
+        code, out, err = run(["eval-kml", "--k", "1", "--alpha", "1",
+                              "--beta", "1", "--gamma", "1", "--tau", "2",
+                              "--z", "0.5"], capsys)
+        assert code == 3
+        assert out.splitlines()[1] == "nan,0,inf,false"
+        assert "radius of convergence" in err
 
     @pytest.mark.parametrize("beta, expected", [("400", 0.0),
                                                 ("1e-310", 1e-310)])

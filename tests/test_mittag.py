@@ -1,4 +1,7 @@
+import importlib.util
 import math
+import sys
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -349,3 +352,197 @@ class TestReductionCase:
         assert reduction_case(params(1.0, 2.0, 1.5, 2.0)) is ReductionCase.GENERALIZED_ML
         assert reduction_case(params(2.0, 1.0, 2.0, 7.0, alpha=6.0)) is ReductionCase.K_ML
         assert reduction_case(params(3.0, 2.0, 1.5, 2.0, alpha=1.0)) is ReductionCase.GENERAL
+
+
+class TestContour:
+    """The contour path of ml2 (mittag._ml2_contour) and its routing."""
+
+    @settings(max_examples=40)
+    @given(alpha=st.floats(0.25, 2.0), beta=st.floats(-2.0, 30.0),
+           u=st.floats(0.0, 1.0), tol=st.sampled_from([1e-12, 1e-13]))
+    def test_certified_values_meet_tol(self, alpha, beta, u, tol):
+        # The certificate rests on an error estimate, not a proven bound:
+        # every value it accepts must be within tol * |value| of the
+        # brute-force sum.  |x| <= 200**alpha keeps that sum affordable.
+        x = -(0.5 + u * (min(3000.0, 200.0 ** alpha) - 0.5))
+        got = mittag._ml2_contour(alpha, beta, x, tol)
+        if got is not None:
+            ref = oracles.mp_ml2_sum(alpha, beta, x)
+            assert abs(got[0] - ref) <= tol * abs(ref), (got, ref)
+
+    def test_rounding_grows_with_the_power(self):
+        # The rounding of z**(alpha-beta) grows with |alpha - beta|: without
+        # that factor in est, this value was certified at 1.23 * tol from the
+        # brute-force sum.
+        alpha, beta, x = 0.19404436050199458, 32.329425418611706, -1.0727292230726875
+        got = mittag._ml2_contour(alpha, beta, x, 1e-14)
+        if got is not None:
+            ref = oracles.mp_ml2_sum(alpha, beta, x)
+            assert abs(got[0] - ref) <= 1e-14 * abs(ref)
+
+    @pytest.mark.parametrize("x", [0.5, 1.0, 2.0, 5.0])
+    def test_exponential(self, x):
+        value, _ = mittag._ml2_contour(1.0, 1.0, -x, 1e-12)
+        assert rel(value, math.exp(-x)) <= 1e-12
+
+    @pytest.mark.parametrize("x", [0.5, 2.0, 10.0, 50.0, 400.0, 3000.0])
+    def test_cosine(self, x):
+        # E_{2,1}(-x) = cos(sqrt(x)): the poles +-i sqrt(x) lie right of
+        # the contour or inside it, depending on x.
+        value, _ = mittag._ml2_contour(2.0, 1.0, -x, 1e-12)
+        assert rel(value, math.cos(math.sqrt(x))) <= 1e-12
+
+    @pytest.mark.parametrize("x", [0.5, 1.0, 3.0, 10.0, 30.0, 100.0, 1000.0])
+    def test_erfc(self, x):
+        # E_{1/2,1}(-x) = e**(x**2) erfc(x)
+        with mpmath.workdps(30):
+            ref = float(mpmath.exp(mpmath.mpf(x) ** 2) * mpmath.erfc(x))
+        value, _ = mittag._ml2_contour(0.5, 1.0, -x, 1e-12)
+        assert rel(value, ref) <= 1e-12
+
+    def test_tiny_values_are_not_certified(self):
+        # e**-60 lies far below the contour's rounding floor: the relative
+        # certificate refuses it, and ml2 takes the extended-precision path.
+        assert mittag._ml2_contour(1.0, 1.0, -60.0, 1e-12) is None
+        assert ml2(TwoParamML(1.0, 1.0), -60.0).status == "extended"
+
+    def test_alpha_above_two_is_not_taken(self):
+        assert mittag._ml2_contour(2.5, 1.0, -10.0, 1e-12) is None
+
+    def test_overflowing_series_takes_the_contour(self, monkeypatch):
+        # The double series overflows at term 751; the contour has the value.
+        monkeypatch.setattr(mittag, "_ml2_extended", None)  # never called
+        ev = ml2(TwoParamML(0.5, 1.0), -30.0)
+        assert ev.converged and ev.status == "contour"
+        assert ev.terms_used == 751
+        assert rel(ev.value, 0.01879588886141671) <= 1e-12
+        assert ev.tail_bound <= 1e-12 * ev.value / mittag._CONTOUR_SAFETY
+
+    def test_overflow_without_contour_stays_unconverged(self, monkeypatch):
+        # e**-800 is not certifiable in double precision, and an overflow
+        # has no extended-precision fallback.
+        monkeypatch.setattr(mittag, "_ml2_extended", None)
+        ev = ml2(TwoParamML(1.0, 1.0), -800.0)
+        assert not ev.converged and ev.status == "overflow"
+
+    def test_cancelling_entries_share_one_route(self, monkeypatch):
+        # ml2 and ML2Rows.take send a cancelling entry to the same
+        # function, with the same arguments, and agree bit for bit.
+        calls = []
+        original = mittag._ml2_cancelling
+
+        def recording(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(mittag, "_ml2_cancelling", recording)
+        p, xs = TwoParamML(1.5, 1.0), [-40.0, -3.0, -25.0]
+        value, used, settled = ml2_batch(p, PowerTable(xs), np.arange(3))
+        batch_calls, calls[:] = list(calls), []
+        evs = [ml2(p, x) for x in xs]
+        assert batch_calls == calls and len(calls) == 2
+        assert settled.all()
+        assert value.tolist() == [ev.value for ev in evs]
+        assert used.tolist() == [ev.terms_used for ev in evs]
+        assert [ev.status for ev in evs] == ["contour", "series", "contour"]
+
+    def test_uncertified_contour_falls_back_unchanged(self, monkeypatch):
+        # Without the contour, the route is the extended-precision path.
+        p, x = TwoParamML(1.5, 1.0), -40.0
+        contour = ml2(p, x)
+        monkeypatch.setattr(mittag, "_ml2_contour", lambda *args: None)
+        ev = ml2(p, x)
+        assert ev.status == "extended" and ev.converged
+        assert rel(ev.value, contour.value) <= 1e-12
+        value, used, settled = ml2_batch(p, PowerTable([x]), np.arange(1))
+        assert (value[0], used[0], settled[0]) == (ev.value, ev.terms_used,
+                                                   True)
+
+    def test_database_sets_never_reach_the_contour(self, monkeypatch,
+                                                   tmp_path):
+        # scripts/make_database.py makes no escalation, so neither the
+        # contour nor the extended-precision path runs, and the artifacts
+        # it writes are the checked-in ones.
+        calls = []
+
+        def refuse(name):
+            def record(*args):
+                calls.append(name)
+                raise AssertionError(name)
+            return record
+
+        monkeypatch.setattr(mittag, "_ml2_contour", refuse("contour"))
+        monkeypatch.setattr(mittag, "_ml2_extended", refuse("extended"))
+        root = Path(__file__).resolve().parent.parent
+        spec = importlib.util.spec_from_file_location(
+            "make_database", root / "scripts" / "make_database.py")
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        monkeypatch.setattr(sys, "argv", ["make_database.py", "--out-dir",
+                                          str(tmp_path)])
+        script.main()
+        assert calls == []
+        for path in sorted((root / "artifacts").iterdir()):
+            assert (tmp_path / path.name).read_bytes() == path.read_bytes()
+
+
+class TestStatus:
+    def test_ml2_paths(self):
+        p = TwoParamML(1.0, 1.0)
+        assert ml2(p, 1.0).status == "series"
+        assert ml2(p, 0.0).status == "series"
+        assert ml2(p, -60.0).status == "extended"
+        assert ml2(TwoParamML(1.5, 1.0), -40.0).status == "contour"
+        assert ml2(p, 10.0, max_terms=3).status == "budget"
+        # E_{1/2,1}(30) = e**900 erfc(-30) is not a double.
+        ev = ml2(TwoParamML(0.5, 1.0), 30.0)
+        assert (ev.converged, ev.status) == (False, "overflow")
+
+    def test_kml_paths(self):
+        p = MLParameters(1.0, 1.0, 1.0, 1.0, 1.0)   # E(z) = exp(z)
+        assert kml(p, 1.0).status == "series"
+        assert kml(p, 0.0).status == "series"
+        assert kml(p, -20.0).status == "extended"
+        assert kml(p, 3.0, max_terms=3).status == "budget"
+        assert kml(p, 800.0).status == "overflow"
+        ev = kml(MLParameters(1e-5, 1.0, 0.001, 1.0, 1.0), 0.0)
+        assert (ev.converged, ev.status) == (False, "overflow")
+        divergent = MLParameters(1.0, 0.5, 1.0, 1.0, 2.0)
+        assert kml(divergent, 1e-6).status == "divergent"
+
+    def test_status_is_not_part_of_equality(self):
+        a = SeriesEvaluation(1.0, 3, 0.0, True, "series")
+        assert a == SeriesEvaluation(1.0, 3, 0.0, True)
+        assert repr(a) == repr(SeriesEvaluation(1.0, 3, 0.0, True))
+
+
+class TestKmlRadius:
+    # At q == 1 + alpha/k the radius of convergence is
+    # R = (alpha/k)**(alpha/k) / (k q**q); k is a power of two so that
+    # alpha/k is exact.
+    @settings(max_examples=30)
+    @given(k=st.sampled_from([0.25, 0.5, 1.0, 2.0, 4.0]),
+           q=st.sampled_from([2.0, 3.0]),
+           beta=st.floats(0.1, 5.0), gamma=st.floats(0.1, 5.0),
+           scale=st.floats(0.0, 3.0), negative=st.booleans())
+    def test_nothing_beyond_the_radius_is_certified(self, k, q, beta, gamma,
+                                                    scale, negative):
+        alpha = (q - 1.0) * k
+        p = MLParameters(k, alpha, beta, gamma, q)
+        r = alpha / k
+        radius = r ** r / (k * q ** q)
+        z = scale * radius * (-1.0 if negative else 1.0)
+        ev = kml(p, z)
+        batch = kml_batch(p, [z])
+        assert _fields(*batch, 0) == repr(ev)
+        if abs(z) > radius:
+            assert not ev.converged and ev.status == "divergent"
+            assert ev.terms_used == 0
+
+    def test_inside_the_radius(self):
+        # k = gamma = beta = 1, alpha = 1, q = 2: the coefficients are
+        # (2n)! / (n!)**2, so E(z) = 1 / sqrt(1 - 4 z) with R = 1/4.
+        p = MLParameters(1.0, 1.0, 1.0, 1.0, 2.0)
+        ev = kml(p, 0.1)
+        assert ev.converged
+        assert rel(ev.value, 1.0 / math.sqrt(0.6)) < 1e-12
