@@ -24,7 +24,9 @@ Every value comes from one of three paths, named by
   accumulation and certified by the geometric tail bound;
 * ``contour``  -- for :func:`ml2` at ``x < 0`` with ``0 < alpha <= 2``, the
   inverse Laplace transform of ``s**(alpha-beta) / (s**alpha - x)`` by the
-  trapezoidal rule on a parabolic contour (:func:`_ml2_contour`);
+  trapezoidal rule on a parabolic contour (:func:`_ml2_contour`): Garrappa's
+  placement first, then placements chosen for accuracy relative to a small
+  value, with the pole residues computed in extended precision;
 * ``extended`` -- the series re-summed in extended precision (mpmath) with a
   working precision sized from the measured condition number.
 
@@ -38,13 +40,14 @@ term overflow also tries the contour, with no extended-precision fallback.
 The contour certificate is relative and is an error estimate, not a proven
 bound: the value is accepted only when ``10 * est <= tol * |value|``, where
 ``est`` adds the difference from a second contour with half the step and a
-longer range, the rounding of the quadrature sum and the conditioning of the
-pole residues.  The series certificate bounds the truncation error by
-``tol * max(1, |value|)``; the stricter relative form keeps the contour as
-accurate relative to small values as the extended-precision path it
-replaces.  Results that do not converge say why: ``overflow`` (a term
-overflowed), ``budget`` (the term budget ran out) or ``divergent`` (a
-:func:`kml` argument beyond the radius of convergence).
+longer range, the rounding of the quadrature sum and the error of the pole
+residues.  Every placement is judged by this one certificate.  The series
+certificate bounds the truncation error by ``tol * max(1, |value|)``; the
+stricter relative form keeps the contour as accurate relative to small
+values as the extended-precision path it replaces.  Results that do not
+converge say why: ``overflow`` (a term overflowed), ``budget`` (the term
+budget ran out) or ``divergent`` (a :func:`kml` argument beyond the radius
+of convergence).
 
 Batched forms serve the kinetic grid solvers and the residual check.
 :class:`ML2Rows` evaluates ``E_{alpha,beta_r}`` for several offsets
@@ -206,7 +209,8 @@ _MAX_DPS = 300
 def _needed_dps(abs_sum: float, value: float) -> int:
     cond = abs_sum / max(abs(value), 1e-300)
     extra = math.log10(cond) if cond > 1.0 else 0.0
-    return min(_MAX_DPS, 22 + int(extra))
+    # cond is inf when a zero value meets a huge abs_sum.
+    return min(_MAX_DPS, 22 + int(min(extra, _MAX_DPS)))
 
 
 # The escalation path adjusts the global mpmath precision; serialize it so
@@ -215,11 +219,12 @@ _MP_LOCK = threading.Lock()
 
 
 def _mp_sum(term_mp, dps: int, max_terms: int) -> tuple[float, int]:
-    """Sum an mpmath term generator until three consecutive terms fall below
-    the working precision relative to the largest magnitude seen."""
+    """Sum an mpmath term generator until three consecutive nonzero terms
+    fall below the working precision relative to the largest magnitude seen.
+    Zero terms (at gamma poles) neither count nor break the run."""
     with _MP_LOCK, mp.workdps(dps):
         total = mpf(0)
-        peak = mpf(1)
+        peak = mpf(0)
         thresh = mpf(10) ** (-(dps + 3))
         small = 0
         n = 0
@@ -229,10 +234,10 @@ def _mp_sum(term_mp, dps: int, max_terms: int) -> tuple[float, int]:
             at = abs(t)
             if at > peak:
                 peak = at
-            if at <= thresh * peak:
-                small += 1
-            else:
+            if at > thresh * peak:
                 small = 0
+            elif at:
+                small += 1
             if small >= 3 and n >= 8:
                 break
             n += 1
@@ -532,6 +537,20 @@ _CONTOUR_EPS = 1e-15
 _CONTOUR_MAX_NODES = 200
 _CONTOUR_SAFETY = 10.0
 _LOG_EPS = math.log(_EPS)
+# The relative-accuracy placements (see _ml2_contour): the parabola vertices
+# tried after the saddle, the nodes of the coarse rule, the decay e**-76
+# (about 1e-33) of e**s at its last node, and the least distance, in the
+# contour's parameter plane, from a pole to the real axis.
+_RELATIVE_MUS = (0.5, 2.0, 4.0, 8.0, 12.0, 20.0)
+_RELATIVE_NODES = 160
+_RELATIVE_DECAY = 76.0
+_POLE_GAP = 0.05
+# Digits of the pole residues, about quadruple precision.
+_RESIDUE_DPS = 34
+# The most the phase of e**s s**(alpha-beta) may turn between two nodes of
+# the coarse rule: the difference of the two rules cannot see an oscillation
+# that both alias alike.
+_PHASE_STEP = math.pi / 2.0
 
 
 def _contour_rb(phi1: float, p: float, log_eps: float) -> Optional[tuple]:
@@ -605,11 +624,23 @@ def _contour_ru(phi0: float, p: float, log_eps: float) -> Optional[tuple]:
     return mu, h, n
 
 
+def _pole_level(alpha: float, x: float) -> Optional[float]:
+    """``phi(s*) = (Re s* + |s*|) / 2`` of the poles ``s* = |x|**(1/alpha)
+    e**(+-i pi/alpha)`` of ``s**(alpha-beta) / (s**alpha - x)``, or None
+    where there is none outside the branch cut (``alpha <= 1``, or a pole on
+    it).  The parabola ``mu (1 + i u)**2`` is the level set ``phi = mu``."""
+    if alpha <= 1.0:
+        return None
+    pole = cmath.rect((-x) ** (1.0 / alpha), math.pi / alpha)
+    phi = (pole.real + abs(pole)) / 2.0
+    return phi if phi > 1e-15 else None
+
+
 def _contour_params(alpha: float, beta: float,
-                    x: float) -> Optional[tuple]:
+                    phi1: Optional[float]) -> Optional[tuple]:
     """Garrappa's contour for ``E_{alpha,beta}(x)``, ``x < 0``, ``alpha <=
-    2``: ``(mu, h, N, pole)``, where ``pole`` is the upper of the two
-    conjugate poles the contour leaves to its right, or None.
+    2``, whose poles lie at level ``phi1`` (:func:`_pole_level`): ``(mu, h,
+    N)``, or None.
 
     The singularities of ``s**(alpha-beta) / (s**alpha - x)`` are the branch
     point at the origin, of strength ``max(0, 2 (beta - alpha - 1))``, and
@@ -619,75 +650,127 @@ def _contour_params(alpha: float, beta: float,
     tenfold, and the certificate of :func:`_ml2_contour` judges the result.
     """
     p0 = max(0.0, 2.0 * (beta - alpha - 1.0))
-    pole, phi1 = None, 0.0
-    if alpha > 1.0:
-        pole = cmath.rect((-x) ** (1.0 / alpha), math.pi / alpha)
-        phi1 = (pole.real + abs(pole)) / 2.0
-        if phi1 <= 1e-15:  # inside every contour, with the origin
-            pole = None
     log_eps = math.log(_CONTOUR_EPS)
     while log_eps < 0.0:
-        if pole is None:
-            regions = [(_contour_ru(0.0, p0, log_eps), None)]
+        if phi1 is None:
+            regions = [_contour_ru(0.0, p0, log_eps)]
         else:
-            regions = [(_contour_rb(phi1, p0, log_eps), pole)]
+            regions = [_contour_rb(phi1, p0, log_eps)]
             if phi1 < log_eps - _LOG_EPS:
-                regions.append((_contour_ru(phi1, 1.0, log_eps), None))
-        best = min(((par, right) for par, right in regions if par is not None),
-                   key=lambda region: region[0][2], default=None)
-        if best is not None and best[0][2] <= _CONTOUR_MAX_NODES:
-            return (*best[0], best[1])
+                regions.append(_contour_ru(phi1, 1.0, log_eps))
+        best = min(filter(None, regions), key=lambda par: par[2],
+                   default=None)
+        if best is not None and best[2] <= _CONTOUR_MAX_NODES:
+            return best
         log_eps += math.log(10.0)
     return None
+
+
+def _contour_placements(alpha: float, beta: float, phi1: Optional[float]):
+    """The parabolas ``(mu, h, N)`` :func:`_ml2_contour` tries, in order:
+    Garrappa's (:func:`_contour_params`), then the relative-accuracy ones.
+
+    These put the vertex at ``beta - alpha + 1`` (if positive), next to the
+    saddle ``beta - alpha`` of ``e**s s**(alpha-beta)``, where the
+    integrand is not much larger than a small value and its phase turns
+    slowly, and then at the fixed ``_RELATIVE_MUS``.  Each has
+    ``_RELATIVE_NODES`` nodes up to the ``u`` where ``|e**s|`` has decayed
+    to ``e**-_RELATIVE_DECAY``.  A vertex is skipped when the poles lie
+    within ``_POLE_GAP`` of the real axis of the parameter plane, where they
+    sit at ``Im u = 1 - sqrt(phi1 / mu)``.
+    """
+    garrappa = _contour_params(alpha, beta, phi1)
+    if garrappa is not None:
+        yield garrappa
+    for mu in (beta - alpha + 1.0, *_RELATIVE_MUS):
+        if mu <= 0.0 or (phi1 is not None
+                         and abs(1.0 - math.sqrt(phi1 / mu)) < _POLE_GAP):
+            continue
+        u_max = math.sqrt(1.0 + _RELATIVE_DECAY / mu)
+        yield mu, u_max / _RELATIVE_NODES, _RELATIVE_NODES
+
+
+def _pole_residues(alpha: float, beta: float, x: float) -> tuple:
+    """The real part of the residues ``e**s* (s*)**(1-beta) / alpha`` of the
+    conjugate poles ``s* = r e**(+-i pi/alpha)``, ``r = |x|**(1/alpha)``,
+    computed with ``_RESIDUE_DPS`` digits: ``(hi, lo, err)``, where ``hi +
+    lo`` is the sum as two doubles and ``err`` bounds its error."""
+    with _MP_LOCK, mp.workdps(_RESIDUE_DPS):
+        a, b1 = mpf(alpha), 1 - mpf(beta)
+        log_r = mp.log(mpf(-x)) / a
+        r, theta = mp.exp(log_r), mp.pi / a
+        cos_t, sin_t = mp.cos_sin(theta)
+        # |Res| and Re Res: (s*)**(1-beta) = e**((1-beta)(log r + i theta))
+        mag = 2 * mp.exp(r * cos_t + b1 * log_r) / a
+        re = mag * mp.cos(r * sin_t + b1 * theta)
+        hi = float(re)
+        lo, eps = float(re - hi), float(mp.eps)
+        r, log_r, mag = float(r), float(log_r), float(mag)
+    # A few eps in each operation, magnified by the exponent r cos theta, the
+    # power's exponent (1 - beta) log r and the phase.
+    cond = 1.0 + r + abs(1.0 - beta) * (abs(log_r) + math.pi)
+    return hi, lo, 4.0 * eps * cond * mag
 
 
 def _ml2_contour(alpha: float, beta: float, x: float,
                  tol: float) -> Optional[tuple[float, float]]:
     """``E_{alpha,beta}(x)`` for ``0 < alpha <= 2`` and ``x < 0`` as the
     inverse Laplace transform of ``s**(alpha-beta) / (s**alpha - x)`` at
-    ``t = 1``, by the trapezoidal rule on the parabola ``mu (1 + i u)**2``
-    of :func:`_contour_params`, plus the residues ``e**s s**(1-beta) /
-    alpha`` of the poles the parabola leaves to its right.
+    ``t = 1``, by the trapezoidal rule on a parabola ``mu (1 + i u)**2``,
+    plus the residues of the poles the parabola leaves to its right.
 
-    Returns ``(value, est)`` when ``_CONTOUR_SAFETY * est <= tol * |value|``,
-    else None (also for ``alpha > 2``).  ``est`` is an error estimate: the
-    difference from the rule with step ``h`` on ``N`` nodes, evaluated on the
-    same nodes as the returned rule (step ``h/2`` on ``ceil(2.5 N)`` nodes,
-    so it also reaches further), plus the rounding ``eps * (1 + |alpha -
-    beta|) * sum |w_j e**s_j F(s_j)|`` of the sum and ``eps * (1 + |s*|)
-    |Res|`` for the residues.
+    The parabolas of :func:`_contour_placements` are tried in order: first
+    Garrappa's, chosen for absolute accuracy, then vertices chosen for
+    accuracy relative to a small value.  One whose coarse step lets the
+    phase of ``e**s s**(alpha-beta)`` turn by more than ``_PHASE_STEP`` is
+    skipped.  The first that passes the certificate gives the result:
+    ``(value, est)`` with ``_CONTOUR_SAFETY * est <= tol * |value|``, and
+    ``value`` a finite normal double.  None when no placement passes (also
+    for ``alpha > 2``).
+
+    ``est`` is an error estimate: the difference from the rule with step
+    ``h`` on ``N`` nodes, evaluated on the same nodes as the returned rule
+    (step ``h/2`` on ``ceil(2.5 N)`` nodes, so it also reaches further),
+    plus the rounding ``eps * (1 + |alpha - beta|) * sum |w_j e**s_j
+    F(s_j)|`` of the sum and the error of the residues, which are computed
+    once, with ``_RESIDUE_DPS`` digits, by :func:`_pole_residues`.
     """
     if alpha > 2.0:
         return None
-    params = _contour_params(alpha, beta, x)
-    if params is None:
-        return None
-    mu, h, n, pole = params
-    u = (0.5 * h) * np.arange(math.ceil(2.5 * n) + 1)
-    with np.errstate(all="ignore"):
-        z = mu * (1.0 + 1j * u) ** 2
-        f = (np.exp(z) * z ** (alpha - beta) / (z ** alpha - x)
-             * (2.0 * mu * (1j - u)))
-        f[0] *= 0.5
-        # The integrand at -u is minus the conjugate of that at u, so the
-        # rule over nodes -m..m is (step / pi) Im of the sum over 0..m with
-        # the middle node halved.
-        fine = 0.5 * h / math.pi * f.sum().imag
-        coarse = h / math.pi * f[:2 * n + 1:2].sum().imag
-        # The rounding of z**(alpha-beta) grows with its exponent.
-        rounding = (_EPS * (1.0 + abs(alpha - beta))
-                    * 0.5 * h / math.pi * np.abs(f).sum())
-        est = abs(fine - coarse) + rounding
-    value, est = float(fine), float(est)
-    if pole is not None:
-        try:
-            res = 2.0 / alpha * cmath.exp(pole) * pole ** (1.0 - beta)
-        except OverflowError:
-            return None
-        value += res.real
-        est += _EPS * (1.0 + abs(pole)) * abs(res)
-    if _CONTOUR_SAFETY * est <= tol * abs(value):
-        return value, est
+    phi1 = _pole_level(alpha, x)
+    residues = None
+    for mu, h, n in _contour_placements(alpha, beta, phi1):
+        # On the parabola that phase turns at the rate 2 mu + 2 (alpha -
+        # beta) / (1 + u**2), monotone in u.
+        if 2.0 * h * max(abs(mu + alpha - beta), mu) > _PHASE_STEP:
+            continue
+        u = (0.5 * h) * np.arange(math.ceil(2.5 * n) + 1)
+        with np.errstate(all="ignore"):
+            z = mu * (1.0 + 1j * u) ** 2
+            # e**z z**(alpha-beta) as one exponential, so neither factor
+            # under- or overflows alone.
+            f = (np.exp(z + (alpha - beta) * np.log(z)) / (z ** alpha - x)
+                 * (2.0 * mu * (1j - u)))
+            f[0] *= 0.5
+            # The integrand at -u is minus the conjugate of that at u, so
+            # the rule over nodes -m..m is (step / pi) Im of the sum over
+            # 0..m with the middle node halved.
+            fine = 0.5 * h / math.pi * f.sum().imag
+            coarse = h / math.pi * f[:2 * n + 1:2].sum().imag
+            # The rounding of z**(alpha-beta) grows with its exponent.
+            rounding = (_EPS * (1.0 + abs(alpha - beta))
+                        * 0.5 * h / math.pi * np.abs(f).sum())
+            est = abs(fine - coarse) + rounding
+        value, est = float(fine), float(est)
+        if phi1 is not None and phi1 > mu:
+            if residues is None:
+                residues = _pole_residues(alpha, beta, x)
+            hi, lo, err = residues
+            value = value + hi + lo
+            est += err
+        if (sys.float_info.min <= abs(value) < math.inf
+                and _CONTOUR_SAFETY * est <= tol * abs(value)):
+            return value, est
     return None
 
 

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import fracml.cli as cli
+import fracml.mittag as mittag
 from fracml.cli import main
 from fracml.kinetics import Forcing, KineticProblem, solve_theorem1
 from fracml.mittag import MLParameters, SeriesEvaluation, TwoParamML, ml2
@@ -91,6 +92,18 @@ class TestEvalMl:
         value, terms, _, converged = out.splitlines()[1].split(",")
         assert (terms, converged) == ("751", "true")
         assert abs(float(value) - 0.01879588886141675) <= 1e-12 * 0.0188
+
+    def test_leading_pole_zeros_end_in_a_value(self, capsys):
+        # E_{1,-50}(-30) = -(30**51) e**-30: the first 51 terms are gamma
+        # pole zeros, which once stopped the extended-precision sum at 0.0
+        # and ended in an OverflowError traceback.
+        code, out, _ = run(["eval-ml", "--alpha", "1", "--beta", "-50",
+                            "--x", "-30"], capsys)
+        assert code in (0, 3)
+        if code == 0:
+            value = float(out.splitlines()[1].split(",")[0])
+            expected = -(30.0 ** 51) * math.exp(-30.0)
+            assert abs(value - expected) <= 1e-12 * abs(expected)
 
 
 class TestEvalKml:
@@ -187,6 +200,28 @@ class TestSolve:
                             "--variant", "stated"], capsys)
         assert code == 2
         assert "--a" in err
+
+    def test_fast_removal_solves_stay_off_extended_precision(
+            self, capsys, monkeypatch):
+        # Six stiff solves, one per (theorem, variant) pair: removal rate
+        # 40, nu = 1.6, three time points.  Their cancelling inner factors
+        # called _ml2_extended 20 times before the contour had placements
+        # for relative accuracy and extended-precision residues; now 0.
+        calls = []
+        original = mittag._ml2_extended
+        monkeypatch.setattr(
+            mittag, "_ml2_extended",
+            lambda *args: calls.append(args) or original(*args))
+        db_set = DB_FLAGS[:-2]  # without the forcing rate
+        for theorem in (1, 2, 3):
+            rates = ["--d", "40"] if theorem < 3 else ["--d", "3", "--a", "40"]
+            for variant in ("stated", "rederived"):
+                code, out, _ = run(["solve", "--theorem", str(theorem),
+                                    "--variant", variant, *db_set, *rates,
+                                    "--nu", "1.6", "--t-max", "1",
+                                    "--steps", "2"], capsys)
+                assert code == 0 and len(out.splitlines()) == 4
+        assert len(calls) <= 0
 
     def test_underflowed_inner_factors_exit_3(self, capsys):
         # The outer series diverges; once its inner factors underflow to

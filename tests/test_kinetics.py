@@ -305,13 +305,14 @@ def _record_calls(monkeypatch, module, name):
 
 def _grid_and_points(solver, prob, ts):
     """A grid call and per-point calls at ``ts``, with the arguments of the
-    extended-precision inner re-sums each made, sorted.  Re-sums at the
-    inner argument of a point the grid call left to the per-point code are
-    left out of both lists (the batch may have started that point's
-    re-sums before it gave up on it)."""
+    cancelling inner evaluations (``_ml2_cancelling``: the contour, else the
+    extended-precision re-sum) each made, sorted.  Those at the inner
+    argument of a point the grid call left to the per-point code are left
+    out of both lists (the batch may have started that point's evaluations
+    before it gave up on it)."""
     kinetics, mittag = fracml.kinetics, fracml.mittag
-    with mock.patch.object(mittag, "_ml2_extended",
-                           wraps=mittag._ml2_extended) as escalations, \
+    with mock.patch.object(mittag, "_ml2_cancelling",
+                           wraps=mittag._ml2_cancelling) as escalations, \
             mock.patch.object(kinetics, "_solution_series",
                               wraps=kinetics._solution_series) as per_point:
         grid = solver(prob, np.array(ts))
@@ -426,8 +427,9 @@ class TestGridEvaluation:
         assert grid.point_terms.max() > 2 * (MIN_TERMS + 2)  # a third block
         # Inner factors of outer indices past the first block escalate.
         assert any(beta > MIN_TERMS + 2 for _, beta, *_ in grid_esc)
-        # Only the factors the outer sums use are re-summed in extended
-        # precision: the same calls, with the same arguments, as per point.
+        # Only the factors the outer sums use are evaluated on the
+        # cancelling route: the same calls, with the same arguments, as per
+        # point.
         assert grid_esc == point_esc
         assert [_point(grid, i) for i in range(len(ts))] == points
 

@@ -354,6 +354,22 @@ class TestReductionCase:
         assert reduction_case(params(3.0, 2.0, 1.5, 2.0, alpha=1.0)) is ReductionCase.GENERAL
 
 
+# E_{1.95...,20.5...}(-1065.6...): an inner factor of a fast-removal solve
+# whose terms all lie below 1.  The extended-precision re-sum once stopped
+# there at an absolute threshold and certified 3.9342740282457804e-19.
+SMALL_TERMS_POINT = (1.953681864029253, 20.53681864029253, -1065.6447624534312)
+
+
+def _contour_ref_check(alpha, beta, x, tol):
+    # The certificate rests on an error estimate, not a proven bound: every
+    # value it accepts must be within tol * |value| of the brute-force sum.
+    got = mittag._ml2_contour(alpha, beta, x, tol)
+    if got is not None:
+        ref = oracles.mp_ml2_sum(alpha, beta, x)
+        assert abs(got[0] - ref) <= tol * abs(ref), (got, ref)
+    return got
+
+
 class TestContour:
     """The contour path of ml2 (mittag._ml2_contour) and its routing."""
 
@@ -361,24 +377,16 @@ class TestContour:
     @given(alpha=st.floats(0.25, 2.0), beta=st.floats(-2.0, 30.0),
            u=st.floats(0.0, 1.0), tol=st.sampled_from([1e-12, 1e-13]))
     def test_certified_values_meet_tol(self, alpha, beta, u, tol):
-        # The certificate rests on an error estimate, not a proven bound:
-        # every value it accepts must be within tol * |value| of the
-        # brute-force sum.  |x| <= 200**alpha keeps that sum affordable.
+        # |x| <= 200**alpha keeps the brute-force sum affordable.
         x = -(0.5 + u * (min(3000.0, 200.0 ** alpha) - 0.5))
-        got = mittag._ml2_contour(alpha, beta, x, tol)
-        if got is not None:
-            ref = oracles.mp_ml2_sum(alpha, beta, x)
-            assert abs(got[0] - ref) <= tol * abs(ref), (got, ref)
+        _contour_ref_check(alpha, beta, x, tol)
 
     def test_rounding_grows_with_the_power(self):
         # The rounding of z**(alpha-beta) grows with |alpha - beta|: without
         # that factor in est, this value was certified at 1.23 * tol from the
         # brute-force sum.
         alpha, beta, x = 0.19404436050199458, 32.329425418611706, -1.0727292230726875
-        got = mittag._ml2_contour(alpha, beta, x, 1e-14)
-        if got is not None:
-            ref = oracles.mp_ml2_sum(alpha, beta, x)
-            assert abs(got[0] - ref) <= 1e-14 * abs(ref)
+        _contour_ref_check(alpha, beta, x, 1e-14)
 
     @pytest.mark.parametrize("x", [0.5, 1.0, 2.0, 5.0])
     def test_exponential(self, x):
@@ -484,6 +492,137 @@ class TestContour:
         assert calls == []
         for path in sorted((root / "artifacts").iterdir()):
             assert (tmp_path / path.name).read_bytes() == path.read_bytes()
+
+
+class TestRelativePlacements:
+    """The contour placements chosen for relative accuracy, tried after
+    Garrappa's, and the extended-precision residues."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(alpha=st.floats(1.0, 2.0), beta=st.floats(1.0, 22.0),
+           u=st.floats(0.0, 1.0))
+    def test_stiff_inner_factors_meet_tol(self, alpha, beta, u):
+        # The inner factors E_{nu,b}(-(a t)**nu) of fast-removal solves, at
+        # their inner tolerance; removal rates a <= 60 bound |x| by 60**nu.
+        x = -(10.0 + u * (min(1100.0, 60.0 ** alpha) - 10.0))
+        _contour_ref_check(alpha, beta, x, 1e-13)
+
+    @settings(max_examples=40, deadline=None)
+    @given(alpha=st.floats(0.25, 0.99), beta=st.floats(-2.0, 30.0),
+           u=st.floats(0.0, 1.0), tol=st.sampled_from([1e-12, 1e-13]))
+    def test_alpha_below_one_meets_tol(self, alpha, beta, u, tol):
+        x = -(0.5 + u * (min(200.0, 100.0 ** alpha) - 0.5))
+        _contour_ref_check(alpha, beta, x, tol)
+
+    @settings(max_examples=25, deadline=None)
+    @given(alpha=st.floats(0.3, 2.0), beta=st.floats(30.0, 200.0),
+           u=st.floats(0.0, 1.0), tol=st.sampled_from([1e-10, 1e-13]))
+    def test_large_beta_meets_tol(self, alpha, beta, u, tol):
+        # z**(alpha-beta) oscillates fast on a parabola far from the saddle;
+        # the oracle gives 0.0 where the value underflows, which no
+        # certified value can match.
+        x = -(1.0 + u * (min(3000.0, 100.0 ** alpha) - 1.0))
+        _contour_ref_check(alpha, beta, x, tol)
+
+    @pytest.mark.parametrize("alpha, beta, x, tol", [
+        # Both rules alias the oscillation of z**(alpha-beta) alike: without
+        # the phase-step limit, Garrappa's placement certified 9.4e-189 for
+        # the first (true value 1.2e-341) and the vertex 4 certified
+        # 1.3e-121 for the second (true value below 1e-308).
+        (1.4032567403327711, 186.12606884508716, -73.39427052568027, 1e-12),
+        (0.8537892019240338, 196.64348104979265, -45.17458494267553, 1e-10),
+    ])
+    def test_aliased_oscillation_is_refused(self, alpha, beta, x, tol):
+        assert mittag._ml2_contour(alpha, beta, x, tol) is None
+
+    @pytest.mark.parametrize("alpha, beta, x, tol, garrappa", [
+        # The pole term in double precision, eps (1 + |s*|) |Res|, kept
+        # Garrappa's placement from certifying this one.
+        (1.6245, 1.0, -75.88, 1e-13, True),
+        (0.7, 0.7, -40.0, 1e-12, False),
+        (*SMALL_TERMS_POINT, 1e-13, False),
+    ])
+    def test_regression_points(self, monkeypatch, alpha, beta, x, tol,
+                               garrappa):
+        ev = ml2(TwoParamML(alpha, beta), x, tol)
+        assert ev.converged and ev.status == "contour"
+        assert ev.value == _contour_ref_check(alpha, beta, x, tol)[0]
+
+        def garrappa_only(a, b, phi):
+            return filter(None, [mittag._contour_params(a, b, phi)])
+
+        monkeypatch.setattr(mittag, "_contour_placements", garrappa_only)
+        only_garrappa = mittag._ml2_contour(alpha, beta, x, tol)
+        assert (only_garrappa is not None) == garrappa
+
+    def test_unit_step_stays_refused(self):
+        # e**-60 is below the rounding floor of every placement.
+        assert mittag._ml2_contour(1.0, 1.0, -60.0, 1e-13) is None
+
+    @pytest.mark.parametrize("alpha, beta, x", [
+        (1.6245, 1.0, -75.88), (2.0, 1.0, -3000.0), (1.3, -4.5, -20.0),
+        (1.9, 25.0, -500.0)])
+    def test_residues_in_extended_precision(self, alpha, beta, x):
+        hi, lo, err = mittag._pole_residues(alpha, beta, x)
+        with mpmath.workdps(50):
+            s = (mpmath.mpf(-x) ** (1 / mpmath.mpf(alpha))
+                 * mpmath.expjpi(1 / mpmath.mpf(alpha)))
+            res = 2 / mpmath.mpf(alpha) * mpmath.exp(s) * s ** (1 - beta)
+            assert abs(mpmath.mpf(hi) + lo - res.real) <= err
+            assert err <= 1e-30 * abs(res)
+        assert hi == float(res.real)
+
+    def test_each_call_computes_the_residues_at_most_once(self, monkeypatch):
+        calls = []
+        original = mittag._pole_residues
+        monkeypatch.setattr(
+            mittag, "_pole_residues",
+            lambda *args: calls.append(args) or original(*args))
+        # The saddle lies right of the poles here; Garrappa's placement and
+        # the vertices left of them both need the residues.
+        assert mittag._ml2_contour(1.9, 25.0, -500.0, 1e-30) is None
+        assert len(calls) == 1
+
+
+class TestExtendedPrecision:
+    """The extended-precision re-sum (mittag._extended_sum and _mp_sum)."""
+
+    def test_small_terms_stop_relative_to_the_largest(self, monkeypatch):
+        # Every term of this series lies below 1; the stop must be relative
+        # to the largest of them, as the reported tail assumes.  ml2 now
+        # takes the contour here, so the re-sums are called directly.
+        alpha, beta, x = SMALL_TERMS_POINT
+        args = []
+        monkeypatch.setattr(
+            mittag, "_ml2_cancelling",
+            lambda *a: args.append(a) or (0.0, 0, 0.0, "contour"))
+        ml2(TwoParamML(alpha, beta), x, 1e-13)
+        (_, _, _, abs_sum, approx, tol, max_terms), = args
+        ref = oracles.mp_ml2_sum(alpha, beta, x)
+        evaluations = [
+            mittag._ml2_extended(alpha, beta, x, abs_sum, approx, max_terms),
+            mittag._kml_extended(MLParameters(1.0, alpha, beta, 1.0, 1.0), x,
+                                 abs_sum, approx, max_terms)]
+        for value, _, tail in evaluations:
+            assert tail <= tol * abs(value)
+            assert abs(value - ref) <= max(tail, mittag._EPS * abs(ref))
+
+    def test_pole_zeros_do_not_stop_the_sum(self):
+        # Twelve leading zeros (gamma poles), then 1 + 1/2 + 1/4 + ...
+        def term(n):
+            return mpmath.mpf(0) if n < 12 else mpmath.mpf(2) ** (12 - n)
+
+        value, used = mittag._mp_sum(term, 20, 1000)
+        assert rel(value, 2.0) <= 1e-15 and used > 70
+
+    def test_leading_pole_zeros(self):
+        # E_{1,-50}(x) = x**51 e**x: the first 51 terms are pole zeros.
+        ev = ml2(TwoParamML(1.0, -50.0), -30.0)
+        assert ev.converged
+        assert rel(ev.value, -(30.0 ** 51) * math.exp(-30.0)) <= 1e-12
+
+    def test_needed_digits_of_a_zero_value(self):
+        assert mittag._needed_dps(1e300, 0.0) == mittag._MAX_DPS
 
 
 class TestStatus:
