@@ -15,7 +15,8 @@ Both return a :class:`SeriesEvaluation` carrying truncation diagnostics;
 :mod:`fracml.summation` holds.  Terms are built in log-magnitude + sign
 form (or directly through the gamma function while its argument is in
 range), and Gamma poles met inside a series contribute zero terms via the
-reciprocal-gamma convention.
+reciprocal-gamma convention.  The tail certificate is tested from the index
+:func:`_cert_start` gives, where the gamma argument is past all poles.
 
 Every value comes from one of three paths, named by
 :attr:`SeriesEvaluation.status`:
@@ -26,7 +27,8 @@ Every value comes from one of three paths, named by
   inverse Laplace transform of ``s**(alpha-beta) / (s**alpha - x)`` by the
   trapezoidal rule on a parabolic contour (:func:`_ml2_contour`): Garrappa's
   placement first, then placements chosen for accuracy relative to a small
-  value, with the pole residues computed in extended precision;
+  value, with the pole residues computed at 116 bits on mpmath's ``libmp``
+  (:func:`_pole_residues`), outside the global mpmath context;
 * ``extended`` -- the series re-summed in extended precision (mpmath) with a
   working precision sized from the measured condition number.
 
@@ -79,6 +81,9 @@ from typing import Callable, Optional
 
 import numpy as np
 from mpmath import mp, mpf
+from mpmath.libmp import (dps_to_prec, fone, from_float, mpf_add, mpf_cos,
+                          mpf_cos_sin, mpf_div, mpf_exp, mpf_log, mpf_mul,
+                          mpf_pi, mpf_shift, mpf_sub, round_nearest, to_float)
 
 from .errors import DomainError
 from .specfun import is_gamma_pole, recip_gamma, recip_k_gamma, signed_log_gamma
@@ -213,8 +218,9 @@ def _needed_dps(abs_sum: float, value: float) -> int:
     return min(_MAX_DPS, 22 + int(min(extra, _MAX_DPS)))
 
 
-# The escalation path adjusts the global mpmath precision; serialize it so
-# the evaluators stay safe to call from multiple threads.
+# The extended-precision re-sum (_mp_sum) sets the global mpmath precision;
+# serialize it so the evaluators stay safe to call from multiple threads.
+# Nothing else takes the lock: the pole residues use explicit precision.
 _MP_LOCK = threading.Lock()
 
 
@@ -297,7 +303,7 @@ def ml2(p: TwoParamML, x: float, tol: float = DEFAULT_TOL,
     def term(n: int) -> float:
         nonlocal err_units
         a = alpha * n + beta
-        if is_gamma_pole(a):
+        if a <= 0.0 and is_gamma_pole(a):
             return 0.0
         la = n * log_ax
         if (_DIRECT_GAMMA_MIN <= abs(a) <= _DIRECT_GAMMA_MAX
@@ -317,12 +323,8 @@ def ml2(p: TwoParamML, x: float, tol: float = DEFAULT_TOL,
         err_units += _ERR_LOG * abs(t)
         return t
 
-    def cert_ok(n: int) -> bool:
-        # Delay certification until the gamma argument is past all poles
-        # and into its increasing range, so zero terms cannot fool it.
-        return alpha * n + beta >= 2.0
-
-    res = sum_series(term, tol, max_terms, MIN_TERMS, cert_ok)
+    res = sum_series(term, tol, max_terms,
+                     _cert_start(alpha, beta, max_terms))
     value, used, tail = res.value, res.terms, res.tail_bound
     converged, status = res.converged, _series_status(res)
     if converged and _should_escalate(x, res.abs_sum, value, err_units, tol):
@@ -335,6 +337,36 @@ def ml2(p: TwoParamML, x: float, tol: float = DEFAULT_TOL,
             (value, tail), status, converged = contour, "contour", True
     converged = converged and tail <= tol * max(1.0, abs(value))
     return SeriesEvaluation(value, used, tail, converged, status)
+
+
+def _cert_start(alpha: float, beta: float, max_terms: int,
+                k: float = 1.0) -> int:
+    """The index from which a series whose ``n``-th gamma argument is
+    ``(alpha n + beta) / k`` may certify: the least ``n >= MIN_TERMS`` with
+    ``(alpha n + beta) / k >= 2`` as rounded in double precision.  Past it
+    the argument is beyond all gamma poles and in Gamma's increasing range,
+    so zero terms cannot fool the certificate.
+
+    The rule of :func:`ml2` and :class:`ML2Rows` (``k = 1``, where the
+    division is exact) and of :func:`kml` and :func:`kml_batch`.  The
+    rounded argument is nondecreasing in ``n`` (``alpha, k > 0``), so a
+    bisection finds the index.  Where no index below ``max_terms`` qualifies
+    the result is ``max_terms`` (capped at ``sys.maxsize``, far beyond any
+    index a sum reaches), which no summation loop tests.
+    """
+    def ok(n: int) -> bool:
+        return (alpha * n + beta) / k >= 2.0
+
+    lo, hi = MIN_TERMS, max(MIN_TERMS, min(max_terms, sys.maxsize))
+    if ok(lo):
+        return lo
+    while hi - lo > 1:  # ok(lo) is False; the answer lies in (lo, hi]
+        mid = (lo + hi) // 2
+        if ok(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 def _series_status(res) -> str:
@@ -437,7 +469,6 @@ class ML2Rows:
         rows = np.repeat(np.arange(len(betas)), width)
         points = np.tile(idx, len(betas))
         self.x = x = powers.x[points]
-        beta_arr = np.array(betas, dtype=float)
         err_units = np.zeros(rows.size)
 
         live = [None, None, None]   # pos, and its rows and points
@@ -447,7 +478,7 @@ class ML2Rows:
             poles = []
             for r, beta in enumerate(betas):
                 a = alpha * m + beta
-                if is_gamma_pole(a):
+                if a <= 0.0 and is_gamma_pole(a):
                     den.append(math.inf)
                     poles.append(r)
                 elif _DIRECT_GAMMA_MIN <= abs(a) <= _DIRECT_GAMMA_MAX:
@@ -465,12 +496,9 @@ class ML2Rows:
             # branch, or a NaN gamma value from outside it.
             return t, ~np.isfinite(t)
 
-        def cert_ok(m: int):
-            ok = alpha * m + beta_arr >= 2.0
-            return True if ok.all() else ok[rows]
-
-        res = sum_series_batch(term, rows.size, tol, max_terms, MIN_TERMS,
-                               cert_ok)
+        start = [_cert_start(alpha, beta, max_terms) for beta in betas]
+        res = sum_series_batch(term, rows.size, tol, max_terms,
+                               np.repeat(start, width))
         self.res = res
         self.escalate = res.converged & _should_escalate_batch(
             x, res.abs_sum, res.value, err_units, tol)
@@ -545,8 +573,10 @@ _RELATIVE_MUS = (0.5, 2.0, 4.0, 8.0, 12.0, 20.0)
 _RELATIVE_NODES = 160
 _RELATIVE_DECAY = 76.0
 _POLE_GAP = 0.05
-# Digits of the pole residues, about quadruple precision.
-_RESIDUE_DPS = 34
+# Precision of the pole residues: 34 digits (116 bits), about quadruple
+# precision, and its unit roundoff as mpmath defines eps.
+_RESIDUE_PREC = dps_to_prec(34)
+_RESIDUE_EPS = math.ldexp(1.0, 1 - _RESIDUE_PREC)
 # The most the phase of e**s s**(alpha-beta) may turn between two nodes of
 # the coarse rule: the difference of the two rules cannot see an oscillation
 # that both alias alike.
@@ -690,26 +720,61 @@ def _contour_placements(alpha: float, beta: float, phi1: Optional[float]):
         yield mu, u_max / _RELATIVE_NODES, _RELATIVE_NODES
 
 
+# The one-entry memo of _pole: (alpha, x, parts).
+_pole_memo: tuple = (None, None, None)
+
+
+def _pole(alpha: float, x: float) -> tuple:
+    """The parts of :func:`_pole_residues` that depend only on ``(alpha,
+    x)``: ``alpha``, ``log r``, ``theta = pi/alpha``, ``r cos theta`` and
+    ``r sin theta`` as raw mpf values, then ``r`` and ``log r`` as doubles.
+
+    Evaluated point by point, the inner factors of one solution point share
+    its ``(alpha, x)`` and come one after another, so the last result is
+    kept.  One entry only: the tuple is replaced whole, so concurrent
+    callers at worst recompute it.
+    """
+    global _pole_memo
+    memo = _pole_memo
+    if memo[0] == alpha and memo[1] == x:
+        return memo[2]
+    prec, rnd = _RESIDUE_PREC, round_nearest
+    a = from_float(alpha)
+    log_r = mpf_div(mpf_log(from_float(-x), prec, rnd), a, prec, rnd)
+    r = mpf_exp(log_r, prec, rnd)
+    theta = mpf_div(mpf_pi(prec, rnd), a, prec, rnd)
+    cos_t, sin_t = mpf_cos_sin(theta, prec, rnd)
+    parts = (a, log_r, theta, mpf_mul(r, cos_t, prec, rnd),
+             mpf_mul(r, sin_t, prec, rnd), to_float(r, rnd=rnd),
+             to_float(log_r, rnd=rnd))
+    _pole_memo = (alpha, x, parts)
+    return parts
+
+
 def _pole_residues(alpha: float, beta: float, x: float) -> tuple:
     """The real part of the residues ``e**s* (s*)**(1-beta) / alpha`` of the
     conjugate poles ``s* = r e**(+-i pi/alpha)``, ``r = |x|**(1/alpha)``,
-    computed with ``_RESIDUE_DPS`` digits: ``(hi, lo, err)``, where ``hi +
-    lo`` is the sum as two doubles and ``err`` bounds its error."""
-    with _MP_LOCK, mp.workdps(_RESIDUE_DPS):
-        a, b1 = mpf(alpha), 1 - mpf(beta)
-        log_r = mp.log(mpf(-x)) / a
-        r, theta = mp.exp(log_r), mp.pi / a
-        cos_t, sin_t = mp.cos_sin(theta)
-        # |Res| and Re Res: (s*)**(1-beta) = e**((1-beta)(log r + i theta))
-        mag = 2 * mp.exp(r * cos_t + b1 * log_r) / a
-        re = mag * mp.cos(r * sin_t + b1 * theta)
-        hi = float(re)
-        lo, eps = float(re - hi), float(mp.eps)
-        r, log_r, mag = float(r), float(log_r), float(mag)
+    computed with ``_RESIDUE_PREC`` bits, rounded to nearest: ``(hi, lo,
+    err)``, where ``hi + lo`` is the sum as two doubles and ``err`` bounds
+    its error.
+
+    The arithmetic is mpmath's ``libmp`` at an explicit precision, so it
+    neither reads nor sets the global mpmath context and takes no lock.
+    """
+    prec, rnd = _RESIDUE_PREC, round_nearest
+    a, log_r, theta, r_cos, r_sin, r, log_r_f = _pole(alpha, x)
+    b1 = mpf_sub(fone, from_float(beta), prec, rnd)
+    # |Res| and Re Res: (s*)**(1-beta) = e**((1-beta)(log r + i theta))
+    power = mpf_add(r_cos, mpf_mul(b1, log_r, prec, rnd), prec, rnd)
+    mag = mpf_div(mpf_shift(mpf_exp(power, prec, rnd), 1), a, prec, rnd)
+    phase = mpf_add(r_sin, mpf_mul(b1, theta, prec, rnd), prec, rnd)
+    re = mpf_mul(mag, mpf_cos(phase, prec, rnd), prec, rnd)
+    hi = to_float(re, rnd=rnd)
+    lo = to_float(mpf_sub(re, from_float(hi), prec, rnd), rnd=rnd)
     # A few eps in each operation, magnified by the exponent r cos theta, the
     # power's exponent (1 - beta) log r and the phase.
-    cond = 1.0 + r + abs(1.0 - beta) * (abs(log_r) + math.pi)
-    return hi, lo, 4.0 * eps * cond * mag
+    cond = 1.0 + r + abs(1.0 - beta) * (abs(log_r_f) + math.pi)
+    return hi, lo, 4.0 * _RESIDUE_EPS * cond * to_float(mag, rnd=rnd)
 
 
 def _ml2_contour(alpha: float, beta: float, x: float,
@@ -733,7 +798,7 @@ def _ml2_contour(alpha: float, beta: float, x: float,
     (step ``h/2`` on ``ceil(2.5 N)`` nodes, so it also reaches further),
     plus the rounding ``eps * (1 + |alpha - beta|) * sum |w_j e**s_j
     F(s_j)|`` of the sum and the error of the residues, which are computed
-    once, with ``_RESIDUE_DPS`` digits, by :func:`_pole_residues`.
+    once, with ``_RESIDUE_PREC`` bits, by :func:`_pole_residues`.
     """
     if alpha > 2.0:
         return None
@@ -809,7 +874,8 @@ def kml(p: MLParameters, z: float, tol: float = DEFAULT_TOL,
         err_units += _ERR_LOG * abs(t)
         return t
 
-    res = sum_series(term, tol, max_terms, MIN_TERMS, _kml_cert_ok(p))
+    res = sum_series(term, tol, max_terms,
+                     _cert_start(p.alpha, p.beta, max_terms, p.k))
     value, used, tail = res.value, res.terms, res.tail_bound
     status = _series_status(res)
     if res.converged and _should_escalate(z, res.abs_sum, value, err_units, tol):
@@ -854,11 +920,6 @@ def _kml_log_coeff(p: MLParameters) -> Callable[[int], float]:
     return log_coeff
 
 
-def _kml_cert_ok(p: MLParameters) -> Callable[[int], bool]:
-    k, alpha, beta = p.k, p.alpha, p.beta
-    return lambda n: (alpha * n + beta) / k >= 2.0
-
-
 def kml_batch(p: MLParameters, zs: list, tol: float = DEFAULT_TOL,
               max_terms: int = DEFAULT_MAX_TERMS) -> tuple:
     """Evaluate the generalized k-Mittag-Leffler series at every real ``zs[i]``
@@ -899,8 +960,8 @@ def kml_batch(p: MLParameters, zs: list, tol: float = DEFAULT_TOL,
             err_units[pos] += _ERR_LOG * np.abs(t)
             return t, over
 
-        res = sum_series_batch(term, idx.size, tol, max_terms, MIN_TERMS,
-                               _kml_cert_ok(p))
+        res = sum_series_batch(term, idx.size, tol, max_terms,
+                               _cert_start(p.alpha, p.beta, max_terms, p.k))
         ok = (res.converged & _certified(res.tail_bound, res.value, tol)
               & ~_should_escalate_batch(z[idx], res.abs_sum, res.value,
                                         err_units, tol))

@@ -1,14 +1,16 @@
 """Compensated summation and certified truncation of power-series tails.
 
 All series in this package are summed through :func:`sum_series`, which adds
-terms with a Neumaier compensated accumulator and stops once a geometric tail
+terms with Neumaier's compensated summation and stops once a geometric tail
 bound certifies that the remainder is below the requested tolerance.  The
 certificate is: at the first index ``n >= min_terms`` where
 
 * ``|term_n| <= tol * max(1, |partial|)``, and
 * ``r = |term_{n+1}| / |term_n| < 1/2``,
 
-the tail is bounded by ``|term_{n+1}| / (1 - r)``.  If no index certifies
+the tail is bounded by ``|term_{n+1}| / (1 - r)``.  A caller whose early
+terms can mislead the test (zero terms at gamma poles) passes the first
+index past them as ``min_terms``.  If no index certifies
 within ``max_terms``, or a term generator raises :class:`SeriesAbort`, the
 partial sum is returned with ``converged=False`` (and the abort's reason);
 a wrong answer is never reported silently.
@@ -32,33 +34,6 @@ class SeriesAbort(Exception):
     inner factor that failed to converge, overflow)."""
 
 
-class CompensatedSum:
-    """Running Neumaier-compensated sum.
-
-    Keeps the accumulated rounding error in a carry term so that the final
-    ``value`` is accurate to a couple of ulps of the true sum of the added
-    floats, independent of how severe the cancellation between them is.
-    """
-
-    __slots__ = ("_sum", "_carry")
-
-    def __init__(self) -> None:
-        self._sum = 0.0
-        self._carry = 0.0
-
-    def add(self, x: float) -> None:
-        s = self._sum + x
-        if abs(self._sum) >= abs(x):
-            self._carry += (self._sum - s) + x
-        else:
-            self._carry += (x - s) + self._sum
-        self._sum = s
-
-    @property
-    def value(self) -> float:
-        return self._sum + self._carry
-
-
 class SeriesSum(NamedTuple):
     value: float
     terms: int
@@ -74,37 +49,43 @@ def sum_series(
     tol: float,
     max_terms: int,
     min_terms: int = 8,
-    cert_ok: Optional[Callable[[int], bool]] = None,
 ) -> SeriesSum:
-    """Sum ``term(0) + term(1) + ...`` with the geometric-tail certificate.
+    """Sum ``term(0) + term(1) + ...`` with the geometric-tail certificate,
+    tested from index ``min_terms`` on.
 
-    ``cert_ok(n)`` may veto certification at index ``n`` (used to delay the
-    stopping test until the term magnitudes are provably monotone, e.g. past
-    the zero terms produced by reciprocal gamma factors at poles).
+    The terms are added with Neumaier's compensated summation: the rounding
+    error of each addition is kept in a carry, so the value is accurate to a
+    couple of ulps of the exact sum of the added floats, however much they
+    cancel.
     """
-    acc = CompensatedSum()
-    abs_sum = 0.0
+    acc = carry = abs_sum = 0.0
     n = 0
     try:
         t = term(0)
+        at = abs(t)
         while n < max_terms:
-            acc.add(t)
-            abs_sum += abs(t)
+            s = acc + t
+            if abs(acc) >= at:
+                carry += (acc - s) + t
+            else:
+                carry += (t - s) + acc
+            acc = s
+            abs_sum += at
             t_next = term(n + 1)
-            if n >= min_terms and (cert_ok is None or cert_ok(n)):
-                partial = acc.value
-                if abs(t) <= tol * max(1.0, abs(partial)):
-                    if t != 0.0 and abs(t_next) < 0.5 * abs(t):
-                        r = abs(t_next) / abs(t)
-                        tail = abs(t_next) / (1.0 - r)
+            an = abs(t_next)
+            if n >= min_terms:
+                partial = acc + carry
+                if at <= tol * max(1.0, abs(partial)):
+                    if t != 0.0 and an < 0.5 * at:
+                        tail = an / (1.0 - an / at)
                         return SeriesSum(partial, n + 1, tail, True, abs_sum)
                     if t == 0.0 and t_next == 0.0:
                         return SeriesSum(partial, n + 1, 0.0, True, abs_sum)
-            t = t_next
+            t, at = t_next, an
             n += 1
     except SeriesAbort as exc:
-        return SeriesSum(acc.value, n, math.inf, False, abs_sum, str(exc))
-    return SeriesSum(acc.value, max_terms, math.inf, False, abs_sum)
+        return SeriesSum(acc + carry, n, math.inf, False, abs_sum, str(exc))
+    return SeriesSum(acc + carry, max_terms, math.inf, False, abs_sum)
 
 
 class SeriesSumBatch(NamedTuple):
@@ -122,8 +103,7 @@ def sum_series_batch(
     size: int,
     tol: float,
     max_terms: int,
-    min_terms: int = 8,
-    cert_ok: Optional[Callable[[int], bool]] = None,
+    min_terms: int | np.ndarray = 8,
 ) -> SeriesSumBatch:
     """Sum ``size`` series at once, each exactly as :func:`sum_series` would.
 
@@ -132,9 +112,13 @@ def sum_series_batch(
     the series whose term aborts, as ``SeriesAbort`` does for the scalar
     version.  A series leaves ``pos`` once it certifies, aborts or runs out
     of terms, so ``term`` is only asked for terms the scalar loop computes.
-    ``cert_ok(n)`` returns one flag shared by all series, or a boolean array
-    with one flag per series (indexed like ``range(size)``).
+    ``min_terms`` is one index shared by all series, or an integer array
+    with one index per series (indexed like ``range(size)``).
     """
+    # Below the least index no series may certify, from the largest on all.
+    first = last = min_terms
+    if np.ndim(min_terms) and size:
+        first, last = int(min_terms.min()), int(min_terms.max())
     value = np.zeros(size)
     terms = np.full(size, max_terms)
     tail = np.full(size, math.inf)
@@ -152,7 +136,7 @@ def sum_series_batch(
         at = np.abs(t)
         n = 0
         while n < max_terms and pos.size:
-            # CompensatedSum.add, elementwise.
+            # sum_series's compensated addition, elementwise.
             s = acc + t
             carry += np.where(np.abs(acc) >= at, (acc - s) + t, (t - s) + acc)
             acc = s
@@ -160,9 +144,12 @@ def sum_series_batch(
             t_next, bad = term(n + 1, pos)
             an = np.abs(t_next)
             leave = bad
-            ok = n >= min_terms and (cert_ok is None or cert_ok(n))
-            if isinstance(ok, np.ndarray):
-                ok = ok[pos]
+            if n >= last:
+                ok = True
+            elif n < first:
+                ok = False
+            else:
+                ok = min_terms[pos] <= n
             if ok is True or (ok is not False and ok.any()):
                 partial = acc + carry
                 # tol * max(1.0, |partial|); fmax, like Python's max with 1.0

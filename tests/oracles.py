@@ -52,17 +52,23 @@ def mp_ml2_sum(alpha, beta, x):
     series term by term in mpmath.
 
     The largest term is about e**(|x|**(1/alpha)), so the working precision
-    adds its digits; where the sum cancels to below 1, a second pass adds
-    the digits lost to the cancellation.  The sum stops past the largest
-    term, once three consecutive terms are below the working precision
-    relative to it.
+    adds its digits.  Where the sum cancels to below 1, the digits lost to
+    the cancellation are added too, and the sum is repeated until the
+    precision covers the value it gives: a pass whose absolute accuracy lies
+    far above the true value returns noise, which sizes the next pass too
+    small.  Each pass stops past the largest term, once three consecutive
+    terms are below the working precision relative to it.
     """
-    dps = DPS + int(abs(x) ** (1.0 / alpha) / math.log(10.0))
-    value = _mp_ml2_to_precision(alpha, beta, x, dps)
-    if 0.0 < abs(value) < 1.0:
-        dps += math.ceil(-math.log10(abs(value)))
+    base = DPS + int(abs(x) ** (1.0 / alpha) / math.log(10.0))
+    dps = base
+    while True:
         value = _mp_ml2_to_precision(alpha, beta, x, dps)
-    return value
+        need = base
+        if 0 < abs(value) < 1:
+            need += math.ceil(-float(mp.log10(abs(value))))
+        if need <= dps:
+            return float(value)
+        dps = need
 
 
 def _mp_ml2_to_precision(alpha, beta, x, dps):
@@ -77,7 +83,30 @@ def _mp_ml2_to_precision(alpha, beta, x, dps):
             peak = max(peak, abs(t))
             small = small + 1 if a > 2 and abs(t) <= thresh * peak else 0
             n += 1
-        return float(total)
+        return total
+
+
+def mp_pole_residues(alpha, beta, x):
+    """The real part of the residues e**s* (s*)**(1-beta) / alpha of the
+    conjugate poles s* = r e**(+-i pi/alpha), r = |x|**(1/alpha), at 34
+    digits through the mpmath context: (hi, lo, err), where hi + lo is the
+    sum as two doubles and err bounds its error.  The context-level form of
+    ``fracml.mittag._pole_residues``, which must equal it bit for bit."""
+    with mp.workdps(34):
+        a, b1 = mpf(alpha), 1 - mpf(beta)
+        log_r = mp.log(mpf(-x)) / a
+        r, theta = mp.exp(log_r), mp.pi / a
+        cos_t, sin_t = mp.cos_sin(theta)
+        # |Res| and Re Res: (s*)**(1-beta) = e**((1-beta)(log r + i theta))
+        mag = 2 * mp.exp(r * cos_t + b1 * log_r) / a
+        re = mag * mp.cos(r * sin_t + b1 * theta)
+        hi = float(re)
+        lo, eps = float(re - hi), float(mp.eps)
+        r, log_r, mag = float(r), float(log_r), float(mag)
+    # A few eps in each operation, magnified by the exponent r cos theta, the
+    # power's exponent (1 - beta) log r and the phase.
+    cond = 1.0 + r + abs(1.0 - beta) * (abs(log_r) + math.pi)
+    return hi, lo, 4.0 * eps * cond * mag
 
 
 def mp_kml(k, alpha, beta, gamma, q, z, terms=300):

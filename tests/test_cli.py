@@ -394,6 +394,67 @@ class TestDeterminism:
         assert first.stdout == second.stdout
 
 
+STIFF_FLAGS = ["--N0", "0.05", "--gamma", "2", "--tau", "1", "--k", "2",
+               "--alpha", "6", "--beta", "7", "--t-max", "1"]
+
+
+class TestGoldenBytes:
+    """Stdout pinned byte for byte on the cancelling route: every inner
+    factor of these fast-removal solves, and every listed ``eval-ml`` point,
+    takes the contour, most of them with the pole residues."""
+
+    @pytest.mark.parametrize("argv, expected", [
+        (["--theorem", "1", "--variant", "stated", "--d", "55", "--a", "55",
+          "--nu", "2", "--steps", "2"],
+         "t,N\n0,0.0026596152026762184\n0.5,-0.0019012266609873154\n"
+         "1,5.8709137100861808e-05\n"),
+        (["--theorem", "2", "--variant", "rederived", "--d", "57.5",
+          "--a", "57.5", "--nu", "1.37", "--steps", "2"],
+         "t,N\n0,0.0026596152026762184\n0.5,4.041899666294956e-06\n"
+         "1,1.1365728703053989e-05\n"),
+        # Eleven points: the batched grid path (mittag.ML2Rows).
+        (["--theorem", "3", "--variant", "rederived", "--d", "3", "--a", "60",
+          "--nu", "1.81", "--steps", "10"],
+         "t,N\n0,0.0026596152026762184\n"
+         "0.10000000000000001,0.0010113228278259103\n"
+         "0.20000000000000001,0.00030114689205672457\n"
+         "0.29999999999999999,6.8069075247511565e-05\n"
+         "0.40000000000000002,5.0963984532367282e-06\n"
+         "0.5,-6.1978393292958364e-06\n"
+         "0.59999999999999998,-5.2257130050564296e-06\n"
+         "0.69999999999999996,-2.9269373630895877e-06\n"
+         "0.80000000000000004,-1.4266415499304901e-06\n"
+         "0.90000000000000002,-6.7688653401904723e-07\n"
+         "1,-3.4506295323889983e-07\n"),
+    ])
+    def test_stiff_solve(self, capsys, argv, expected):
+        code, out, _ = run(["solve", *STIFF_FLAGS, *argv], capsys)
+        assert code == 0
+        assert out == expected
+
+    @pytest.mark.parametrize("alpha, beta, x, row", [
+        ("1.5", "1", "-40", "-0.0099309654786934355,36,7.8319955496192333e-18"),
+        ("1.8", "1", "-300", "-0.0031536759551233475,49,3.2878743967758906e-18"),
+        ("2", "1", "-3000", "-0.20416991670227119,79,6.514263820966912e-19"),
+        ("1.6245", "1", "-75.88",
+         "0.0014896304694669358,38,6.7991857462774382e-18"),
+        ("0.5", "1", "-30", "0.018795888861416758,751,2.7094336723422872e-17"),
+        ("0.7", "0.7", "-40",
+         "0.00015219492112585262,748,1.0981507571639696e-17"),
+        ("0.5", "1", "-10", "0.056140992743822608,800,7.5232965053750764e-17"),
+        ("0.5", "1", "-1000",
+         "0.00056418930145338774,132,9.5366748771553275e-19"),
+        ("1.2", "2.5", "-25", "0.044410235574744349,48,3.5826940177721725e-17"),
+    ])
+    def test_contour_points(self, capsys, alpha, beta, x, row):
+        code, out, _ = run(["eval-ml", "--alpha", alpha, "--beta", beta,
+                            "--x", x], capsys)
+        assert code == 0
+        assert out == f"value,terms_used,tail_bound,converged\n{row},true\n"
+        p = TwoParamML(float(alpha), float(beta))
+        assert ml2(p, float(x)).status == "contour"
+
+
 class TestArtifacts:
     """The checked-in records are exactly what the CLI computes now."""
 

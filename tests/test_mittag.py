@@ -1,6 +1,7 @@
 import importlib.util
 import math
 import sys
+import threading
 from pathlib import Path
 
 import mpmath
@@ -582,6 +583,120 @@ class TestRelativePlacements:
         # the vertices left of them both need the residues.
         assert mittag._ml2_contour(1.9, 25.0, -500.0, 1e-30) is None
         assert len(calls) == 1
+
+
+class TestPoleResidues:
+    """mittag._pole_residues runs on mpmath's libmp at an explicit precision;
+    it must equal the context-level form (oracles.mp_pole_residues) bit for
+    bit, whatever the caller's mpmath context."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(alpha=st.floats(1.0, 2.0, exclude_min=True),
+           betas=st.lists(st.floats(-5.0, 200.0), min_size=1, max_size=3),
+           x=st.floats(-5000.0, -0.5))
+    def test_equals_the_context_level_form(self, alpha, betas, x):
+        # Several offsets at one (alpha, x), as the inner factors of a
+        # solution point: the later ones reuse the memoized pole.
+        for beta in betas:
+            got = mittag._pole_residues(alpha, beta, x)
+            assert got == oracles.mp_pole_residues(alpha, beta, x)
+
+    @pytest.mark.parametrize("alpha, beta, x", [
+        (1.6245, 1.0, -75.88), (2.0, 1.0, -3000.0), (1.9, 25.0, -500.0)])
+    def test_independent_of_the_mpmath_context(self, monkeypatch, alpha,
+                                               beta, x):
+        expected = oracles.mp_pole_residues(alpha, beta, x)
+        monkeypatch.setattr(mittag, "_pole_memo", (None, None, None))
+        with mpmath.workdps(5):
+            cold = mittag._pole_residues(alpha, beta, x)
+            warm = mittag._pole_residues(alpha, beta, x)
+            assert mpmath.mp.dps == 5
+        assert cold == warm == expected
+
+    def test_threads_sharing_the_memo(self):
+        # Threads alternate between two poles, so each replaces the memo the
+        # others read; every result must still be exact.
+        cases = [(1.6245, b, -75.88) for b in (1.0, 7.5)] + [
+            (1.9, b, -500.0) for b in (25.0, 3.0)]
+        expected = [oracles.mp_pole_residues(*c) for c in cases]
+        wrong = []
+
+        def work(offset):
+            for i in range(300):
+                j = (i + offset) % len(cases)
+                if mittag._pole_residues(*cases[j]) != expected[j]:
+                    wrong.append(cases[j])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,))
+                       for k in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
+
+
+class TestCertStart:
+    """mittag._cert_start replaces the per-term veto ``n >= MIN_TERMS and
+    (alpha n + beta) / k >= 2`` by the first index where it holds."""
+
+    @staticmethod
+    def _vetoed(alpha, beta, k, n):
+        return n >= mittag.MIN_TERMS and (alpha * n + beta) / k >= 2.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(alpha=st.one_of(st.floats(1e-300, 1e3), st.sampled_from(
+               [5e-324, 1e-300, 1e-3, 1.0, 1e300])),
+           beta=st.one_of(st.floats(-1e4, 1e4), st.sampled_from(
+               [-1e300, -1e5, -7.0, 0.0, 1e-310, 2.0, 3.0, 1e300])),
+           k=st.one_of(st.just(1.0), st.floats(1e-3, 1e3)),
+           max_terms=st.integers(0, 3000))
+    def test_agrees_with_the_veto_at_every_index(self, alpha, beta, k,
+                                                 max_terms):
+        start = mittag._cert_start(alpha, beta, max_terms, k)
+        for n in range(max_terms):
+            assert (n >= start) == self._vetoed(alpha, beta, k, n), n
+
+    @pytest.mark.parametrize("alpha, beta, max_terms, expected", [
+        (0.5, 3.0, 10_000, mittag.MIN_TERMS),      # beta >= 2
+        (0.5, -20.0, 10_000, 44),
+        (1e-3, -50.0, 3000, 3000),                 # past the budget
+        (1e-300, -1e300, 200, 200),                # (2 - beta)/alpha = inf
+        (1e-300, -1e300, 10 ** 30, sys.maxsize),   # and a huge budget
+        (1.0, -50.0, 5, mittag.MIN_TERMS),         # the budget ends first
+    ])
+    def test_edges(self, alpha, beta, max_terms, expected):
+        assert mittag._cert_start(alpha, beta, max_terms) == expected
+
+    @pytest.mark.parametrize("alpha, beta, x, max_terms, expected, status", [
+        (1e-300, 1.5, 0.5, 200,
+         SeriesEvaluation(2.256758334191025, 200, math.inf, False), "budget"),
+        (1e-300, -1e300, -3.0, 200,
+         SeriesEvaluation(0.0, 200, math.inf, False), "budget"),
+        (0.7, -50.0, 0.5, 10 ** 30,
+         SeriesEvaluation(2.4315994726714445e+62, 76, 7.522835937393941e-24,
+                          True), "series"),
+        (2.5, 3.0, -3.0, 10 ** 30,
+         SeriesEvaluation(0.4444475606030481, 9, 6.383540679292933e-21, True),
+         "series"),
+    ])
+    def test_ml2_at_the_edges(self, alpha, beta, x, max_terms, expected,
+                              status):
+        # Pinned from the per-term veto.
+        ev = ml2(TwoParamML(alpha, beta), x, 1e-12, max_terms)
+        assert (ev, ev.status) == (expected, status)
+
+
+def test_brute_force_oracle_reaches_values_below_its_first_pass():
+    # The first pass is accurate to about 1e-50 absolute; e**-300 lies far
+    # below, so the oracle must keep adding digits until they cover it.
+    assert rel(oracles.mp_ml2_sum(1.0, 1.0, -300.0), math.exp(-300.0)) <= 1e-14
 
 
 class TestExtendedPrecision:

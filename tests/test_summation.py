@@ -38,9 +38,7 @@ def scalar_term(spec):
        cert_from=st.integers(0, 15))
 def test_batch_equals_scalar_sum(specs, tol, max_terms, cert_from):
     terms = [scalar_term(s) for s in specs]
-
-    def cert_ok(n):
-        return n >= cert_from
+    min_terms = max(8, cert_from)
 
     def batch_term(n, pos):
         out, bad = np.zeros(pos.size), np.zeros(pos.size, dtype=bool)
@@ -51,9 +49,9 @@ def test_batch_equals_scalar_sum(specs, tol, max_terms, cert_from):
                 bad[j] = True
         return out, bad
 
-    res = sum_series_batch(batch_term, len(specs), tol, max_terms, 8, cert_ok)
+    res = sum_series_batch(batch_term, len(specs), tol, max_terms, min_terms)
     for i, term in enumerate(terms):
-        ref = sum_series(term, tol, max_terms, 8, cert_ok)
+        ref = sum_series(term, tol, max_terms, min_terms)
         got = (res.value[i], res.terms[i], res.tail_bound[i],
                res.converged[i], res.abs_sum[i])
         assert got == ref[:5], (i, specs[i])  # the batch keeps no reason
@@ -66,23 +64,19 @@ def test_batch_equals_scalar_sum(specs, tol, max_terms, cert_from):
        tol=st.sampled_from([1e-6, 1e-12, 1e-15]),
        max_terms=st.integers(1, 60))
 def test_per_series_certificate_equals_scalar_sum(specs, tol, max_terms):
-    # cert_ok may return one flag per series, as for the rows of a block of
+    # min_terms may give one index per series, as for the rows of a block of
     # Mittag-Leffler functions with different offsets.
     # Aborts are covered above; these series run to their end.
     terms = [scalar_term(s[:4] + (None,)) for s, _ in specs]
-    cert_from = np.array([c for _, c in specs])
+    min_terms = np.maximum(8, [c for _, c in specs])
 
     def batch_term(n, pos):
         out = np.array([terms[i](n) for i in pos.tolist()])
         return out, np.zeros(pos.size, dtype=bool)
 
-    def cert_ok(n):
-        return n >= cert_from
-
-    res = sum_series_batch(batch_term, len(specs), tol, max_terms, 8, cert_ok)
+    res = sum_series_batch(batch_term, len(specs), tol, max_terms, min_terms)
     for i, term in enumerate(terms):
-        ref = sum_series(term, tol, max_terms, 8,
-                         lambda n, c=int(cert_from[i]): n >= c)
+        ref = sum_series(term, tol, max_terms, int(min_terms[i]))
         got = (res.value[i], res.terms[i], res.tail_bound[i],
                res.converged[i], res.abs_sum[i])
         assert got == ref[:5], (i, specs[i])
