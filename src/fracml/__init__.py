@@ -1,35 +1,29 @@
 """Generalized k-Mittag-Leffler functions, closed-form fractional kinetic
 equation solutions, and quadrature-based residual verification."""
 
-from .errors import DomainError, PoleError, UnknownCaseError
+from .errors import DomainError, PoleError
 from .specfun import (
     gamma,
     generalized_pochhammer,
     k_gamma,
-    k_gamma_general,
     k_pochhammer,
     k_pochhammer_general,
-    log_gamma,
-    pochhammer,
     recip_gamma,
 )
 from .mittag import (
     MLParameters,
-    ReductionCase,
     SeriesEvaluation,
     TwoParamML,
     kml,
     ml2,
-    reduction_case,
 )
 from .kinetics import (
-    CorollaryReduction,
     Forcing,
     GridEvaluation,
     KineticProblem,
     SolutionSeriesConfig,
-    corollary_reduction,
     forcing_value,
+    solve,
     solve_theorem1,
     solve_theorem2_rederived,
     solve_theorem2_stated,
@@ -50,30 +44,23 @@ __version__ = "0.1.0"
 __all__ = [
     "DomainError",
     "PoleError",
-    "UnknownCaseError",
     "gamma",
-    "log_gamma",
     "recip_gamma",
     "k_gamma",
-    "k_gamma_general",
-    "pochhammer",
     "k_pochhammer",
     "generalized_pochhammer",
     "k_pochhammer_general",
     "TwoParamML",
     "MLParameters",
     "SeriesEvaluation",
-    "ReductionCase",
     "ml2",
     "kml",
-    "reduction_case",
     "Forcing",
     "GridEvaluation",
     "KineticProblem",
     "SolutionSeriesConfig",
-    "CorollaryReduction",
-    "corollary_reduction",
     "forcing_value",
+    "solve",
     "solve_theorem1",
     "solve_theorem2_stated",
     "solve_theorem2_rederived",

@@ -7,7 +7,3 @@ class DomainError(ValueError):
 
 class PoleError(ValueError):
     """A gamma-type function was requested at one of its poles."""
-
-
-class UnknownCaseError(ValueError):
-    """An unrecognized reduction-case identifier."""

@@ -13,9 +13,11 @@ integral.  Each solution is a series of the form
 
     N(t) = N0 * sum_n  C_n * x**n * E_{nu, b(n)}(y)
 
-with coefficients ``C_n = (gamma)_{nq,k} / gamma_k(n alpha + beta)``.  For
-theorem 1, ``x = t``, ``b(n) = n + 1`` and ``y = -(d t)**nu``.  For the
-powered-argument equations there are two variants:
+with coefficients ``C_n = (gamma)_{nq,k} / gamma_k(n alpha + beta)``
+(:func:`fracml.mittag.log_coeff_parts`, shared with the forcing), ``x`` the
+forcing's argument and ``y = -(a t)**nu``.  For theorem 1, ``x = t`` and
+``b(n) = n + 1``.  For the powered-argument equations there are two
+variants:
 
 * ``stated``    -- ``x = (d t)**nu``, ``b(n) = nu n + 1``, no extra weight;
 * ``rederived`` -- the same series multiplied termwise by
@@ -26,11 +28,16 @@ Only the rederived weights make the powered-argument series satisfy its
 equation for ``nu != 1``; the residual verification in :mod:`fracml.fracops`
 adjudicates this numerically, which is why both variants are kept.
 
+:func:`solve` evaluates this one series for any problem and variant; each
+``solve_theorem*`` entry point checks the forcing and rates its theorem
+requires and calls it.
+
 Outer series are truncated with the same geometric-tail certificate as the
 Mittag-Leffler evaluators, applied to outer terms that already include their
-converged inner factor.
+converged inner factor.  A coefficient that is not a double (see
+:func:`fracml.mittag.log_coeff_parts`) makes the point unconverged.
 
-Every solver also takes a 1-D array of times and returns a
+:func:`solve` also takes a 1-D array of times and returns a
 :class:`GridEvaluation`.  With at least ``GRID_CROSSOVER`` points whose
 series arguments are nonzero, the series are summed for all points at once.
 The inner factors ``E_{nu,b(n)}(y_i)`` are evaluated for a block of outer
@@ -59,7 +66,6 @@ at all of its points with one :func:`fracml.mittag.kml_batch` call.
 
 from __future__ import annotations
 
-import dataclasses
 import enum
 import math
 from dataclasses import dataclass
@@ -67,7 +73,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .errors import DomainError, UnknownCaseError
+from .errors import DomainError
 from .mittag import (
     MIN_TERMS,
     ML2Rows,
@@ -77,6 +83,7 @@ from .mittag import (
     TwoParamML,
     kml,
     kml_batch,
+    log_coeff_parts,
     ml2,
 )
 from .summation import SeriesAbort, SeriesSumBatch, sum_series, sum_series_batch
@@ -191,23 +198,19 @@ Times = Union[float, np.ndarray]
 Evaluation = Union[SeriesEvaluation, GridEvaluation]
 
 
-def _check_time(t: float) -> float:
-    t = float(t)
-    if not (math.isfinite(t) and t >= 0.0):
-        raise DomainError("t must be finite and >= 0")
-    return t
-
-
 def _check_times(t) -> Times:
     """A validated time: a float, or a 1-D float array for a grid."""
-    if np.ndim(t) == 0:
-        return _check_time(t)
     ts = np.array(t, dtype=float)
-    if ts.ndim != 1:
+    if ts.ndim > 1:
         raise DomainError("t must be a number or a 1-D array of times")
     if not np.all(np.isfinite(ts) & (ts >= 0.0)):
         raise DomainError("t must be finite and >= 0")
-    return ts
+    return ts if ts.ndim else float(ts)
+
+
+def _forcing_arg(prob: KineticProblem, t: float) -> float:
+    """The forcing's argument: t (plain) or (d t)**nu (powered)."""
+    return t if prob.forcing is Forcing.PLAIN else (prob.d * t) ** prob.nu
 
 
 def forcing_value(prob: KineticProblem, t: Times,
@@ -220,36 +223,14 @@ def forcing_value(prob: KineticProblem, t: Times,
     calls).
     """
     t = _check_times(t)
-
-    def arg(t: float) -> float:
-        return t if prob.forcing is Forcing.PLAIN else (prob.d * t) ** prob.nu
-
     if isinstance(t, np.ndarray):
         value, terms, tail, converged = kml_batch(
-            prob.ml, [arg(ti) for ti in t.tolist()], tol)
+            prob.ml, [_forcing_arg(prob, ti) for ti in t.tolist()], tol)
         return GridEvaluation(t, prob.n0 * value, terms, prob.n0 * tail,
                               converged)
-    ev = kml(prob.ml, arg(t), tol)
+    ev = kml(prob.ml, _forcing_arg(prob, t), tol)
     return SeriesEvaluation(prob.n0 * ev.value, ev.terms_used,
                             prob.n0 * ev.tail_bound, ev.converged)
-
-
-_ZERO = lambda n: 0.0  # noqa: E731
-
-
-def _log_coeff(ml: MLParameters) -> Callable[[int], float]:
-    """n -> log C_n = log (gamma)_{nq,k} - log gamma_k(n alpha + beta)."""
-    k, alpha, beta, g, q = ml.k, ml.alpha, ml.beta, ml.gamma, ml.q
-    log_k = math.log(k)
-    c0 = g / k
-    lg_c0 = math.lgamma(c0)
-
-    def log_coeff(n: int) -> float:
-        a = (alpha * n + beta) / k
-        return (n * q * log_k + math.lgamma(c0 + n * q) - lg_c0
-                - (a - 1.0) * log_k - math.lgamma(a))
-
-    return log_coeff
 
 
 def _solution_series(prob: KineticProblem, cfg: SolutionSeriesConfig,
@@ -259,7 +240,11 @@ def _solution_series(prob: KineticProblem, cfg: SolutionSeriesConfig,
     """Sum N0 * sum_n C_n exp(extra_log(n)) x**n E_{nu, inner_beta(n)}(y)."""
     nu = prob.nu
     log_n0 = math.log(prob.n0)
-    log_coeff = _log_coeff(prob.ml)
+    coeff = log_coeff_parts(prob.ml)
+
+    def log_coeff(n: int) -> float:
+        num, pw, lg = coeff(n)
+        return (num - pw) - lg
 
     def inner(n: int) -> float:
         ev = ml2(TwoParamML(nu, inner_beta(n)), y, cfg.inner_tol)
@@ -268,7 +253,10 @@ def _solution_series(prob: KineticProblem, cfg: SolutionSeriesConfig,
         return ev.value
 
     if x == 0.0:
-        value = prob.n0 * math.exp(log_coeff(0)) * inner(0)
+        try:
+            value = prob.n0 * math.exp(log_coeff(0)) * inner(0)
+        except (SeriesAbort, OverflowError):  # C_0 is not a double
+            return SeriesEvaluation(math.nan, 0, math.inf, False)
         return SeriesEvaluation(value, 1, 0.0, True)
 
     log_x = math.log(x)
@@ -309,7 +297,7 @@ def _solution_series_batch(prob: KineticProblem, cfg: SolutionSeriesConfig,
     """
     nu = prob.nu
     log_n0 = math.log(prob.n0)
-    log_coeff = _log_coeff(prob.ml)
+    coeff = log_coeff_parts(prob.ml)
     log_x = np.array([math.log(x) for x in xs])
     powers = PowerTable(ys)
     # The current block: outer indices start..end-1, the inner factors of
@@ -320,6 +308,10 @@ def _solution_series_batch(prob: KineticProblem, cfg: SolutionSeriesConfig,
 
     def term(n: int, pos: np.ndarray) -> tuple:
         nonlocal start, end, rows
+        try:
+            num, pw, lg = coeff(n)
+        except SeriesAbort:  # every point aborts; the per-point sum too
+            return np.zeros(pos.size), np.ones(pos.size, dtype=bool)
         if n >= end:
             start = n
             end = min(2 * n if n else MIN_TERMS + 2, cfg.outer_max_terms + 1,
@@ -334,7 +326,7 @@ def _solution_series_batch(prob: KineticProblem, cfg: SolutionSeriesConfig,
         bad = ~settled | (iv == 0.0)
         aiv = np.where(bad, 1.0, np.abs(iv)).tolist()
         # The per-point sum in its order, with scalar log and exp.
-        logmag = (log_n0 + log_coeff(n)) + n * log_x[pos]
+        logmag = (log_n0 + ((num - pw) - lg)) + n * log_x[pos]
         logmag = logmag + extra_log(n)
         logmag = logmag + np.fromiter(map(math.log, aiv), float, pos.size)
         bad |= logmag > 700.0
@@ -378,15 +370,44 @@ def _solution_grid(prob: KineticProblem, cfg: SolutionSeriesConfig,
     return GridEvaluation(ts, value, terms, tail, converged)
 
 
-def _evaluate(prob: KineticProblem, cfg: SolutionSeriesConfig, t: Times,
-              point: Callable[[float], tuple],
-              inner_beta: Callable[[int], float],
-              extra_log: Callable[[int], float]) -> Evaluation:
+_ZERO = lambda n: 0.0  # noqa: E731
+
+
+def solve(prob: KineticProblem, t: Times, variant: str = "stated",
+          cfg: SolutionSeriesConfig = DEFAULT_CONFIG) -> Evaluation:
+    """The solution ``N0 sum_n C_n x**n E_{nu,b(n)}(-(a t)**nu)`` of the
+    problem's equation at ``t``, with ``x`` the forcing argument (``t``, or
+    ``(d t)**nu`` for powered forcing) and ``a`` the removal rate.
+
+    Plain forcing is theorem 1: ``b(n) = n + 1``, and both variants are this
+    one series.  Powered forcing is theorems 2 and 3: ``b(n) = nu n + 1``,
+    and ``variant="rederived"`` weights term ``n`` by ``Gamma(nu n + 1) /
+    n!``.  ``t`` is a time (result: :class:`SeriesEvaluation`) or a 1-D
+    array of times (result: :class:`GridEvaluation`).  A variant other than
+    ``"stated"`` or ``"rederived"`` raises :class:`DomainError`.
+    """
+    if variant not in ("stated", "rederived"):
+        raise DomainError("variant must be 'stated' or 'rederived'")
+    t = _check_times(t)
+    a, nu = prob.a, prob.nu
+    extra_log = _ZERO
+    if prob.forcing is Forcing.PLAIN:
+        inner_beta = lambda n: n + 1.0  # noqa: E731
+    else:
+        inner_beta = lambda n: nu * n + 1.0  # noqa: E731
+        if variant == "rederived":
+            def extra_log(n: int) -> float:
+                return math.lgamma(nu * n + 1.0) - math.lgamma(n + 1.0)
+
+    def point(t: float) -> tuple:
+        return _forcing_arg(prob, t), -((a * t) ** nu)
+
     if isinstance(t, np.ndarray):
         return _solution_grid(prob, cfg, t, point, inner_beta, extra_log)
-    x, y = point(t)
-    return _solution_series(prob, cfg, x, y, inner_beta, extra_log)
+    return _solution_series(prob, cfg, *point(t), inner_beta, extra_log)
 
+
+# The named theorems: each checks its forcing and rates, then calls solve.
 
 def _require(prob: KineticProblem, forcing: Forcing, equal_rates: bool) -> None:
     if prob.forcing is not forcing:
@@ -397,106 +418,34 @@ def _require(prob: KineticProblem, forcing: Forcing, equal_rates: bool) -> None:
 
 def solve_theorem1(prob: KineticProblem, t: Times,
                    cfg: SolutionSeriesConfig = DEFAULT_CONFIG) -> Evaluation:
-    """Plain-forcing solution N0 sum_n C_n t**n E_{nu,n+1}(-(d t)**nu).
-
-    ``t`` is a time (result: :class:`SeriesEvaluation`) or a 1-D array of
-    times (result: :class:`GridEvaluation`); so for every solver below.
-    """
-    t = _check_times(t)
+    """Plain forcing, equal rates: N0 sum_n C_n t**n E_{nu,n+1}(-(d t)**nu)."""
     _require(prob, Forcing.PLAIN, equal_rates=True)
-
-    def point(t: float) -> tuple:
-        return t, -((prob.d * t) ** prob.nu)
-
-    return _evaluate(prob, cfg, t, point, lambda n: n + 1.0, _ZERO)
+    return solve(prob, t, "stated", cfg)
 
 
 def solve_theorem2_stated(prob: KineticProblem, t: Times,
                           cfg: SolutionSeriesConfig = DEFAULT_CONFIG) -> Evaluation:
-    """Powered-forcing solution, unweighted series form (equal rates)."""
+    """Powered forcing, equal rates, unweighted series."""
     _require(prob, Forcing.POWERED, equal_rates=True)
-    return solve_theorem3_stated(prob, t, cfg)
+    return solve(prob, t, "stated", cfg)
 
 
 def solve_theorem2_rederived(prob: KineticProblem, t: Times,
                              cfg: SolutionSeriesConfig = DEFAULT_CONFIG) -> Evaluation:
-    """Powered-forcing solution with the Gamma(nu n + 1)/n! weight (equal rates)."""
+    """Powered forcing, equal rates, with the Gamma(nu n + 1)/n! weight."""
     _require(prob, Forcing.POWERED, equal_rates=True)
-    return solve_theorem3_rederived(prob, t, cfg)
-
-
-def _powered_point(prob: KineticProblem) -> Callable[[float], tuple]:
-    """t -> (w, -w_a) with w = (d t)**nu and w_a = (a t)**nu."""
-    d, a, nu = prob.d, prob.a, prob.nu
-
-    def point(t: float) -> tuple:
-        return (d * t) ** nu, -((a * t) ** nu)
-
-    return point
+    return solve(prob, t, "rederived", cfg)
 
 
 def solve_theorem3_stated(prob: KineticProblem, t: Times,
                           cfg: SolutionSeriesConfig = DEFAULT_CONFIG) -> Evaluation:
-    """Independent-rates solution N0 sum_n C_n w**n E_{nu,nu n+1}(-(a t)**nu)
-    with w = (d t)**nu, unweighted series form."""
-    t = _check_times(t)
+    """Powered forcing, independent rates, unweighted series."""
     _require(prob, Forcing.POWERED, equal_rates=False)
-    nu = prob.nu
-    return _evaluate(prob, cfg, t, _powered_point(prob),
-                     lambda n: nu * n + 1.0, _ZERO)
+    return solve(prob, t, "stated", cfg)
 
 
 def solve_theorem3_rederived(prob: KineticProblem, t: Times,
                              cfg: SolutionSeriesConfig = DEFAULT_CONFIG) -> Evaluation:
-    """Independent-rates solution with the Gamma(nu n + 1)/n! weight obtained
-    by solving the balance equation with the Laplace transform."""
-    t = _check_times(t)
+    """Powered forcing, independent rates, with the Gamma(nu n + 1)/n! weight."""
     _require(prob, Forcing.POWERED, equal_rates=False)
-    nu = prob.nu
-
-    def extra(n: int) -> float:
-        return math.lgamma(nu * n + 1.0) - math.lgamma(n + 1.0)
-
-    return _evaluate(prob, cfg, t, _powered_point(prob),
-                     lambda n: nu * n + 1.0, extra)
-
-
-# Parameter substitutions generating the eighteen special cases: six
-# substitution groups, each applied to the three equation families.
-_CASE_SUBSTITUTIONS = (
-    {"q": 1.0},
-    {"k": 1.0},
-    {"q": 1.0, "k": 1.0},
-    {"q": 1.0, "k": 1.0, "gamma": 1.0},
-    {"q": 1.0, "k": 1.0, "gamma": 1.0, "beta": 1.0},
-    {"q": 1.0, "k": 1.0, "gamma": 1.0, "alpha": 0.0, "beta": 1.0},
-)
-
-
-@dataclass(frozen=True)
-class CorollaryReduction:
-    """A special case: which equation family it reduces and how.
-
-    ``evaluable`` is False for the ``alpha = 0`` group (cases 16-18), whose
-    printed exponential solutions are not reachable from the general series
-    (alpha = 0 violates the parameter domain); :meth:`apply` then raises.
-    """
-
-    case_id: int
-    theorem: int
-    substitutions: dict
-    evaluable: bool
-
-    def apply(self, ml: MLParameters) -> MLParameters:
-        return dataclasses.replace(ml, **self.substitutions)
-
-
-def corollary_reduction(case_id: int) -> CorollaryReduction:
-    """Map a special-case number (1..18) to its parameter substitution."""
-    if not isinstance(case_id, int) or not 1 <= case_id <= 18:
-        raise UnknownCaseError(
-            f"unknown reduction case {case_id!r}; valid cases are 1..18")
-    group, theorem = divmod(case_id - 1, 3)
-    subs = dict(_CASE_SUBSTITUTIONS[group])
-    return CorollaryReduction(case_id, theorem + 1, subs,
-                              evaluable=subs.get("alpha", 1.0) != 0.0)
+    return solve(prob, t, "rederived", cfg)

@@ -54,14 +54,21 @@ of convergence).
 Batched forms serve the kinetic grid solvers and the residual check.
 :class:`ML2Rows` evaluates ``E_{alpha,beta_r}`` for several offsets
 ``beta_r`` at many arguments in one compensated sum, deferring each
-cancelling entry's contour or re-sum until it is asked for; :func:`ml2_batch`
-is its one-row case.  Both reproduce :func:`ml2` bit for bit on every entry
-they settle and hand the others back to the caller.  :func:`kml_batch`
-evaluates :func:`kml` at many arguments, forming each term's
-log-coefficient once for all of them, and returns exactly what :func:`kml`
-returns at each; points it does not settle itself go to :func:`kml`.  Only
-IEEE-exact operations are vectorized; logarithms, powers, exponentials and
-gamma values come from the scalar calls the per-point evaluators make.
+cancelling entry's contour or re-sum until it is asked for.  It reproduces
+:func:`ml2` bit for bit on every entry it settles and hands the others back
+to the caller.  :func:`kml_batch` evaluates :func:`kml` at many arguments,
+forming each term's log-coefficient once for all of them, and returns
+exactly what :func:`kml` returns at each; points it does not settle itself
+go to :func:`kml`.  Only IEEE-exact operations are vectorized; logarithms,
+powers, exponentials and gamma values come from the scalar calls the
+per-point evaluators make.
+
+The coefficient ``(gamma)_{nq,k} / gamma_k(n alpha + beta)`` that
+:func:`kml` and the kinetic solution series share is stated once, in
+:func:`log_coeff_parts`.  Where one of its gamma arguments underflows to 0
+(an extreme ``beta/k`` or ``gamma/k``) or exceeds the range of ``lgamma``,
+the sum stops there and the result is unconverged with status
+``overflow``.
 
 At ``z = 0`` :func:`kml` is ``1/gamma_k(beta)``, formed by
 :func:`fracml.specfun.recip_k_gamma`, so a ``beta`` whose Gamma value
@@ -71,7 +78,6 @@ leaves the double range still gives a value.
 from __future__ import annotations
 
 import cmath
-import enum
 import itertools
 import math
 import sys
@@ -173,39 +179,6 @@ class SeriesEvaluation:
     tail_bound: float
     converged: bool
     status: Optional[str] = field(default=None, compare=False, repr=False)
-
-
-class ReductionCase(enum.Enum):
-    """Named parameter reductions of the five-parameter function."""
-
-    K_ML = "k-mittag-leffler (q=1)"
-    GENERALIZED_ML = "generalized mittag-leffler (k=1)"
-    PRABHAKAR = "prabhakar three-parameter (q=k=1)"
-    TWO_PARAMETER = "two-parameter (q=k=gamma=1)"
-    ONE_PARAMETER = "one-parameter (q=k=gamma=beta=1)"
-    GENERAL = "general"
-
-
-def reduction_case(p: MLParameters) -> ReductionCase:
-    """Classify parameters into the named reduction they realize.
-
-    Used to route tests; the evaluation path never depends on it.
-    """
-    q1 = p.q == 1.0
-    k1 = p.k == 1.0
-    g1 = p.gamma == 1.0
-    b1 = p.beta == 1.0
-    if q1 and k1 and g1 and b1:
-        return ReductionCase.ONE_PARAMETER
-    if q1 and k1 and g1:
-        return ReductionCase.TWO_PARAMETER
-    if q1 and k1:
-        return ReductionCase.PRABHAKAR
-    if k1:
-        return ReductionCase.GENERALIZED_ML
-    if q1:
-        return ReductionCase.K_ML
-    return ReductionCase.GENERAL
 
 
 _MAX_DPS = 300
@@ -370,7 +343,8 @@ def _cert_start(alpha: float, beta: float, max_terms: int,
 
 
 def _series_status(res) -> str:
-    # The only SeriesAbort the evaluators' terms raise is a term overflow.
+    # The evaluators' terms raise SeriesAbort only on an overflow: of a term,
+    # or of a coefficient's gamma value (log_coeff_parts).
     if res.converged:
         return "series"
     return "overflow" if res.abort is not None else "budget"
@@ -398,7 +372,7 @@ def _ml2_cancelling(alpha: float, beta: float, x: float, abs_sum: float,
 
 
 class PowerTable:
-    """Powers ``x_i**m`` of fixed nonzero points for :func:`ml2_batch`.
+    """Powers ``x_i**m`` of fixed nonzero points for :class:`ML2Rows`.
 
     Each column is computed once, with the same scalar ``float`` power
     :func:`ml2` uses (numpy's vectorized power differs from it in the last
@@ -523,24 +497,6 @@ class ML2Rows:
             used[j] = max(int(used[j]), used_x)
             settled[j] = tail <= self.tol * max(1.0, abs(v))
         return value, used, settled
-
-
-def ml2_batch(p: TwoParamML, powers: PowerTable, idx: np.ndarray,
-              tol: float = DEFAULT_TOL,
-              max_terms: int = DEFAULT_MAX_TERMS) -> tuple:
-    """Evaluate ``E_{alpha,beta}`` at the points ``powers.xs[i]``, ``i`` in
-    ``idx``, all at once: the one-row case of :class:`ML2Rows`.
-
-    Returns ``(value, terms_used, settled)`` arrays aligned with ``idx``.
-    Where ``settled`` is True the point is certified and its value and term
-    count equal those of :func:`ml2` with the same arguments bit for bit;
-    a cancelling point goes through the same :func:`_ml2_cancelling`.
-    ``settled`` is False for a point whose series leaves the direct term
-    branch, meets a non-finite term, or fails its certificate; the caller
-    evaluates those points with :func:`ml2`.
-    """
-    rows = ML2Rows(p.alpha, [p.beta], powers, idx, tol, max_terms)
-    return rows.take(0, np.arange(idx.size))
 
 
 def _ml2_extended(alpha: float, beta: float, x: float, abs_sum: float,
@@ -720,8 +676,10 @@ def _contour_placements(alpha: float, beta: float, phi1: Optional[float]):
         yield mu, u_max / _RELATIVE_NODES, _RELATIVE_NODES
 
 
-# The one-entry memo of _pole: (alpha, x, parts).
-_pole_memo: tuple = (None, None, None)
+# The memo of _pole: the alpha it serves, and the parts for that alpha by x.
+_pole_memo: tuple = (None, {})
+# The most points the memo keeps; past it, it starts afresh.
+_POLE_MEMO_SIZE = 4096
 
 
 def _pole(alpha: float, x: float) -> tuple:
@@ -729,15 +687,21 @@ def _pole(alpha: float, x: float) -> tuple:
     x)``: ``alpha``, ``log r``, ``theta = pi/alpha``, ``r cos theta`` and
     ``r sin theta`` as raw mpf values, then ``r`` and ``log r`` as doubles.
 
-    Evaluated point by point, the inner factors of one solution point share
-    its ``(alpha, x)`` and come one after another, so the last result is
-    kept.  One entry only: the tuple is replaced whole, so concurrent
-    callers at worst recompute it.
+    The inner factors of a solution share one ``alpha`` (its order ``nu``),
+    and those of one point share its ``x``; a batched grid visits them row
+    by row, point after point.  So the parts of every ``x`` of the current
+    ``alpha`` are kept, up to ``_POLE_MEMO_SIZE`` of them.  The memo is
+    replaced whole when ``alpha`` changes, so concurrent callers at worst
+    recompute an entry.
     """
     global _pole_memo
-    memo = _pole_memo
-    if memo[0] == alpha and memo[1] == x:
-        return memo[2]
+    memo_alpha, table = _pole_memo
+    if memo_alpha != alpha or len(table) >= _POLE_MEMO_SIZE:
+        table = {}
+        _pole_memo = (alpha, table)
+    parts = table.get(x)
+    if parts is not None:
+        return parts
     prec, rnd = _RESIDUE_PREC, round_nearest
     a = from_float(alpha)
     log_r = mpf_div(mpf_log(from_float(-x), prec, rnd), a, prec, rnd)
@@ -747,7 +711,7 @@ def _pole(alpha: float, x: float) -> tuple:
     parts = (a, log_r, theta, mpf_mul(r, cos_t, prec, rnd),
              mpf_mul(r, sin_t, prec, rnd), to_float(r, rnd=rnd),
              to_float(log_r, rnd=rnd))
-    _pole_memo = (alpha, x, parts)
+    table[x] = parts
     return parts
 
 
@@ -859,13 +823,14 @@ def kml(p: MLParameters, z: float, tol: float = DEFAULT_TOL,
                                 "series" if ok else "overflow")
     if abs(z) > _radius(p):
         return SeriesEvaluation(math.nan, 0, math.inf, False, "divergent")
-    log_coeff = _kml_log_coeff(p)
+    coeff = log_coeff_parts(p)
     log_az = math.log(abs(z))
     err_units = 0.0
 
     def term(n: int) -> float:
         nonlocal err_units
-        logmag = log_coeff(n) + n * log_az
+        num, pw, lg = coeff(n)
+        logmag = (num - ((pw + lg) + math.lgamma(n + 1.0))) + n * log_az
         if logmag > _LOG_HUGE:
             raise SeriesAbort("term overflow")
         t = math.exp(logmag)
@@ -897,27 +862,48 @@ def _radius(p: MLParameters) -> float:
     r = p.alpha / p.k
     if p.q != 1.0 + r:
         return 0.0 if p.q > 1.0 + r else math.inf
+    # r log r -> 0 where alpha/k underflows to 0.
+    r_log_r = r * math.log(r) if r else 0.0
     try:
-        return math.exp(r * math.log(r) - math.log(p.k) - p.q * math.log(p.q))
+        return math.exp(r_log_r - math.log(p.k) - p.q * math.log(p.q))
     except OverflowError:
         return math.inf
 
 
-def _kml_log_coeff(p: MLParameters) -> Callable[[int], float]:
-    """n -> log of the n-th kml coefficient (gamma)_{nq,k} / (gamma_k(n alpha
-    + beta) n!), the term's magnitude without ``z**n``."""
+def log_coeff_parts(p: MLParameters) -> Callable[[int], tuple]:
+    """n -> ``(log (gamma)_{nq,k}, (a - 1) log k, lgamma(a))``, ``a =
+    (alpha n + beta) / k``: the parts of the log-coefficient ``log
+    (gamma)_{nq,k} - log gamma_k(a k)`` that :func:`kml` and the kinetic
+    solution series share.  Each caller combines them in its own order,
+    which fixes its rounding: the solution series as ``(num - pow) - lg``,
+    :func:`kml` and :func:`kml_batch` as ``num - ((pow + lg) + lgamma(n +
+    1))``.
+
+    Where a gamma argument (``a`` or ``gamma/k + n q``) has underflowed to 0
+    or passed about 2.6e305, its log-gamma, and so the coefficient, is not a
+    finite double: the call raises :class:`SeriesAbort`, so the sum stops
+    there, unconverged.
+    """
     k, alpha, beta, g, q = p.k, p.alpha, p.beta, p.gamma, p.q
     log_k = math.log(k)
     c0 = g / k
-    lg_c0 = math.lgamma(c0)
+    try:
+        lg_c0 = math.lgamma(c0)
+    except (ValueError, OverflowError):  # then parts(0) raises as well
+        lg_c0 = math.inf
 
-    def log_coeff(n: int) -> float:
-        lognum = n * q * log_k + math.lgamma(c0 + n * q) - lg_c0
+    def parts(n: int) -> tuple:
         a = (alpha * n + beta) / k
-        logden = (a - 1.0) * log_k + math.lgamma(a) + math.lgamma(n + 1.0)
-        return lognum - logden
+        try:
+            lg_c = math.lgamma(c0 + n * q)
+            lg = math.lgamma(a)
+        except (ValueError, OverflowError):
+            lg_c = lg = math.inf
+        if lg_c == math.inf or lg == math.inf:
+            raise SeriesAbort("coefficient overflow")
+        return n * q * log_k + lg_c - lg_c0, (a - 1.0) * log_k, lg
 
-    return log_coeff
+    return parts
 
 
 def kml_batch(p: MLParameters, zs: list, tol: float = DEFAULT_TOL,
@@ -945,13 +931,18 @@ def kml_batch(p: MLParameters, zs: list, tol: float = DEFAULT_TOL,
     settled = np.zeros(z.size, dtype=bool)
     idx = np.flatnonzero((z != 0.0) & (np.abs(z) <= _radius(p)))
     if idx.size:
-        log_coeff = _kml_log_coeff(p)
+        coeff = log_coeff_parts(p)
         log_az = np.array([math.log(abs(zs[i])) for i in idx.tolist()])
         negative = z[idx] < 0.0
         err_units = np.zeros(idx.size)
 
         def term(n: int, pos: np.ndarray) -> tuple:
-            logmag = log_coeff(n) + n * log_az[pos]
+            try:
+                num, pw, lg = coeff(n)
+            except SeriesAbort:  # every point aborts; kml says why
+                return np.zeros(pos.size), np.ones(pos.size, dtype=bool)
+            log_c = num - ((pw + lg) + math.lgamma(n + 1.0))
+            logmag = log_c + n * log_az[pos]
             over = logmag > _LOG_HUGE
             logmag[over] = 0.0  # an aborting term is not used
             t = np.fromiter(map(math.exp, logmag.tolist()), float, pos.size)

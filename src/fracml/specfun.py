@@ -4,10 +4,9 @@ Provides the gamma function and its step-``k`` deformation
 
     gamma_k(g) = k**(g/k - 1) * Gamma(g/k),          k > 0,
 
-together with the rising-factorial (Pochhammer) variants used by the series
-evaluators:
+together with the rising-factorial (Pochhammer) variants behind the
+coefficients of the generalized k-Mittag-Leffler series:
 
-    (x)_n          = x (x+1) ... (x+n-1)
     (x)_{n,k}      = x (x+k) ... (x+(n-1)k)
     (g)_{nq}       = Gamma(g + n q) / Gamma(g)
     (g)_{nq,k}     = k**(nq) * (g/k)_{nq}
@@ -62,14 +61,6 @@ def gamma(x: float) -> float:
     if is_gamma_pole(x):
         raise PoleError(f"gamma pole at x = {x}")
     return math.gamma(x)
-
-
-def log_gamma(x: float) -> float:
-    """ln Gamma(x) for x > 0."""
-    x = _check_finite(x, "x")
-    if x <= 0.0:
-        raise DomainError("log_gamma requires x > 0")
-    return math.lgamma(x)
 
 
 def signed_log_gamma(x: float) -> tuple[float, float]:
@@ -130,34 +121,6 @@ def recip_k_gamma(g: float, k: float) -> float:
         return sg * math.exp(-log_pow - lg)
     except OverflowError:
         return sg * math.inf
-
-
-def k_gamma_general(g: float, s: float, k: float) -> float:
-    """Step-s gamma via the step-k one: (s/k)**(g/s - 1) * gamma_k(k*g/s).
-
-    Equal to ``k_gamma(g, s)``; the two-step form exists so the scaling
-    identity between deformations can be exercised directly.
-    """
-    s = _check_finite(s, "s")
-    k = _check_finite(k, "k")
-    if s <= 0.0:
-        raise DomainError("s must be > 0")
-    if k <= 0.0:
-        raise DomainError("k must be > 0")
-    g = _check_finite(g, "g")
-    return (s / k) ** (g / s - 1.0) * k_gamma(k * g / s, k)
-
-
-def pochhammer(x: float, n) -> float:
-    """Rising factorial (x)_n = x (x+1) ... (x+n-1); (x)_0 = 1."""
-    x = _check_finite(x, "x")
-    n = _as_count(n)
-    p = 1.0
-    for j in range(n):
-        p *= x + j
-    if math.isinf(p):
-        raise OverflowError("pochhammer product overflows double range")
-    return p
 
 
 def k_pochhammer(x: float, n, k: float) -> float:

@@ -3,12 +3,24 @@
 Everything here is brute force on purpose: plain partial sums, direct
 products and adaptive quadrature in mpmath, sharing no code with the
 implementations under test.
+
+The last section holds reference helpers that no library code calls: the
+plain rising factorial, ``ln Gamma``, the two-step form of the step-s gamma
+function (built on the library's ``k_gamma``, whose scaling identity it
+exercises), and the table of the paper's eighteen special-case
+substitutions.
 """
 
+import dataclasses
 import math
+from dataclasses import dataclass
 from functools import lru_cache
 
 from mpmath import mp, mpf
+
+from fracml.errors import DomainError
+from fracml.mittag import MLParameters
+from fracml.specfun import _as_count, _check_finite, k_gamma
 
 DPS = 50
 
@@ -173,3 +185,87 @@ def mp_stated_solution(theorem, coeff, d, a, nu, n0, t, terms=60,
                                        inner_terms)
             total += coeff(n) * x * inner
         return n0 * total
+
+
+# ---------------------------------------------------------------------------
+# Reference helpers that no library code calls.
+
+def log_gamma(x: float) -> float:
+    """ln Gamma(x) for x > 0."""
+    x = _check_finite(x, "x")
+    if x <= 0.0:
+        raise DomainError("log_gamma requires x > 0")
+    return math.lgamma(x)
+
+
+def k_gamma_general(g: float, s: float, k: float) -> float:
+    """Step-s gamma via the step-k one: (s/k)**(g/s - 1) * gamma_k(k*g/s).
+
+    Equal to ``k_gamma(g, s)``; the two-step form exists so the scaling
+    identity between deformations can be exercised directly.
+    """
+    s = _check_finite(s, "s")
+    k = _check_finite(k, "k")
+    if s <= 0.0:
+        raise DomainError("s must be > 0")
+    if k <= 0.0:
+        raise DomainError("k must be > 0")
+    g = _check_finite(g, "g")
+    return (s / k) ** (g / s - 1.0) * k_gamma(k * g / s, k)
+
+
+def pochhammer(x: float, n) -> float:
+    """Rising factorial (x)_n = x (x+1) ... (x+n-1); (x)_0 = 1."""
+    x = _check_finite(x, "x")
+    n = _as_count(n)
+    p = 1.0
+    for j in range(n):
+        p *= x + j
+    if math.isinf(p):
+        raise OverflowError("pochhammer product overflows double range")
+    return p
+
+
+class UnknownCaseError(ValueError):
+    """An unrecognized reduction-case identifier."""
+
+
+# Parameter substitutions generating the eighteen special cases: six
+# substitution groups, each applied to the three equation families.
+_CASE_SUBSTITUTIONS = (
+    {"q": 1.0},
+    {"k": 1.0},
+    {"q": 1.0, "k": 1.0},
+    {"q": 1.0, "k": 1.0, "gamma": 1.0},
+    {"q": 1.0, "k": 1.0, "gamma": 1.0, "beta": 1.0},
+    {"q": 1.0, "k": 1.0, "gamma": 1.0, "alpha": 0.0, "beta": 1.0},
+)
+
+
+@dataclass(frozen=True)
+class CorollaryReduction:
+    """A special case: which equation family it reduces and how.
+
+    ``evaluable`` is False for the ``alpha = 0`` group (cases 16-18), whose
+    printed exponential solutions are not reachable from the general series
+    (alpha = 0 violates the parameter domain); :meth:`apply` then raises.
+    """
+
+    case_id: int
+    theorem: int
+    substitutions: dict
+    evaluable: bool
+
+    def apply(self, ml: MLParameters) -> MLParameters:
+        return dataclasses.replace(ml, **self.substitutions)
+
+
+def corollary_reduction(case_id: int) -> CorollaryReduction:
+    """Map a special-case number (1..18) to its parameter substitution."""
+    if not isinstance(case_id, int) or not 1 <= case_id <= 18:
+        raise UnknownCaseError(
+            f"unknown reduction case {case_id!r}; valid cases are 1..18")
+    group, theorem = divmod(case_id - 1, 3)
+    subs = dict(_CASE_SUBSTITUTIONS[group])
+    return CorollaryReduction(case_id, theorem + 1, subs,
+                              evaluable=subs.get("alpha", 1.0) != 0.0)

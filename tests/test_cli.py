@@ -22,6 +22,66 @@ DB_FLAGS = ["--N0", "0.05", "--gamma", "2", "--tau", "1", "--k", "2",
 DIVERGENT_FLAGS = ["--theorem", "1", "--variant", "stated", "--N0", "0.05",
                    "--gamma", "2", "--tau", "2", "--k", "1", "--alpha", "0.5",
                    "--beta", "7", "--d", "3", "--nu", "1", "--t-max", "0.5"]
+# A 41-point stiff solve (theorem 1 stated, rate 41.8, nu 1.66): the
+# batched grid path, with every inner factor at t > 0 on the contour.
+POLE_GRID_ARGV = ["solve", "--theorem", "1", "--variant", "stated",
+                  "--N0", "0.05", "--gamma", "2", "--tau", "1", "--k", "2",
+                  "--alpha", "6", "--beta", "7", "--d", "41.8", "--a", "41.8",
+                  "--nu", "1.66", "--t-max", "1", "--steps", "40"]
+POLE_GRID_STDOUT = (
+    "t,N\n"
+    "0,0.0026596152026762184\n"
+    "0.025000000000000001,0.0010594125145657579\n"
+    "0.050000000000000003,-0.00077290588751240965\n"
+    "0.074999999999999997,-0.001242664243459136\n"
+    "0.10000000000000001,-0.00062932303640675228\n"
+    "0.125,0.00011260917448743565\n"
+    "0.14999999999999999,0.00038898427999389649\n"
+    "0.17499999999999999,0.00022909216933570271\n"
+    "0.20000000000000001,-3.5594578730062582e-05\n"
+    "0.22500000000000001,-0.00015858721997375391\n"
+    "0.25,-0.00011667885016654367\n"
+    "0.27500000000000002,-1.8656988995861008e-05\n"
+    "0.29999999999999999,3.8031869256628431e-05\n"
+    "0.32500000000000001,3.2975861991824282e-05\n"
+    "0.34999999999999998,4.9633972503383475e-07\n"
+    "0.375,-2.1814273828801385e-05\n"
+    "0.40000000000000002,-2.2066205335683795e-05\n"
+    "0.42499999999999999,-1.029336594440983e-05\n"
+    "0.45000000000000001,-5.1493498951544338e-07\n"
+    "0.47499999999999998,1.4311212037295945e-06\n"
+    "0.5,-1.800066108102746e-06\n"
+    "0.52500000000000002,-5.0968250508044163e-06\n"
+    "0.55000000000000004,-5.8017870461168515e-06\n"
+    "0.57499999999999996,-4.4586994744093979e-06\n"
+    "0.59999999999999998,-2.8638729617052056e-06\n"
+    "0.625,-2.1469510063383853e-06\n"
+    "0.65000000000000002,-2.2666929658231899e-06\n"
+    "0.67500000000000004,-2.6051656983580268e-06\n"
+    "0.69999999999999996,-2.6956180687261503e-06\n"
+    "0.72499999999999998,-2.4883564577306554e-06\n"
+    "0.75,-2.1840418941160337e-06\n"
+    "0.77500000000000002,-1.9651669701272109e-06\n"
+    "0.80000000000000004,-1.8707997057546236e-06\n"
+    "0.82499999999999996,-1.8366547323278399e-06\n"
+    "0.84999999999999998,-1.7912872475491113e-06\n"
+    "0.875,-1.7110805823990759e-06\n"
+    "0.90000000000000002,-1.613828736878021e-06\n"
+    "0.92500000000000004,-1.5252791163913827e-06\n"
+    "0.94999999999999996,-1.4561084797589969e-06\n"
+    "0.97499999999999998,-1.4010740456746255e-06\n"
+    "1,-1.3502284520834483e-06\n"
+)
+# Parameters whose coefficient or radius leaves the double range: alpha/k
+# underflows to 0 (eval-kml), and beta/k underflows to 0 (solve).
+UNDERFLOW_KML_ARGV = ["eval-kml", "--k", "1e300", "--alpha", "1e-300",
+                      "--beta", "1.5", "--gamma", "1", "--tau", "1",
+                      "--z", "0.25"]
+UNDERFLOW_SOLVE_ARGV = ["solve", "--theorem", "1", "--variant", "stated",
+                        "--N0", "0.05", "--gamma", "1", "--tau", "1",
+                        "--k", "1e300", "--alpha", "1", "--beta", "1e-30",
+                        "--d", "1", "--nu", "1", "--t-max", "1",
+                        "--steps", "2"]
 
 
 def run(argv, capsys):
@@ -146,6 +206,15 @@ class TestEvalKml:
         assert float(value) == pytest.approx(expected, rel=1e-12, abs=0.0)
         assert (terms, tail, converged) == ("1", "0", "true")
 
+    def test_underflowing_radius_exits_3(self, capsys):
+        # alpha/k underflows to 0, so q == 1 + alpha/k and the radius is
+        # the limit 1/k = 1e-300 (r log r -> 0), not a math domain error.
+        code, out, err = run(UNDERFLOW_KML_ARGV, capsys)
+        assert code == 3
+        assert out.splitlines()[1] == "nan,0,inf,false"
+        assert err == ("error: series does not converge at this argument: "
+                       "it lies beyond the radius of convergence\n")
+
     def test_invalid_tau(self, capsys):
         code, _, err = run(["eval-kml", "--k", "1", "--alpha", "1",
                             "--beta", "1", "--gamma", "1", "--tau", "1.5",
@@ -231,6 +300,30 @@ class TestSolve:
         assert code == 3
         assert out == ""
         assert "converge" in err
+
+    def test_unrepresentable_coefficient_exits_3(self, capsys):
+        # beta/k underflows to 0: Gamma there is not a double, so the
+        # coefficient stops every sum unconverged instead of raising.
+        code, out, err = run(UNDERFLOW_SOLVE_ARGV, capsys)
+        assert code == 3
+        assert out == ""
+        assert err == "error: series did not converge at t = 0\n"
+
+    def test_batched_grid_computes_each_pole_once(self, capsys,
+                                                  monkeypatch):
+        # One pole per nonzero time point at most: the memo keeps every
+        # point of the current order, although the grid visits them row by
+        # row.  Counted by the one cos_sin each computation makes.
+        calls = []
+        original = mittag.mpf_cos_sin
+        monkeypatch.setattr(
+            mittag, "mpf_cos_sin",
+            lambda *args: calls.append(args) or original(*args))
+        monkeypatch.setattr(mittag, "_pole_memo", (None, {}))
+        code, out, _ = run(POLE_GRID_ARGV, capsys)
+        assert code == 0
+        assert out == POLE_GRID_STDOUT
+        assert 0 < len(calls) <= 40
 
     def test_csv_round_trip_is_exact(self, capsys):
         code, out, _ = run(["solve", "--theorem", "1", "--variant", "stated",

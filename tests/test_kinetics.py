@@ -11,14 +11,14 @@ from mpmath import mp, mpf
 import oracles
 import fracml.kinetics
 import fracml.mittag
-from fracml.errors import DomainError, UnknownCaseError
+from fracml.errors import DomainError
 from fracml.kinetics import (
     GRID_CROSSOVER,
     Forcing,
     KineticProblem,
     SolutionSeriesConfig,
-    corollary_reduction,
     forcing_value,
+    solve,
     solve_theorem1,
     solve_theorem2_rederived,
     solve_theorem2_stated,
@@ -27,6 +27,7 @@ from fracml.kinetics import (
 )
 from fracml.mittag import MIN_TERMS, MLParameters, SeriesEvaluation
 from fracml.specfun import k_gamma
+from oracles import UnknownCaseError, corollary_reduction
 
 DB_PARAMS = MLParameters(k=2.0, alpha=6.0, beta=7.0, gamma=2.0, q=1.0)
 
@@ -153,6 +154,58 @@ class TestCollapses:
                            for i in range(1, 6)])
         for slower, faster in zip(values, values[1:]):
             assert all(hi > lo for hi, lo in zip(slower, faster))
+
+
+# Each named entry point, with the (theorem, variant) the CLI maps to it.
+ENTRY_POINTS = [
+    (1, "stated", solve_theorem1),
+    (1, "rederived", solve_theorem1),
+    (2, "stated", solve_theorem2_stated),
+    (2, "rederived", solve_theorem2_rederived),
+    (3, "stated", solve_theorem3_stated),
+    (3, "rederived", solve_theorem3_rederived),
+]
+
+
+class TestSolve:
+    """solve(prob, t, variant) is each theorem's entry point, bit for bit."""
+
+    @staticmethod
+    def _problem(theorem):
+        # Removal rate 20 (theorem 3: forcing rate 3) with nu = 1.5: the
+        # inner factors cancel and take the contour at the far end.
+        forcing = Forcing.PLAIN if theorem == 1 else Forcing.POWERED
+        d = 3.0 if theorem == 3 else 20.0
+        return problem(nu=1.5, forcing=forcing, d=d, a=20.0)
+
+    @pytest.mark.parametrize("theorem, variant, entry", ENTRY_POINTS)
+    def test_equals_the_entry_point(self, theorem, variant, entry):
+        prob = self._problem(theorem)
+        for t in (0.0, 0.35):
+            assert repr(solve(prob, t, variant)) == repr(entry(prob, t))
+        ts = np.linspace(0.0, 1.0, 2 * GRID_CROSSOVER + 1)
+        got, expected = solve(prob, ts, variant), entry(prob, ts)
+        for field in ("t", "value", "point_terms", "tail_bound",
+                      "point_converged"):
+            assert (getattr(got, field).tobytes()
+                    == getattr(expected, field).tobytes()), field
+
+    @pytest.mark.parametrize("variant", ["", "Stated", "weighted", None])
+    def test_unknown_variant(self, variant):
+        for theorem in (1, 3):
+            with pytest.raises(DomainError):
+                solve(self._problem(theorem), 0.5, variant)
+
+    @pytest.mark.parametrize("k", [1e-300, 0.5, 3.0, 1e300])
+    @pytest.mark.parametrize("alpha", [5e-324, 1e-300, 1.0, 1e300])
+    def test_out_of_range_coefficients(self, k, alpha):
+        # beta/k or alpha/k beyond the double range: the point is a number
+        # or unconverged, never an exception.
+        ml = MLParameters(k=k, alpha=alpha, beta=1e-30, gamma=1.0, q=1.0)
+        cfg = SolutionSeriesConfig(outer_max_terms=200)
+        for t in (0.0, 0.5):
+            ev = solve(problem(nu=1.0, d=1.0, ml=ml), t, cfg=cfg)
+            assert math.isfinite(ev.value) or not ev.converged
 
 
 class TestCorollaryMapping:

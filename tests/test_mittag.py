@@ -1,5 +1,6 @@
 import importlib.util
 import math
+import struct
 import sys
 import threading
 from pathlib import Path
@@ -15,17 +16,16 @@ import fracml.mittag as mittag
 from fracml.errors import DomainError
 from fracml.mittag import (
     MLParameters,
+    ML2Rows,
     PowerTable,
-    ReductionCase,
     TwoParamML,
     SeriesEvaluation,
     kml,
     kml_batch,
     ml2,
-    ml2_batch,
-    reduction_case,
 )
 from fracml.specfun import k_gamma, k_pochhammer, recip_gamma
+from fracml.summation import SeriesAbort
 
 # Brute-force oracle value (tests/oracles.py) for the database parameter set
 # k=2, alpha=6, beta=7, gamma=2, q=1 at z=1.
@@ -244,8 +244,9 @@ class TestBatchEvaluator:
         # Integer beta <= 0 puts gamma poles among the first terms; negative
         # x with alpha near 1/2 cancels and escalates.
         p = TwoParamML(alpha, beta)
-        value, used, settled = ml2_batch(p, PowerTable(xs),
-                                         np.arange(len(xs)), tol)
+        idx = np.arange(len(xs))
+        value, used, settled = ML2Rows(p.alpha, [p.beta], PowerTable(xs),
+                                       idx, tol).take(0, idx)
         for i, x in enumerate(xs):
             if settled[i]:
                 ev = ml2(p, x, tol)
@@ -257,7 +258,9 @@ class TestBatchEvaluator:
         p = TwoParamML(1.0, 2.2250738585e-313)
         assert ml2(p, 0.0).value == pytest.approx(2.2250738585e-313, rel=1e-12)
         xs = [1.0, -0.5]
-        value, _, settled = ml2_batch(p, PowerTable(xs), np.arange(2))
+        idx = np.arange(2)
+        value, _, settled = ML2Rows(p.alpha, [p.beta], PowerTable(xs),
+                                    idx).take(0, idx)
         assert not settled.any()
         for x in xs:
             ev = ml2(p, x)
@@ -268,7 +271,9 @@ class TestBatchEvaluator:
     def test_ordinary_points_settle(self):
         xs = [-3.0, -0.5, 0.25, 2.0, 4.0]
         p = TwoParamML(1.5, 2.5)
-        value, used, settled = ml2_batch(p, PowerTable(xs), np.arange(5))
+        idx = np.arange(5)
+        value, used, settled = ML2Rows(p.alpha, [p.beta], PowerTable(xs),
+                                       idx).take(0, idx)
         assert settled.all()
         assert value.tolist() == [ml2(p, x).value for x in xs]
         assert used.tolist() == [ml2(p, x).terms_used for x in xs]
@@ -342,19 +347,6 @@ class TestKmlBatch:
             kml_batch(p, [0.5, math.inf])
 
 
-class TestReductionCase:
-    def test_classification(self):
-        def params(k, q, gamma, beta, alpha=0.7):
-            return MLParameters(k=k, alpha=alpha, beta=beta, gamma=gamma, q=q)
-
-        assert reduction_case(params(1.0, 1.0, 1.0, 1.0)) is ReductionCase.ONE_PARAMETER
-        assert reduction_case(params(1.0, 1.0, 1.0, 2.0)) is ReductionCase.TWO_PARAMETER
-        assert reduction_case(params(1.0, 1.0, 2.0, 2.0)) is ReductionCase.PRABHAKAR
-        assert reduction_case(params(1.0, 2.0, 1.5, 2.0)) is ReductionCase.GENERALIZED_ML
-        assert reduction_case(params(2.0, 1.0, 2.0, 7.0, alpha=6.0)) is ReductionCase.K_ML
-        assert reduction_case(params(3.0, 2.0, 1.5, 2.0, alpha=1.0)) is ReductionCase.GENERAL
-
-
 # E_{1.95...,20.5...}(-1065.6...): an inner factor of a fast-removal solve
 # whose terms all lie below 1.  The extended-precision re-sum once stopped
 # there at an absolute threshold and certified 3.9342740282457804e-19.
@@ -369,6 +361,114 @@ def _contour_ref_check(alpha, beta, x, tol):
         ref = oracles.mp_ml2_sum(alpha, beta, x)
         assert abs(got[0] - ref) <= tol * abs(ref), (got, ref)
     return got
+
+
+def _former_solution_log_coeff(p, n):
+    """The solution series' log-coefficient as kinetics stated it before
+    the coefficient was stated once (mittag.log_coeff_parts)."""
+    k, alpha, beta, g, q = p.k, p.alpha, p.beta, p.gamma, p.q
+    log_k = math.log(k)
+    c0 = g / k
+    lg_c0 = math.lgamma(c0)
+    a = (alpha * n + beta) / k
+    return (n * q * log_k + math.lgamma(c0 + n * q) - lg_c0
+            - (a - 1.0) * log_k - math.lgamma(a))
+
+
+def _former_kml_log_coeff(p, n):
+    """The kml log-coefficient as mittag stated it before (with 1/n!)."""
+    k, alpha, beta, g, q = p.k, p.alpha, p.beta, p.gamma, p.q
+    log_k = math.log(k)
+    c0 = g / k
+    lg_c0 = math.lgamma(c0)
+    lognum = n * q * log_k + math.lgamma(c0 + n * q) - lg_c0
+    a = (alpha * n + beta) / k
+    logden = (a - 1.0) * log_k + math.lgamma(a) + math.lgamma(n + 1.0)
+    return lognum - logden
+
+
+def _bits(x):
+    return struct.pack("<d", x)
+
+
+POSITIVE = st.one_of(
+    st.floats(min_value=5e-324, max_value=1.7e308),
+    st.floats(0.1, 10.0),
+    st.sampled_from([5e-324, 1e-310, 1e-300, 0.5, 1.0, 2.0, 3.0, 1e300]))
+
+
+class TestLogCoeffParts:
+    """One coefficient helper, combined in each caller's order, gives both
+    former formulas bit for bit over the MLParameters domain."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(k=POSITIVE, alpha=POSITIVE, beta=POSITIVE, gamma=POSITIVE,
+           q=st.one_of(st.floats(0.0, 1.0, exclude_min=True,
+                                 exclude_max=True),
+                       st.integers(1, 50).map(float)),
+           n=st.integers(0, 2000))
+    def test_parts_combine_to_the_former_formulas(self, k, alpha, beta,
+                                                  gamma, q, n):
+        p = MLParameters(k, alpha, beta, gamma, q)
+        parts = mittag.log_coeff_parts(p)
+        try:
+            solution = _former_solution_log_coeff(p, n)
+            kml_coeff = _former_kml_log_coeff(p, n)
+        except (ValueError, OverflowError):
+            # A gamma argument left lgamma's range: the helper stops the
+            # sum at n, or at 0 where gamma/k itself underflowed.
+            with pytest.raises(SeriesAbort):
+                parts(n if gamma / k else 0)
+            return
+        if math.inf in ((alpha * n + beta) / k, gamma / k + n * q):
+            # An infinite gamma argument: lgamma is inf, and the former
+            # formulas gave NaN or -inf.
+            with pytest.raises(SeriesAbort):
+                parts(n)
+            return
+        num, pw, lg = parts(n)
+        assert _bits((num - pw) - lg) == _bits(solution)
+        assert (_bits(num - ((pw + lg) + math.lgamma(n + 1.0)))
+                == _bits(kml_coeff))
+
+
+class TestOutOfRangeParameters:
+    """Parameters whose ratios alpha/k, beta/k leave the double range give
+    a result, never an exception: converged only where it is a number."""
+
+    KS = (1e-300, 0.5, 3.0, 1e300)
+    ALPHAS = (5e-324, 1e-300, 1e-150, 1e-10, 1.0, 1e10, 1e150, 1e300)
+
+    @pytest.mark.parametrize("k", KS)
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_kml_and_kml_batch(self, k, alpha):
+        # A small term budget: at a tiny alpha/k the gamma argument never
+        # reaches 2, so those series run to the budget.
+        zs = [0.25, -0.25, 1e-301, 0.0]
+        for beta in (1e-310, 1.5, 1e300):
+            p = MLParameters(k, alpha, beta, 1.0, 1.0)
+            out = kml_batch(p, zs, max_terms=300)
+            for i, z in enumerate(zs):
+                ev = kml(p, z, max_terms=300)
+                assert _fields(*out, i) == repr(ev)
+                assert ev.status in ("series", "extended", "overflow",
+                                     "budget", "divergent")
+                if ev.converged:
+                    assert math.isfinite(ev.value)
+
+    def test_radius_at_an_underflowed_ratio(self):
+        # alpha/k = 0 in double precision: q == 1 + alpha/k, and the radius
+        # takes r log r -> 0, giving 1/k.
+        assert mittag._radius(MLParameters(1e300, 1e-300, 1.5, 1.0, 1.0)) \
+            == pytest.approx(1e-300, rel=1e-15)
+        assert mittag._radius(MLParameters(3.0, 5e-324, 1.5, 1.0, 1.0)) \
+            == pytest.approx(1.0 / 3.0, rel=1e-15)
+
+    def test_unrepresentable_coefficient_is_an_overflow(self):
+        # beta/k underflows to 0: Gamma(beta/k) is not a double.
+        ev = kml(MLParameters(1e300, 1e300, 1e-310, 1.0, 1.0), 1e-301)
+        assert not ev.converged
+        assert (ev.status, ev.terms_used) == ("overflow", 0)
 
 
 class TestContour:
@@ -446,7 +546,9 @@ class TestContour:
 
         monkeypatch.setattr(mittag, "_ml2_cancelling", recording)
         p, xs = TwoParamML(1.5, 1.0), [-40.0, -3.0, -25.0]
-        value, used, settled = ml2_batch(p, PowerTable(xs), np.arange(3))
+        idx = np.arange(3)
+        value, used, settled = ML2Rows(p.alpha, [p.beta], PowerTable(xs),
+                                       idx).take(0, idx)
         batch_calls, calls[:] = list(calls), []
         evs = [ml2(p, x) for x in xs]
         assert batch_calls == calls and len(calls) == 2
@@ -463,7 +565,9 @@ class TestContour:
         ev = ml2(p, x)
         assert ev.status == "extended" and ev.converged
         assert rel(ev.value, contour.value) <= 1e-12
-        value, used, settled = ml2_batch(p, PowerTable([x]), np.arange(1))
+        idx = np.arange(1)
+        value, used, settled = ML2Rows(p.alpha, [p.beta], PowerTable([x]),
+                                       idx).take(0, idx)
         assert (value[0], used[0], settled[0]) == (ev.value, ev.terms_used,
                                                    True)
 
@@ -606,7 +710,7 @@ class TestPoleResidues:
     def test_independent_of_the_mpmath_context(self, monkeypatch, alpha,
                                                beta, x):
         expected = oracles.mp_pole_residues(alpha, beta, x)
-        monkeypatch.setattr(mittag, "_pole_memo", (None, None, None))
+        monkeypatch.setattr(mittag, "_pole_memo", (None, {}))
         with mpmath.workdps(5):
             cold = mittag._pole_residues(alpha, beta, x)
             warm = mittag._pole_residues(alpha, beta, x)
