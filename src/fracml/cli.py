@@ -11,8 +11,16 @@ Subcommands:
 Exit codes: 0 success, 2 validation failure, 3 convergence failure,
 4 verification gate failed.  Floats are printed with 17 significant digits
 so that CSV output round-trips exactly; identical invocations produce
-byte-identical output.  Every flag may also be supplied through a
-``--config`` file of ``key=value`` lines (flags take precedence).
+byte-identical output.
+
+The parser states each flag once: its type, its default and its validity
+rule.  A flag value that fails its rule is a usage error, printed by
+argparse as a usage line and ``argument --alpha: must be > 0``.  A
+``--config`` file of ``key=value`` lines (``#`` starts a comment, and ``_``
+in a key reads as ``-``) is read as ``--key=value`` flags placed right after
+the subcommand, before the command line's own flags: the file's values pass
+the same checks, an unknown key is an unrecognized argument, and a flag on
+the command line wins, since the last value of a flag is the one kept.
 """
 
 from __future__ import annotations
@@ -45,6 +53,7 @@ EXIT_VALIDATION = 2
 EXIT_NO_CONVERGENCE = 3
 EXIT_VERIFY_FAILED = 4
 
+# The default of a required flag; not a string, so argparse keeps it as is.
 _REQUIRED = object()
 
 
@@ -52,7 +61,6 @@ class CliError(Exception):
     def __init__(self, code: int, message: str):
         super().__init__(message)
         self.code = code
-        self.message = message
 
 
 def _fmt(x: float) -> str:
@@ -67,13 +75,50 @@ def _emit(text: str, out_path: Optional[str]) -> None:
             fh.write(text)
 
 
-def _read_config(path: str) -> dict:
-    mapping = {}
+def _checked(cast: Callable, ok: Callable[[object], bool],
+             requirement: str) -> Callable[[str], object]:
+    """An argparse ``type``: ``cast``, then ``ok`` or a usage error saying
+    ``requirement``.  It keeps the cast's name, which argparse prints for a
+    value the cast rejects ("invalid float value")."""
+    def convert(text: str):
+        value = cast(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(requirement)
+        return value
+
+    convert.__name__ = cast.__name__
+    return convert
+
+
+_positive = _checked(float, lambda v: math.isfinite(v) and v > 0,
+                     "must be > 0")
+_finite = _checked(float, math.isfinite, "must be finite")
+_steps = _checked(int, lambda v: v >= 1, "must be >= 1")
+_exponent_step = _checked(float, _valid_exponent_step,
+                          "must lie in (0,1) or be a positive integer")
+
+
+def _grids(text: str) -> tuple:
+    try:
+        grids = tuple(int(s.strip()) for s in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            "must be a comma-separated list of integers") from None
+    try:
+        return check_grids(grids)
+    except DomainError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _read_config(path: str) -> list:
+    """The ``key=value`` lines of a ``--config`` file as ``--key=value``
+    flags."""
     try:
         with open(path) as fh:
             lines = fh.readlines()
     except OSError as exc:
         raise CliError(EXIT_VALIDATION, f"--config: cannot read {path}: {exc}")
+    flags = []
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -82,59 +127,12 @@ def _read_config(path: str) -> dict:
         if not sep:
             raise CliError(EXIT_VALIDATION,
                            f"--config {path}: line {lineno} is not key=value")
-        mapping[key.strip().replace("_", "-")] = value.strip()
-    return mapping
-
-
-def _config_map(args, known: set) -> dict:
-    if getattr(args, "config", None) is None:
-        return {}
-    mapping = _read_config(args.config)
-    unknown = sorted(set(mapping) - known)
-    if unknown:
-        raise CliError(EXIT_VALIDATION,
-                       f"--config: unknown key {unknown[0]!r} for this subcommand")
-    return mapping
-
-
-def _resolve(args, cfgmap: dict, name: str, cast: Callable, default=_REQUIRED,
-             check: Optional[Callable[[object], bool]] = None,
-             requirement: str = ""):
-    value = getattr(args, name.replace("-", "_"))
-    if value is None and name in cfgmap:
-        try:
-            value = cast(cfgmap[name])
-        except ValueError:
-            raise CliError(EXIT_VALIDATION,
-                           f"--config value for {name!r} is not a valid "
-                           f"{cast.__name__}") from None
-    if value is None:
-        if default is _REQUIRED:
-            raise CliError(EXIT_VALIDATION, f"missing required flag --{name}")
-        value = default
-    if check is not None and not check(value):
-        raise CliError(EXIT_VALIDATION, f"--{name} {requirement}")
-    return value
-
-
-def _pos(v) -> bool:
-    return math.isfinite(v) and v > 0
-
-
-def _finite(v) -> bool:
-    return math.isfinite(v)
+        flags.append(f"--{key.strip().replace('_', '-')}={value.strip()}")
+    return flags
 
 
 # ---------------------------------------------------------------------------
 # eval-ml / eval-kml
-
-_EVAL_HEADER = "value,terms_used,tail_bound,converged\n"
-
-
-def _eval_row(ev) -> str:
-    flag = "true" if ev.converged else "false"
-    return f"{_fmt(ev.value)},{ev.terms_used},{_fmt(ev.tail_bound)},{flag}\n"
-
 
 def _no_convergence(ev) -> str:
     """The stderr line for an unconverged evaluation, from its status."""
@@ -149,60 +147,35 @@ def _no_convergence(ev) -> str:
     return f"error: {ev.status} evaluation did not converge to the tolerance"
 
 
-def _cmd_eval_ml(args) -> int:
-    cfgmap = _config_map(args, {"alpha", "beta", "x", "tol", "out"})
-    alpha = _resolve(args, cfgmap, "alpha", float, check=_pos,
-                     requirement="must be > 0")
-    beta = _resolve(args, cfgmap, "beta", float, check=_finite,
-                    requirement="must be finite")
-    x = _resolve(args, cfgmap, "x", float, check=_finite,
-                 requirement="must be finite")
-    tol = _resolve(args, cfgmap, "tol", float, default=1e-12, check=_pos,
-                   requirement="must be > 0")
-    out = _resolve(args, cfgmap, "out", str, default=None)
-    ev = ml2(TwoParamML(alpha, beta), x, tol)
-    _emit(_EVAL_HEADER + _eval_row(ev), out)
+def _report_eval(ev, out: Optional[str]) -> int:
+    """Print an evaluation as a CSV row; exit 3, saying why, where it did not
+    converge."""
+    flag = "true" if ev.converged else "false"
+    _emit("value,terms_used,tail_bound,converged\n"
+          f"{_fmt(ev.value)},{ev.terms_used},{_fmt(ev.tail_bound)},{flag}\n",
+          out)
     if not ev.converged:
         print(_no_convergence(ev), file=sys.stderr)
         return EXIT_NO_CONVERGENCE
     return EXIT_OK
 
 
-def _resolve_ml_params(args, cfgmap) -> MLParameters:
-    k = _resolve(args, cfgmap, "k", float, check=_pos, requirement="must be > 0")
-    alpha = _resolve(args, cfgmap, "alpha", float, check=_pos,
-                     requirement="must be > 0")
-    beta = _resolve(args, cfgmap, "beta", float, check=_pos,
-                    requirement="must be > 0")
-    gamma = _resolve(args, cfgmap, "gamma", float, check=_pos,
-                     requirement="must be > 0")
-    tau = _resolve(args, cfgmap, "tau", float, check=_valid_exponent_step,
-                   requirement="must lie in (0,1) or be a positive integer")
-    return MLParameters(k=k, alpha=alpha, beta=beta, gamma=gamma, q=tau)
+def _cmd_eval_ml(args) -> int:
+    return _report_eval(ml2(TwoParamML(args.alpha, args.beta), args.x,
+                            args.tol), args.out)
+
+
+def _ml_params(args) -> MLParameters:
+    return MLParameters(k=args.k, alpha=args.alpha, beta=args.beta,
+                        gamma=args.gamma, q=args.tau)
 
 
 def _cmd_eval_kml(args) -> int:
-    cfgmap = _config_map(args, {"k", "alpha", "beta", "gamma", "tau", "z",
-                                "tol", "out"})
-    params = _resolve_ml_params(args, cfgmap)
-    z = _resolve(args, cfgmap, "z", float, check=_finite,
-                 requirement="must be finite")
-    tol = _resolve(args, cfgmap, "tol", float, default=1e-12, check=_pos,
-                   requirement="must be > 0")
-    out = _resolve(args, cfgmap, "out", str, default=None)
-    ev = kml(params, z, tol)
-    _emit(_EVAL_HEADER + _eval_row(ev), out)
-    if not ev.converged:
-        print(_no_convergence(ev), file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
-    return EXIT_OK
+    return _report_eval(kml(_ml_params(args), args.z, args.tol), args.out)
 
 
 # ---------------------------------------------------------------------------
 # solve / verify / table
-
-_PROBLEM_KEYS = {"theorem", "variant", "N0", "gamma", "tau", "k", "alpha",
-                 "beta", "d", "a", "nu"}
 
 _SOLVERS = {
     (1, "stated"): solve_theorem1,
@@ -214,26 +187,14 @@ _SOLVERS = {
 }
 
 
-def _resolve_problem(args, cfgmap) -> tuple[KineticProblem, Callable]:
-    theorem = _resolve(args, cfgmap, "theorem", int,
-                       check=lambda v: v in (1, 2, 3),
-                       requirement="must be 1, 2 or 3")
-    variant = _resolve(args, cfgmap, "variant", str,
-                       check=lambda v: v in ("stated", "rederived"),
-                       requirement="must be 'stated' or 'rederived'")
-    n0 = _resolve(args, cfgmap, "N0", float, check=_pos,
-                  requirement="must be > 0")
-    params = _resolve_ml_params(args, cfgmap)
-    d = _resolve(args, cfgmap, "d", float, check=_pos,
-                 requirement="must be > 0")
-    a = _resolve(args, cfgmap, "a", float, default=d, check=_pos,
-                 requirement="must be > 0")
-    nu = _resolve(args, cfgmap, "nu", float, check=_pos,
-                  requirement="must be > 0")
-    if theorem in (1, 2) and a != d:
+def _problem_and_solver(args) -> tuple[KineticProblem, Callable]:
+    a = args.d if args.a is None else args.a
+    if args.theorem in (1, 2) and a != args.d:
         raise CliError(EXIT_VALIDATION,
-                       f"--a must equal --d for theorem {theorem}")
-    return _problem(theorem, n0, params, d, a, nu), _SOLVERS[(theorem, variant)]
+                       f"--a must equal --d for theorem {args.theorem}")
+    prob = _problem(args.theorem, args.N0, _ml_params(args), args.d, a,
+                    args.nu)
+    return prob, _SOLVERS[(args.theorem, args.variant)]
 
 
 def _problem(theorem: int, n0: float, params: MLParameters, d: float,
@@ -255,50 +216,24 @@ def _grid_values(solver, prob, t_max: float, steps: int) -> list:
 
 
 def _cmd_solve(args) -> int:
-    cfgmap = _config_map(args, _PROBLEM_KEYS | {"t-max", "steps", "out"})
-    prob, solver = _resolve_problem(args, cfgmap)
-    t_max = _resolve(args, cfgmap, "t-max", float, check=_pos,
-                     requirement="must be > 0")
-    steps = _resolve(args, cfgmap, "steps", int, check=lambda v: v >= 1,
-                     requirement="must be >= 1")
-    out = _resolve(args, cfgmap, "out", str, default=None)
-    rows = _grid_values(solver, prob, t_max, steps)
+    prob, solver = _problem_and_solver(args)
+    rows = _grid_values(solver, prob, args.t_max, args.steps)
     text = "t,N\n" + "".join(f"{_fmt(t)},{_fmt(v)}\n" for t, v in rows)
-    _emit(text, out)
+    _emit(text, args.out)
     return EXIT_OK
 
 
-def _parse_grids(raw: str) -> tuple:
-    try:
-        grids = tuple(int(s.strip()) for s in raw.split(","))
-    except ValueError:
-        raise CliError(EXIT_VALIDATION,
-                       "--grids must be a comma-separated list of integers") from None
-    try:
-        return check_grids(grids)
-    except DomainError as exc:
-        raise CliError(EXIT_VALIDATION, f"--grids: {exc}") from None
-
-
 def _cmd_verify(args) -> int:
-    cfgmap = _config_map(args, _PROBLEM_KEYS | {"t-max", "grids", "threshold",
-                                                "out"})
-    prob, solver = _resolve_problem(args, cfgmap)
-    t_max = _resolve(args, cfgmap, "t-max", float, check=_pos,
-                     requirement="must be > 0")
-    grids = _parse_grids(_resolve(args, cfgmap, "grids", str))
-    threshold = _resolve(args, cfgmap, "threshold", float, default=1e-5,
-                         check=_pos, requirement="must be > 0")
-    out = _resolve(args, cfgmap, "out", str, default=None)
+    prob, solver = _problem_and_solver(args)
     try:
-        report = residual_report(prob, solver, t_max, grids)
+        report = residual_report(prob, solver, args.t_max, args.grids)
     except OverflowError as exc:
         raise CliError(EXIT_NO_CONVERGENCE, f"evaluation overflowed: {exc}")
     if not report.complete:
         raise CliError(EXIT_NO_CONVERGENCE,
                        "solver or forcing failed to converge on a grid point")
     passed = (report.order_estimate >= 1.5
-              and report.max_residuals[-1] <= threshold)
+              and report.max_residuals[-1] <= args.threshold)
     payload = {
         "grids": list(report.grid_steps),
         "max_residuals": list(report.max_residuals),
@@ -306,7 +241,7 @@ def _cmd_verify(args) -> int:
         "order_estimate": report.order_estimate,
         "pass": passed,
     }
-    _emit(json.dumps(payload) + "\n", out)
+    _emit(json.dumps(payload) + "\n", args.out)
     return EXIT_OK if passed else EXIT_VERIFY_FAILED
 
 
@@ -322,27 +257,19 @@ DATABASE_SETS = (
 
 
 def _cmd_table(args) -> int:
-    cfgmap = _config_map(args, {"t-max", "steps", "out"})
-    t_max = _resolve(args, cfgmap, "t-max", float, default=0.5, check=_pos,
-                     requirement="must be > 0")
-    steps = _resolve(args, cfgmap, "steps", int, default=50,
-                     check=lambda v: v >= 1, requirement="must be >= 1")
-    out = _resolve(args, cfgmap, "out", str, default=None)
     db = DATABASE_FLAGS
     params = MLParameters(k=db["k"], alpha=db["alpha"], beta=db["beta"],
                           gamma=db["gamma"], q=db["tau"])
     lines = ["set,theorem,t,N_stated,N_rederived\n"]
     for set_id, theorem, nu, a, _ in DATABASE_SETS:
         prob = _problem(theorem, db["N0"], params, db["d"], a, nu)
-        stated = _grid_values(_SOLVERS[(theorem, "stated")], prob, t_max, steps)
-        if theorem == 1:
-            rederived = stated
-        else:
-            rederived = _grid_values(_SOLVERS[(theorem, "rederived")], prob,
-                                     t_max, steps)
+        stated = _grid_values(_SOLVERS[(theorem, "stated")], prob,
+                              args.t_max, args.steps)
+        rederived = stated if theorem == 1 else _grid_values(
+            _SOLVERS[(theorem, "rederived")], prob, args.t_max, args.steps)
         for (t, vs), (_, vr) in zip(stated, rederived):
             lines.append(f"{set_id},{theorem},{_fmt(t)},{_fmt(vs)},{_fmt(vr)}\n")
-    _emit("".join(lines), out)
+    _emit("".join(lines), args.out)
     return EXIT_OK
 
 
@@ -354,34 +281,38 @@ def _add_common(sub) -> None:
                      help="key=value file supplying defaults for any flag")
     sub.add_argument("--out", default=None,
                      help="output path (default: standard output)")
-    sub.add_argument("--tol", type=float, default=None,
+    sub.add_argument("--tol", type=_positive, default=1e-12,
                      help="series tolerance (default 1e-12)")
 
 
 def _add_problem_flags(sub) -> None:
-    sub.add_argument("--theorem", type=int, default=None,
+    sub.add_argument("--theorem", default=_REQUIRED,
+                     type=_checked(int, lambda v: v in (1, 2, 3),
+                                   "must be 1, 2 or 3"),
                      help="kinetic equation family: 1, 2 or 3")
-    sub.add_argument("--variant", default=None,
+    sub.add_argument("--variant", default=_REQUIRED,
+                     type=_checked(str, lambda v: v in ("stated", "rederived"),
+                                   "must be 'stated' or 'rederived'"),
                      help="'stated' or 'rederived' series weights")
-    sub.add_argument("--N0", type=float, default=None,
+    sub.add_argument("--N0", type=_positive, default=_REQUIRED,
                      help="initial number density (> 0)")
-    sub.add_argument("--gamma", type=float, default=None,
+    sub.add_argument("--gamma", type=_positive, default=_REQUIRED,
                      help="Pochhammer base parameter (> 0)")
-    sub.add_argument("--tau", type=float, default=None,
+    sub.add_argument("--tau", type=_exponent_step, default=_REQUIRED,
                      help="Pochhammer increment step, in (0,1) or integer")
-    sub.add_argument("--k", type=float, default=None,
+    sub.add_argument("--k", type=_positive, default=_REQUIRED,
                      help="gamma deformation step (> 0)")
-    sub.add_argument("--alpha", type=float, default=None,
+    sub.add_argument("--alpha", type=_positive, default=_REQUIRED,
                      help="series exponent step (> 0)")
-    sub.add_argument("--beta", type=float, default=None,
+    sub.add_argument("--beta", type=_positive, default=_REQUIRED,
                      help="series offset (> 0)")
-    sub.add_argument("--d", type=float, default=None,
+    sub.add_argument("--d", type=_positive, default=_REQUIRED,
                      help="forcing rate constant (> 0)")
-    sub.add_argument("--a", type=float, default=None,
+    sub.add_argument("--a", type=_positive, default=None,
                      help="removal rate constant (default: equal to --d)")
-    sub.add_argument("--nu", type=float, default=None,
+    sub.add_argument("--nu", type=_positive, default=_REQUIRED,
                      help="fractional integral order (> 0)")
-    sub.add_argument("--t-max", type=float, default=None,
+    sub.add_argument("--t-max", type=_positive, default=_REQUIRED,
                      help="right endpoint of the time grid")
 
 
@@ -395,26 +326,24 @@ def _build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     p = subs.add_parser("eval-ml", help="evaluate E_{alpha,beta}(x)")
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--beta", type=float, default=None)
-    p.add_argument("--x", type=float, default=None)
+    p.add_argument("--alpha", type=_positive, default=_REQUIRED)
+    p.add_argument("--beta", type=_finite, default=_REQUIRED)
+    p.add_argument("--x", type=_finite, default=_REQUIRED)
     _add_common(p)
     p.set_defaults(handler=_cmd_eval_ml)
 
     p = subs.add_parser("eval-kml",
                         help="evaluate the generalized k-Mittag-Leffler function")
-    p.add_argument("--k", type=float, default=None)
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--beta", type=float, default=None)
-    p.add_argument("--gamma", type=float, default=None)
-    p.add_argument("--tau", type=float, default=None)
-    p.add_argument("--z", type=float, default=None)
+    for name in ("--k", "--alpha", "--beta", "--gamma"):
+        p.add_argument(name, type=_positive, default=_REQUIRED)
+    p.add_argument("--tau", type=_exponent_step, default=_REQUIRED)
+    p.add_argument("--z", type=_finite, default=_REQUIRED)
     _add_common(p)
     p.set_defaults(handler=_cmd_eval_kml)
 
     p = subs.add_parser("solve", help="tabulate a kinetic solution as CSV")
     _add_problem_flags(p)
-    p.add_argument("--steps", type=int, default=None,
+    p.add_argument("--steps", type=_steps, default=_REQUIRED,
                    help="number of uniform grid steps (>= 1)")
     p.add_argument("--config", default=None)
     p.add_argument("--out", default=None)
@@ -423,9 +352,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("verify",
                         help="grid-refinement residual report as JSON")
     _add_problem_flags(p)
-    p.add_argument("--grids", default=None,
+    p.add_argument("--grids", type=_grids, default=_REQUIRED,
                    help="comma-separated step counts, each double the last")
-    p.add_argument("--threshold", type=float, default=None,
+    p.add_argument("--threshold", type=_positive, default=1e-5,
                    help="max residual allowed on the finest grid (default 1e-5)")
     p.add_argument("--config", default=None)
     p.add_argument("--out", default=None)
@@ -433,8 +362,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("table",
                         help="regenerate the three-set solution database")
-    p.add_argument("--t-max", type=float, default=None)
-    p.add_argument("--steps", type=int, default=None)
+    p.add_argument("--t-max", type=_positive, default=0.5)
+    p.add_argument("--steps", type=_steps, default=50)
     p.add_argument("--config", default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(handler=_cmd_table)
@@ -442,16 +371,30 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
+def _parse(argv: list) -> argparse.Namespace:
+    """The flags of ``argv``, with a ``--config`` file's lines read as flags
+    right after the subcommand; a required flag still missing is an error."""
     parser = _build_parser()
+    args = parser.parse_args(argv)
+    if args.config is not None:
+        at = argv.index(args.command) + 1
+        args = parser.parse_args([*argv[:at], *_read_config(args.config),
+                                  *argv[at:]])
+    for dest, value in vars(args).items():
+        if value is _REQUIRED:
+            raise CliError(EXIT_VALIDATION,
+                           f"missing required flag --{dest.replace('_', '-')}")
+    return args
+
+
+def main(argv=None) -> int:
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_OK if exc.code in (0, None) else EXIT_VALIDATION
-    try:
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
         return args.handler(args)
+    except SystemExit as exc:  # argparse: --help, or a usage error
+        return EXIT_OK if exc.code in (0, None) else EXIT_VALIDATION
     except CliError as exc:
-        print(f"error: {exc.message}", file=sys.stderr)
+        print(f"error: {exc}", file=sys.stderr)
         return exc.code
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -50,10 +50,9 @@ path (:func:`fracml.mittag._ml2_cancelling`) only when an outer sum uses
 its term.  Per-point logarithms, powers and exponentials
 come from the same scalar calls the per-point path makes, and the array
 arithmetic is IEEE-exact, so each value, term count and tail bound is
-bit-identical to a per-point call.  Smaller grids, points at a zero
-argument, and points the batch does not certify (an inner term outside the
-direct branch, an abort, a failed certificate) are evaluated by the
-per-point code.
+bit-identical to a per-point call, for every point the batch starts.
+Smaller grids and points at a zero argument are evaluated by the per-point
+code.
 
 An inner factor that is exactly 0.0 at a nonzero argument has underflowed
 (the functions' real zeros are never hit exactly): the outer sum aborts
@@ -290,10 +289,8 @@ def _solution_series_batch(prob: KineticProblem, cfg: SolutionSeriesConfig,
     at the points still summing when the block starts, in one
     :class:`fracml.mittag.ML2Rows`: first the indices ``0..MIN_TERMS+1``,
     which every outer sum computes, then blocks that double the indices
-    covered, each limited to ``BLOCK_ENTRIES`` entries.  A point's result
-    equals the per-point one where ``converged`` is True; elsewhere the
-    batch gave up on it (see :meth:`fracml.mittag.ML2Rows.take`) and the
-    caller must evaluate it point by point.
+    covered, each limited to ``BLOCK_ENTRIES`` entries.  Every point's
+    result equals the per-point one, converged or not.
     """
     nu = prob.nu
     log_n0 = math.log(prob.n0)
@@ -319,11 +316,12 @@ def _solution_series_batch(prob: KineticProblem, cfg: SolutionSeriesConfig,
             rows = ML2Rows(nu, [inner_beta(j) for j in range(start, end)],
                            powers, pos, cfg.inner_tol)
             col[pos] = np.arange(pos.size)
-        iv, _, settled = rows.take(n - start, col[pos])
-        # A zero factor at a nonzero argument underflowed: abort, as the
-        # per-point sum does.  The terms of aborting points are not used;
-        # theirs are formed from |factor| = 1 and zeroed.
-        bad = ~settled | (iv == 0.0)
+        iv, _, converged = rows.take(n - start, col[pos])
+        # An unconverged factor aborts, as in the per-point sum, and so
+        # does a zero factor at a nonzero argument (it underflowed).  The
+        # terms of aborting points are not used; theirs are formed from
+        # |factor| = 1 and zeroed.
+        bad = ~converged | (iv == 0.0)
         aiv = np.where(bad, 1.0, np.abs(iv)).tolist()
         # The per-point sum in its order, with scalar log and exp.
         logmag = (log_n0 + ((num - pw) - lg)) + n * log_x[pos]
@@ -354,16 +352,15 @@ def _solution_grid(prob: KineticProblem, cfg: SolutionSeriesConfig,
     converged = np.zeros(size, dtype=bool)
     args = [point(t) for t in ts.tolist()]
     batch = [i for i, (x, y) in enumerate(args) if x != 0.0 and y != 0.0]
+    per_point = np.ones(size, dtype=bool)
     if len(batch) >= GRID_CROSSOVER:
         res = _solution_series_batch(prob, cfg, [args[i][0] for i in batch],
                                      [args[i][1] for i in batch],
                                      inner_beta, extra_log)
-        idx = np.array(batch)[res.converged]
-        value[idx] = res.value[res.converged]
-        terms[idx] = res.terms[res.converged]
-        tail[idx] = res.tail_bound[res.converged]
-        converged[idx] = True
-    for i in np.flatnonzero(~converged).tolist():
+        value[batch], terms[batch] = res.value, res.terms
+        tail[batch], converged[batch] = res.tail_bound, res.converged
+        per_point[batch] = False
+    for i in np.flatnonzero(per_point).tolist():
         ev = _solution_series(prob, cfg, *args[i], inner_beta, extra_log)
         value[i], terms[i] = ev.value, ev.terms_used
         tail[i], converged[i] = ev.tail_bound, ev.converged

@@ -54,14 +54,15 @@ of convergence).
 Batched forms serve the kinetic grid solvers and the residual check.
 :class:`ML2Rows` evaluates ``E_{alpha,beta_r}`` for several offsets
 ``beta_r`` at many arguments in one compensated sum, deferring each
-cancelling entry's contour or re-sum until it is asked for.  It reproduces
-:func:`ml2` bit for bit on every entry it settles and hands the others back
-to the caller.  :func:`kml_batch` evaluates :func:`kml` at many arguments,
-forming each term's log-coefficient once for all of them, and returns
-exactly what :func:`kml` returns at each; points it does not settle itself
-go to :func:`kml`.  Only IEEE-exact operations are vectorized; logarithms,
-powers, exponentials and gamma values come from the scalar calls the
-per-point evaluators make.
+cancelling entry's contour or re-sum until it is asked for.  It returns
+what :func:`ml2` returns, bit for bit, at every entry, evaluating with
+:func:`ml2` the entries its sum did not finish.  :func:`kml_batch` evaluates
+:func:`kml` at many arguments, forming each term's log-coefficient once for
+all of them, and returns exactly what :func:`kml` returns at each; it sends
+to :func:`kml` only the points it does not sum (``z = 0``, beyond the
+radius) and those that need extended precision.  Only IEEE-exact operations
+are vectorized; logarithms, powers, exponentials and gamma values come from
+the scalar calls the per-point evaluators make.
 
 The coefficient ``(gamma)_{nq,k} / gamma_k(n alpha + beta)`` that
 :func:`kml` and the kinetic solution series share is stated once, in
@@ -70,9 +71,11 @@ The coefficient ``(gamma)_{nq,k} / gamma_k(n alpha + beta)`` that
 the sum stops there and the result is unconverged with status
 ``overflow``.
 
-At ``z = 0`` :func:`kml` is ``1/gamma_k(beta)``, formed by
-:func:`fracml.specfun.recip_k_gamma`, so a ``beta`` whose Gamma value
-leaves the double range still gives a value.
+At ``x = 0`` :func:`ml2` is ``1/Gamma(beta)`` and :func:`kml` is
+``1/gamma_k(beta)``, formed by :func:`fracml.specfun.recip_k_gamma`, so a
+``beta`` whose Gamma value leaves the double range still gives a value;
+where that reciprocal itself is not a double the result is unconverged with
+status ``overflow``.
 """
 
 from __future__ import annotations
@@ -267,7 +270,10 @@ def ml2(p: TwoParamML, x: float, tol: float = DEFAULT_TOL,
     if not math.isfinite(x):
         raise DomainError("x must be finite")
     if x == 0.0:
-        return SeriesEvaluation(recip_gamma(p.beta), 1, 0.0, True, "series")
+        value = recip_gamma(p.beta)
+        ok = math.isfinite(value)
+        return SeriesEvaluation(value, 1, 0.0, ok,
+                                "series" if ok else "overflow")
 
     alpha, beta = p.alpha, p.beta
     log_ax = math.log(abs(x))
@@ -480,22 +486,29 @@ class ML2Rows:
                                                   tol)
 
     def take(self, row: int, cols: np.ndarray) -> tuple:
-        """``(value, terms_used, settled)`` of row ``row`` at columns
-        ``cols``.  Where ``settled`` is True the entry is certified and
-        equals :func:`ml2` bit for bit; elsewhere the caller evaluates it
-        with :func:`ml2`."""
+        """``(value, terms_used, converged)`` of row ``row`` at columns
+        ``cols``, each entry equal bit for bit to the fields of :func:`ml2`.
+        An entry the batch did not sum to the end (an abort, an exhausted
+        budget, or a term outside the direct branch) is evaluated by
+        :func:`ml2`."""
         f = row * self.width + cols
         value, used = self.res.value[f], self.res.terms[f]
         settled = self.settled[f]
+        beta = self.betas[row]
         for j in np.flatnonzero(self.escalate[f]).tolist():
             i = f[j]
             v, used_x, tail, _ = _ml2_cancelling(
-                self.alpha, self.betas[row], float(self.x[i]),
+                self.alpha, beta, float(self.x[i]),
                 float(self.res.abs_sum[i]), float(value[j]), self.tol,
                 self.max_terms)
             value[j] = v
             used[j] = max(int(used[j]), used_x)
             settled[j] = tail <= self.tol * max(1.0, abs(v))
+        for j in np.flatnonzero(~self.res.converged[f]).tolist():
+            ev = ml2(TwoParamML(self.alpha, beta), float(self.x[f[j]]),
+                     self.tol, self.max_terms)
+            value[j], used[j], settled[j] = (ev.value, ev.terms_used,
+                                             ev.converged)
         return value, used, settled
 
 
@@ -915,10 +928,11 @@ def kml_batch(p: MLParameters, zs: list, tol: float = DEFAULT_TOL,
     with ``zs``, each entry equal bit for bit to the field of
     :func:`kml` at ``zs[i]``.  The log-coefficient of each term is formed
     once for all points with :func:`kml`'s scalar calls; each point adds its
-    own ``n log|z|`` and takes a scalar ``math.exp``.  Points at ``z = 0``,
-    points beyond the radius of convergence, and points that abort, fail
-    their certificate or need extended precision are evaluated by
-    :func:`kml`.
+    own ``n log|z|`` and takes a scalar ``math.exp``.  A point that
+    aborts, exhausts the budget or fails its certificate keeps the batch's
+    result, which is :func:`kml`'s; points at ``z = 0``, points beyond the
+    radius of convergence and points that need extended precision are
+    evaluated by :func:`kml`.
     """
     _check_tol(tol)
     zs = [float(z) for z in zs]
@@ -929,6 +943,7 @@ def kml_batch(p: MLParameters, zs: list, tol: float = DEFAULT_TOL,
     used = np.zeros(z.size, dtype=np.int64)
     tail = np.zeros(z.size)
     settled = np.zeros(z.size, dtype=bool)
+    summed = np.zeros(z.size, dtype=bool)
     idx = np.flatnonzero((z != 0.0) & (np.abs(z) <= _radius(p)))
     if idx.size:
         coeff = log_coeff_parts(p)
@@ -953,13 +968,14 @@ def kml_batch(p: MLParameters, zs: list, tol: float = DEFAULT_TOL,
 
         res = sum_series_batch(term, idx.size, tol, max_terms,
                                _cert_start(p.alpha, p.beta, max_terms, p.k))
-        ok = (res.converged & _certified(res.tail_bound, res.value, tol)
-              & ~_should_escalate_batch(z[idx], res.abs_sum, res.value,
-                                        err_units, tol))
+        ok = ~(res.converged & _should_escalate_batch(
+            z[idx], res.abs_sum, res.value, err_units, tol))
         done = idx[ok]
         value[done], used[done] = res.value[ok], res.terms[ok]
-        tail[done], settled[done] = res.tail_bound[ok], True
-    for i in np.flatnonzero(~settled).tolist():
+        tail[done], summed[done] = res.tail_bound[ok], True
+        settled[done] = (res.converged
+                         & _certified(res.tail_bound, res.value, tol))[ok]
+    for i in np.flatnonzero(~summed).tolist():
         ev = kml(p, zs[i], tol, max_terms)
         value[i], used[i], tail[i] = ev.value, ev.terms_used, ev.tail_bound
         settled[i] = ev.converged

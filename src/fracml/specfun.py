@@ -78,13 +78,10 @@ def signed_log_gamma(x: float) -> tuple[float, float]:
 
 
 def recip_gamma(x: float) -> float:
-    """1 / Gamma(x), with the entire-function convention of 0.0 at poles."""
-    if is_gamma_pole(x):
-        return 0.0
-    if -_GAMMA_OVERFLOW < x <= _GAMMA_OVERFLOW and abs(x) >= _GAMMA_TINY:
-        return 1.0 / math.gamma(x)
-    lg, sg = signed_log_gamma(x)
-    return sg * math.exp(-lg)
+    """1 / Gamma(x), with the entire-function convention of 0.0 at poles,
+    and an infinity where 1 / Gamma(x) exceeds the double range (``x``
+    below about -171.5): :func:`recip_k_gamma` at ``k = 1``."""
+    return recip_k_gamma(x, 1.0)
 
 
 def k_gamma(g: float, k: float) -> float:
@@ -103,10 +100,10 @@ def k_gamma(g: float, k: float) -> float:
 
 
 def recip_k_gamma(g: float, k: float) -> float:
-    """1 / gamma_k(g) for k > 0, by the range rule of :func:`recip_gamma`:
-    ``1.0 / k_gamma(g, k)`` while Gamma(g/k) and the power of k are doubles,
-    log form beyond; 0.0 at poles, and an infinity where 1 / gamma_k(g)
-    itself exceeds the double range (a tiny k)."""
+    """1 / gamma_k(g) for k > 0: ``1.0 / k_gamma(g, k)`` while Gamma(g/k)
+    and the power of k are nonzero doubles, log form beyond; 0.0 at poles,
+    and an infinity where 1 / gamma_k(g) itself exceeds the double range (a
+    tiny k, or g/k below about -171.5)."""
     z = g / k
     if is_gamma_pole(z):
         return 0.0

@@ -83,6 +83,122 @@ UNDERFLOW_SOLVE_ARGV = ["solve", "--theorem", "1", "--variant", "stated",
                         "--d", "1", "--nu", "1", "--t-max", "1",
                         "--steps", "2"]
 
+# The --help text of the top level and of each subcommand, pinned byte for
+# byte: the parser is the one statement of every flag, and its help must
+# not move when the flags change form.  Formatted at 80 columns.
+HELP = {
+    '': (
+        'usage: fracml [-h] {eval-ml,eval-kml,solve,verify,table} ...\n'
+        '\n'
+        'Mittag-Leffler functions and fractional kinetic equation solutions with\n'
+        'residual verification.\n'
+        '\n'
+        'positional arguments:\n'
+        '  {eval-ml,eval-kml,solve,verify,table}\n'
+        '    eval-ml             evaluate E_{alpha,beta}(x)\n'
+        '    eval-kml            evaluate the generalized k-Mittag-Leffler function\n'
+        '    solve               tabulate a kinetic solution as CSV\n'
+        '    verify              grid-refinement residual report as JSON\n'
+        '    table               regenerate the three-set solution database\n'
+        '\n'
+        'options:\n'
+        '  -h, --help            show this help message and exit\n'
+    ),
+    'eval-ml': (
+        'usage: fracml eval-ml [-h] [--alpha ALPHA] [--beta BETA] [--x X]\n'
+        '                      [--config CONFIG] [--out OUT] [--tol TOL]\n'
+        '\n'
+        'options:\n'
+        '  -h, --help       show this help message and exit\n'
+        '  --alpha ALPHA\n'
+        '  --beta BETA\n'
+        '  --x X\n'
+        '  --config CONFIG  key=value file supplying defaults for any flag\n'
+        '  --out OUT        output path (default: standard output)\n'
+        '  --tol TOL        series tolerance (default 1e-12)\n'
+    ),
+    'eval-kml': (
+        'usage: fracml eval-kml [-h] [--k K] [--alpha ALPHA] [--beta BETA]\n'
+        '                       [--gamma GAMMA] [--tau TAU] [--z Z] [--config CONFIG]\n'
+        '                       [--out OUT] [--tol TOL]\n'
+        '\n'
+        'options:\n'
+        '  -h, --help       show this help message and exit\n'
+        '  --k K\n'
+        '  --alpha ALPHA\n'
+        '  --beta BETA\n'
+        '  --gamma GAMMA\n'
+        '  --tau TAU\n'
+        '  --z Z\n'
+        '  --config CONFIG  key=value file supplying defaults for any flag\n'
+        '  --out OUT        output path (default: standard output)\n'
+        '  --tol TOL        series tolerance (default 1e-12)\n'
+    ),
+    'solve': (
+        'usage: fracml solve [-h] [--theorem THEOREM] [--variant VARIANT] [--N0 N0]\n'
+        '                    [--gamma GAMMA] [--tau TAU] [--k K] [--alpha ALPHA]\n'
+        '                    [--beta BETA] [--d D] [--a A] [--nu NU] [--t-max T_MAX]\n'
+        '                    [--steps STEPS] [--config CONFIG] [--out OUT]\n'
+        '\n'
+        'options:\n'
+        '  -h, --help         show this help message and exit\n'
+        '  --theorem THEOREM  kinetic equation family: 1, 2 or 3\n'
+        "  --variant VARIANT  'stated' or 'rederived' series weights\n"
+        '  --N0 N0            initial number density (> 0)\n'
+        '  --gamma GAMMA      Pochhammer base parameter (> 0)\n'
+        '  --tau TAU          Pochhammer increment step, in (0,1) or integer\n'
+        '  --k K              gamma deformation step (> 0)\n'
+        '  --alpha ALPHA      series exponent step (> 0)\n'
+        '  --beta BETA        series offset (> 0)\n'
+        '  --d D              forcing rate constant (> 0)\n'
+        '  --a A              removal rate constant (default: equal to --d)\n'
+        '  --nu NU            fractional integral order (> 0)\n'
+        '  --t-max T_MAX      right endpoint of the time grid\n'
+        '  --steps STEPS      number of uniform grid steps (>= 1)\n'
+        '  --config CONFIG\n'
+        '  --out OUT\n'
+    ),
+    'verify': (
+        'usage: fracml verify [-h] [--theorem THEOREM] [--variant VARIANT] [--N0 N0]\n'
+        '                     [--gamma GAMMA] [--tau TAU] [--k K] [--alpha ALPHA]\n'
+        '                     [--beta BETA] [--d D] [--a A] [--nu NU] [--t-max T_MAX]\n'
+        '                     [--grids GRIDS] [--threshold THRESHOLD] '
+        '[--config CONFIG]\n'
+        '                     [--out OUT]\n'
+        '\n'
+        'options:\n'
+        '  -h, --help            show this help message and exit\n'
+        '  --theorem THEOREM     kinetic equation family: 1, 2 or 3\n'
+        "  --variant VARIANT     'stated' or 'rederived' series weights\n"
+        '  --N0 N0               initial number density (> 0)\n'
+        '  --gamma GAMMA         Pochhammer base parameter (> 0)\n'
+        '  --tau TAU             Pochhammer increment step, in (0,1) or integer\n'
+        '  --k K                 gamma deformation step (> 0)\n'
+        '  --alpha ALPHA         series exponent step (> 0)\n'
+        '  --beta BETA           series offset (> 0)\n'
+        '  --d D                 forcing rate constant (> 0)\n'
+        '  --a A                 removal rate constant (default: equal to --d)\n'
+        '  --nu NU               fractional integral order (> 0)\n'
+        '  --t-max T_MAX         right endpoint of the time grid\n'
+        '  --grids GRIDS         comma-separated step counts, each double the last\n'
+        '  --threshold THRESHOLD\n'
+        '                        max residual allowed on the finest grid '
+        '(default 1e-5)\n'
+        '  --config CONFIG\n'
+        '  --out OUT\n'
+    ),
+    'table': (
+        'usage: fracml table [-h] [--t-max T_MAX] [--steps STEPS] [--config CONFIG]\n'
+        '                    [--out OUT]\n'
+        '\n'
+        'options:\n'
+        '  -h, --help       show this help message and exit\n'
+        '  --t-max T_MAX\n'
+        '  --steps STEPS\n'
+        '  --config CONFIG\n'
+        '  --out OUT\n'
+    ),
+}
 
 def run(argv, capsys):
     code = main(argv)
@@ -164,6 +280,19 @@ class TestEvalMl:
             value = float(out.splitlines()[1].split(",")[0])
             expected = -(30.0 ** 51) * math.exp(-30.0)
             assert abs(value - expected) <= 1e-12 * abs(expected)
+
+
+    @pytest.mark.parametrize("beta, row", [("-171.5", "inf,1,0,false"),
+                                           ("-200.5", "-inf,1,0,false")])
+    def test_reciprocal_gamma_beyond_the_double_range_exits_3(
+            self, beta, row, capsys):
+        # E_{1,beta}(0) = 1/Gamma(beta) exceeds the largest double: once a
+        # certified inf, or an OverflowError traceback.
+        code, out, err = run(["eval-ml", "--alpha", "1", "--beta", beta,
+                              "--x", "0"], capsys)
+        assert code == 3
+        assert out.splitlines()[1] == row
+        assert "overflowed" in err
 
 
 class TestEvalKml:
@@ -435,6 +564,20 @@ class TestParser:
         assert code == 2
         assert "--x" in err
 
+    @pytest.mark.parametrize("command", list(HELP))
+    def test_help_text(self, command, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        argv = [command, "--help"] if command else ["--help"]
+        assert run(argv, capsys) == (0, HELP[command], "")
+
+    def test_value_check_is_a_usage_error(self, capsys):
+        code, out, err = run(["eval-ml", "--alpha", "0", "--beta", "1",
+                              "--x", "1"], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: fracml eval-ml")
+        assert err.endswith("fracml eval-ml: error: argument --alpha: "
+                            "must be > 0\n")
+
     def test_help_and_usage_errors_repeat(self, capsys):
         first = run(["--help"], capsys)
         assert first[0] == 0 and first[1].startswith("usage: fracml")
@@ -468,6 +611,67 @@ class TestConfigFile:
         assert code == 2
         assert "bogus" in err
 
+
+    # One call per subcommand, as flags; the same flags go into a config
+    # file as key=value lines (t_max with its underscore).
+    SUBCOMMAND_FLAGS = [
+        ("eval-ml", {"alpha": "0.7", "beta": "0.7", "x": "-40"}),
+        ("eval-kml", {"k": "2", "alpha": "6", "beta": "7", "gamma": "2",
+                      "tau": "1", "z": "1", "tol": "1e-13"}),
+        ("solve", {"theorem": "2", "variant": "rederived", "N0": "0.05",
+                   "gamma": "2", "tau": "1", "k": "2", "alpha": "6",
+                   "beta": "7", "d": "3", "nu": "5", "t_max": "0.4",
+                   "steps": "4"}),
+        ("verify", {"theorem": "3", "variant": "stated", "N0": "0.05",
+                    "gamma": "2", "tau": "1", "k": "2", "alpha": "6",
+                    "beta": "7", "d": "3", "a": "3", "nu": "7",
+                    "t_max": "0.4", "grids": "16,32", "threshold": "1e-30"}),
+        ("table", {"t_max": "0.25", "steps": "3"}),
+    ]
+
+    @pytest.mark.parametrize("command, flags", SUBCOMMAND_FLAGS)
+    def test_config_equals_flags(self, command, flags, capsys, tmp_path):
+        argv = [command]
+        for key, value in flags.items():
+            argv += ["--" + key.replace("_", "-"), value]
+        expected = run(argv, capsys)
+        assert expected[0] in (0, 4) and expected[1]
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("".join(f"{key} = {value}  # {key}\n"
+                               for key, value in flags.items()))
+        assert run([command, "--config", str(cfg)], capsys) == expected
+
+    def test_config_value_is_checked(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("alpha=0\nbeta=1\nx=1\n")
+        code, out, err = run(["eval-ml", "--config", str(cfg)], capsys)
+        assert (code, out) == (2, "")
+        assert "argument --alpha: must be > 0" in err
+        cfg.write_text("t_max=-1\n")
+        code, _, err = run(["table", "--config", str(cfg)], capsys)
+        assert code == 2
+        assert "argument --t-max: must be > 0" in err
+
+    def test_malformed_line_exits_2(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("alpha=1\nbeta 1\nx=1\n")
+        code, out, err = run(["eval-ml", "--config", str(cfg)], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: --config {cfg}: line 2 is not key=value\n"
+
+    def test_unreadable_file_exits_2(self, capsys, tmp_path):
+        missing = tmp_path / "missing.cfg"
+        code, out, err = run(["eval-ml", "--config", str(missing)], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: --config: cannot read {missing}")
+
+    def test_flag_overrides_config_before_or_after_it(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("t_max=0.5\nsteps=50\n")
+        expected = run(["table", "--t-max", "0.25", "--steps", "3"], capsys)
+        for argv in (["--config", str(cfg), "--t-max", "0.25", "--steps", "3"],
+                     ["--t-max", "0.25", "--steps", "3", "--config", str(cfg)]):
+            assert run(["table", *argv], capsys) == expected
 
 class TestDeterminism:
     def test_solve_reruns_are_byte_identical(self):

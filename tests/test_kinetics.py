@@ -359,26 +359,16 @@ def _record_calls(monkeypatch, module, name):
 def _grid_and_points(solver, prob, ts):
     """A grid call and per-point calls at ``ts``, with the arguments of the
     cancelling inner evaluations (``_ml2_cancelling``: the contour, else the
-    extended-precision re-sum) each made, sorted.  Those at the inner
-    argument of a point the grid call left to the per-point code are left
-    out of both lists (the batch may have started that point's evaluations
-    before it gave up on it)."""
-    kinetics, mittag = fracml.kinetics, fracml.mittag
+    extended-precision re-sum) each made, sorted."""
+    mittag = fracml.mittag
     with mock.patch.object(mittag, "_ml2_cancelling",
-                           wraps=mittag._ml2_cancelling) as escalations, \
-            mock.patch.object(kinetics, "_solution_series",
-                              wraps=kinetics._solution_series) as per_point:
+                           wraps=mittag._ml2_cancelling) as escalations:
         grid = solver(prob, np.array(ts))
-        left = {c.args[3] for c in per_point.call_args_list}
-        grid_esc = escalations.call_args_list[:]
+        grid_esc = sorted(c.args for c in escalations.call_args_list)
         escalations.reset_mock()
         points = [solver(prob, t) for t in ts]
-        point_esc = escalations.call_args_list[:]
-
-    def batched(calls):
-        return sorted(c.args for c in calls if c.args[2] not in left)
-
-    return grid, points, batched(grid_esc), batched(point_esc)
+        point_esc = sorted(c.args for c in escalations.call_args_list)
+    return grid, points, grid_esc, point_esc
 
 
 def _problem_for(solver, ml, d, a, nu):
@@ -437,13 +427,17 @@ class TestGridEvaluation:
 
     def test_points_outside_the_direct_branch_fall_back(self, monkeypatch):
         # With w = (60 t)**7 the outer series needs n >= 17 at the far end,
-        # where the inner gamma arguments 7 m + 7 n + 1 pass 170.
+        # where the inner gamma arguments 7 m + 7 n + 1 pass 170.  Those
+        # inner factors fall back to ml2 inside the batch; the only
+        # per-point sum is the one at t = 0.
         calls = _record_calls(monkeypatch, fracml.kinetics, "_solution_series")
+        inner = _record_calls(monkeypatch, fracml.mittag, "ml2")
         ml = MLParameters(k=1.0, alpha=1.0, beta=1.0, gamma=1.0, q=1.0)
         prob = problem(nu=7.0, forcing=Forcing.POWERED, d=60.0, a=0.5, ml=ml)
         ts = [1.0 * i / GRID_CROSSOVER for i in range(GRID_CROSSOVER + 1)]
         grid = solve_theorem3_stated(prob, np.array(ts))
-        assert len(calls) > 1
+        assert [c[2] for c in calls] == [0.0]
+        assert inner
         monkeypatch.undo()
         assert grid.converged
         for i, t in enumerate(ts):

@@ -259,14 +259,41 @@ class TestBatchEvaluator:
         assert ml2(p, 0.0).value == pytest.approx(2.2250738585e-313, rel=1e-12)
         xs = [1.0, -0.5]
         idx = np.arange(2)
-        value, _, settled = ML2Rows(p.alpha, [p.beta], PowerTable(xs),
-                                    idx).take(0, idx)
-        assert not settled.any()
-        for x in xs:
+        value, used, settled = ML2Rows(p.alpha, [p.beta], PowerTable(xs),
+                                       idx).take(0, idx)
+        # Gamma(beta) is outside the direct branch: the batch leaves both
+        # entries to ml2, which settles them.
+        assert settled.all()
+        for i, x in enumerate(xs):
             ev = ml2(p, x)
             assert ev.converged
+            assert (value[i], used[i]) == (ev.value, ev.terms_used)
             # E_{1,0}(x) = x e^x
             assert ev.value == pytest.approx(x * math.exp(x), rel=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(alpha=st.floats(0.5, 3.0),
+           betas=st.lists(st.one_of(st.floats(-3.0, 5.0),
+                                    st.sampled_from([2.2250738585e-313,
+                                                     175.5, 300.0])),
+                          min_size=1, max_size=3),
+           xs=st.lists(st.one_of(st.floats(-40.0, 40.0),
+                                 st.sampled_from([-1e5, 1e5, 900.0])
+                                 ).filter(lambda x: x != 0.0),
+                       min_size=1, max_size=8))
+    def test_every_entry_equals_ml2(self, alpha, betas, xs):
+        # Offsets past the direct branch, powers that leave it and terms
+        # that overflow end the batch's sum early; those entries come from
+        # ml2 itself, so every entry is ml2's.
+        idx = np.arange(len(xs))
+        rows = ML2Rows(alpha, betas, PowerTable(xs), idx)
+        for r, beta in enumerate(betas):
+            value, used, converged = rows.take(r, idx)
+            for i, x in enumerate(xs):
+                ev = ml2(TwoParamML(alpha, beta), x)
+                got = (float(value[i]), int(used[i]), bool(converged[i]))
+                assert repr(got) == repr((ev.value, ev.terms_used,
+                                          ev.converged)), (beta, x)
 
     def test_ordinary_points_settle(self):
         xs = [-3.0, -0.5, 0.25, 2.0, 4.0]
@@ -345,6 +372,24 @@ class TestKmlBatch:
         p = MLParameters(1.0, 1.0, 1.0, 1.0, 1.0)
         with pytest.raises(DomainError):
             kml_batch(p, [0.5, math.inf])
+
+    def test_budget_runs_are_not_summed_again(self, monkeypatch):
+        # alpha/k = 3.3e-11: (alpha n + beta)/k never reaches 2 within the
+        # budget, so no point certifies and every sum runs all its terms.
+        # The batch's partial sums are kml's; kml is not called.
+        calls = []
+        original = mittag.kml
+        monkeypatch.setattr(mittag, "kml",
+                            lambda *args: calls.append(args) or original(*args))
+        p = MLParameters(3.0, 1e-10, 1.5, 1.0, 1.0)
+        zs = [0.25, 0.5, -0.25]
+        out = kml_batch(p, zs)
+        assert calls == []
+        monkeypatch.undo()
+        for i, z in enumerate(zs):
+            ev = kml(p, z)
+            assert not ev.converged
+            assert _fields(*out, i) == repr(ev)
 
 
 # E_{1.95...,20.5...}(-1065.6...): an inner factor of a fast-removal solve
@@ -854,6 +899,14 @@ class TestStatus:
         assert ml2(p, 10.0, max_terms=3).status == "budget"
         # E_{1/2,1}(30) = e**900 erfc(-30) is not a double.
         ev = ml2(TwoParamML(0.5, 1.0), 30.0)
+        assert (ev.converged, ev.status) == (False, "overflow")
+
+    @pytest.mark.parametrize("beta", [-171.5, -200.5])
+    def test_ml2_at_zero_beyond_the_double_range(self, beta):
+        # 1/Gamma(beta) is not a double: an infinity, reported unconverged,
+        # as kml reports 1/gamma_k(beta) at z = 0.
+        ev = ml2(TwoParamML(1.0, beta), 0.0)
+        assert math.isinf(ev.value)
         assert (ev.converged, ev.status) == (False, "overflow")
 
     def test_kml_paths(self):

@@ -1,4 +1,5 @@
 import math
+import struct
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +13,8 @@ from fracml.specfun import (
     k_pochhammer,
     k_pochhammer_general,
     recip_gamma,
+    recip_k_gamma,
+    signed_log_gamma,
 )
 from oracles import k_gamma_general, log_gamma, pochhammer
 
@@ -78,6 +81,39 @@ class TestRecipGamma:
     def test_beyond_overflow(self):
         # 1/Gamma underflows smoothly instead of raising.
         assert recip_gamma(500.0) == 0.0
+
+    @pytest.mark.parametrize("x, expected", [(-171.5, math.inf),
+                                             (-200.5, -math.inf)])
+    def test_beyond_the_double_range(self, x, expected):
+        # 1/Gamma(x) exceeds the largest double: an infinity of its sign.
+        assert recip_gamma(x) == expected
+
+    @settings(max_examples=2000)
+    @given(x=st.one_of(st.floats(-400.0, 400.0), st.floats(-180.0, -160.0),
+                       st.floats(-1e-290, 1e-290),
+                       st.integers(-300, 300).map(float),
+                       st.floats(-1e300, 1e300)))
+    def test_equals_the_former_formula_bit_for_bit(self, x):
+        # recip_gamma is recip_k_gamma at k = 1; it returns the bits of its
+        # former own formula wherever that formula returned, and an
+        # infinity where it raised.
+        def former(x):
+            if x <= 0.0 and x == math.floor(x):
+                return 0.0
+            if -171.62 < x <= 171.62 and abs(x) >= 1e-300:
+                return 1.0 / math.gamma(x)
+            lg, sg = signed_log_gamma(x)
+            return sg * math.exp(-lg)
+
+        value = recip_gamma(x)
+        assert struct.pack("<d", value) == struct.pack(
+            "<d", recip_k_gamma(x, 1.0))
+        try:
+            expected = former(x)
+        except (OverflowError, ZeroDivisionError):
+            assert math.isinf(value)
+            return
+        assert struct.pack("<d", value) == struct.pack("<d", expected)
 
 
 class TestKGamma:
