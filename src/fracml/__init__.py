@@ -21,7 +21,6 @@ from .kinetics import (
     Forcing,
     GridEvaluation,
     KineticProblem,
-    SolutionSeriesConfig,
     forcing_value,
     solve,
     solve_theorem1,
@@ -58,7 +57,6 @@ __all__ = [
     "Forcing",
     "GridEvaluation",
     "KineticProblem",
-    "SolutionSeriesConfig",
     "forcing_value",
     "solve",
     "solve_theorem1",

@@ -38,7 +38,6 @@ from .errors import DomainError
 from .kinetics import (
     Forcing,
     KineticProblem,
-    SolutionSeriesConfig,
     solve_theorem1,
     solve_theorem2_rederived,
     solve_theorem2_stated,
@@ -206,7 +205,7 @@ def _problem(theorem: int, n0: float, params: MLParameters, d: float,
 def _grid_values(solver, prob, t_max: float, steps: int) -> list:
     ts = [t_max * i / steps for i in range(steps + 1)]
     try:
-        ev = solver(prob, np.array(ts), SolutionSeriesConfig())
+        ev = solver(prob, np.array(ts))
     except OverflowError as exc:
         raise CliError(EXIT_NO_CONVERGENCE, f"evaluation overflowed: {exc}")
     if not ev.converged:

@@ -23,9 +23,10 @@ accurate for smooth ones, which is what the grid-refinement residual report
 relies on.
 
 The residual report samples the solver and the forcing once, on the finest
-grid, in one grid call of each (see :mod:`fracml.kinetics`), and takes
-each coarser grid as every ``G // g``-th sample.  Because the grids
-double, ``np.linspace(0, t_max, g + 1)`` equals
+grid, in one grid call of each (see :mod:`fracml.kinetics`; the forcing is
+evaluated to ``kinetics.INNER_TOL``, the tolerance of the solution's inner
+factors), and takes each coarser grid as every ``G // g``-th sample.
+Because the grids double, ``np.linspace(0, t_max, g + 1)`` equals
 ``np.linspace(0, t_max, G + 1)[::G // g]`` exactly (``t_max / g`` and
 ``t_max / G`` differ by a power of two), so the report is bit-identical to
 sampling every grid afresh.  A report is complete only when the solver and
@@ -42,13 +43,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import DomainError
-from .kinetics import (
-    DEFAULT_CONFIG,
-    KineticProblem,
-    SolutionSeriesConfig,
-    forcing_value,
-)
-from .mittag import SeriesEvaluation
+from .kinetics import GridEvaluation, KineticProblem, forcing_value
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,10 +141,9 @@ def check_grids(grids: Sequence[int]) -> tuple:
 
 
 def residual_report(prob: KineticProblem,
-                    solver: Callable[..., SeriesEvaluation],
+                    solver: Callable[..., GridEvaluation],
                     t_max: float,
-                    grids: Sequence[int],
-                    cfg: Optional[SolutionSeriesConfig] = None) -> ResidualReport:
+                    grids: Sequence[int]) -> ResidualReport:
     """Defect of a claimed solution against its kinetic equation.
 
     On each grid the residual R_i = N_i - N0 f(t_i) + a**nu (I^nu N)_i, with
@@ -158,30 +152,25 @@ def residual_report(prob: KineticProblem,
     second order as the step halves, while a wrong solution leaves a
     non-vanishing floor.
 
-    ``solver(prob, ts, cfg)`` and ``forcing_value(prob, ts, tol)`` are each
-    called once, with the times of the finest grid.  The solver's ``value``
-    is either one value per time or a single value for all of them.
-    ``complete`` is False unless both the solver and every forcing point
-    converged.
+    ``solver(prob, ts)`` and ``forcing_value(prob, ts)`` are each called
+    once, with the times of the finest grid; the solver returns one value
+    per time.  ``complete`` is False unless both the solver and every
+    forcing point converged.
     """
     if not (math.isfinite(t_max) and t_max > 0.0):
         raise DomainError("t_max must be finite and > 0")
     grids = check_grids(grids)
-    cfg = cfg if cfg is not None else DEFAULT_CONFIG
     apow = prob.a ** prob.nu
     finest = grids[-1]
     ts = np.linspace(0.0, t_max, finest + 1)
-    ev = solver(prob, ts, cfg)
-    # A per-point solver (a test double) may return one value for all times.
-    nvals_all = np.broadcast_to(np.asarray(ev.value, dtype=float), ts.shape)
-    forcing = forcing_value(prob, ts, cfg.inner_tol)
-    fvals_all = forcing.value
+    ev = solver(prob, ts)
+    forcing = forcing_value(prob, ts)
     max_res = []
     l2_res = []
     for steps in grids:
         h = t_max / steps
-        nvals = nvals_all[::finest // steps]
-        fvals = fvals_all[::finest // steps]
+        nvals = ev.value[::finest // steps]
+        fvals = forcing.value[::finest // steps]
         integ = rl_integral(SampledFunction(h, nvals), prob.nu).values
         resid = nvals - fvals + apow * integ
         max_res.append(float(np.max(np.abs(resid))))

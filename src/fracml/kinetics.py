@@ -34,8 +34,10 @@ requires and calls it.
 
 Outer series are truncated with the same geometric-tail certificate as the
 Mittag-Leffler evaluators, applied to outer terms that already include their
-converged inner factor.  A coefficient that is not a double (see
-:func:`fracml.mittag.log_coeff_parts`) makes the point unconverged.
+converged inner factor: to ``OUTER_TOL`` within ``OUTER_MAX_TERMS`` terms,
+each inner factor (and the forcing) evaluated to ``INNER_TOL``.  A
+coefficient that is not a double (see :func:`fracml.mittag.log_coeff_parts`)
+makes the point unconverged.
 
 :func:`solve` also takes a 1-D array of times and returns a
 :class:`GridEvaluation`.  With at least ``GRID_CROSSOVER`` points whose
@@ -129,24 +131,12 @@ class KineticProblem:
             raise DomainError("a must be finite and >= 0")
 
 
-@dataclass(frozen=True)
-class SolutionSeriesConfig:
-    """Truncation controls for the solution series."""
-
-    outer_tol: float = 1e-12
-    outer_max_terms: int = 2000
-    inner_tol: float = 1e-13
-
-    def __post_init__(self):
-        if not (self.outer_tol >= 2.2e-16 and math.isfinite(self.outer_tol)):
-            raise DomainError("outer_tol must be >= machine epsilon")
-        if not (1 <= self.outer_max_terms <= 10_000):
-            raise DomainError("outer_max_terms must lie in [1, 10000]")
-        if not (self.inner_tol > 0.0 and math.isfinite(self.inner_tol)):
-            raise DomainError("inner_tol must be > 0")
-
-
-DEFAULT_CONFIG = SolutionSeriesConfig()
+# Truncation of the solution series: the outer sum's tolerance and term
+# budget, and the tolerance of each inner factor E_{nu,b(n)} (and of the
+# forcing, which the residual check compares with the solution).
+OUTER_TOL = 1e-12
+OUTER_MAX_TERMS = 2000
+INNER_TOL = 1e-13
 
 
 # Grids with fewer batchable points than this are evaluated point by point:
@@ -212,9 +202,9 @@ def _forcing_arg(prob: KineticProblem, t: float) -> float:
     return t if prob.forcing is Forcing.PLAIN else (prob.d * t) ** prob.nu
 
 
-def forcing_value(prob: KineticProblem, t: Times,
-                  tol: float = 1e-12) -> Evaluation:
-    """N0 times the forcing E(z) at z = t (plain) or z = (d t)**nu (powered).
+def forcing_value(prob: KineticProblem, t: Times) -> Evaluation:
+    """N0 times the forcing E(z) at z = t (plain) or z = (d t)**nu (powered),
+    to ``INNER_TOL``.
 
     ``t`` is a time (result: :class:`SeriesEvaluation`) or a 1-D array of
     times (result: :class:`GridEvaluation`, from one
@@ -224,16 +214,15 @@ def forcing_value(prob: KineticProblem, t: Times,
     t = _check_times(t)
     if isinstance(t, np.ndarray):
         value, terms, tail, converged = kml_batch(
-            prob.ml, [_forcing_arg(prob, ti) for ti in t.tolist()], tol)
+            prob.ml, [_forcing_arg(prob, ti) for ti in t.tolist()], INNER_TOL)
         return GridEvaluation(t, prob.n0 * value, terms, prob.n0 * tail,
                               converged)
-    ev = kml(prob.ml, _forcing_arg(prob, t), tol)
+    ev = kml(prob.ml, _forcing_arg(prob, t), INNER_TOL)
     return SeriesEvaluation(prob.n0 * ev.value, ev.terms_used,
                             prob.n0 * ev.tail_bound, ev.converged)
 
 
-def _solution_series(prob: KineticProblem, cfg: SolutionSeriesConfig,
-                     x: float, y: float,
+def _solution_series(prob: KineticProblem, x: float, y: float,
                      inner_beta: Callable[[int], float],
                      extra_log: Callable[[int], float]) -> SeriesEvaluation:
     """Sum N0 * sum_n C_n exp(extra_log(n)) x**n E_{nu, inner_beta(n)}(y)."""
@@ -246,7 +235,7 @@ def _solution_series(prob: KineticProblem, cfg: SolutionSeriesConfig,
         return (num - pw) - lg
 
     def inner(n: int) -> float:
-        ev = ml2(TwoParamML(nu, inner_beta(n)), y, cfg.inner_tol)
+        ev = ml2(TwoParamML(nu, inner_beta(n)), y, INNER_TOL)
         if not ev.converged:
             raise SeriesAbort("inner Mittag-Leffler factor did not converge")
         return ev.value
@@ -275,12 +264,11 @@ def _solution_series(prob: KineticProblem, cfg: SolutionSeriesConfig,
             raise SeriesAbort("solution series term overflow")
         return math.copysign(math.exp(logmag), iv)
 
-    res = sum_series(term, cfg.outer_tol, cfg.outer_max_terms, MIN_TERMS)
+    res = sum_series(term, OUTER_TOL, OUTER_MAX_TERMS, MIN_TERMS)
     return SeriesEvaluation(res.value, res.terms, res.tail_bound, res.converged)
 
 
-def _solution_series_batch(prob: KineticProblem, cfg: SolutionSeriesConfig,
-                           xs: list, ys: list,
+def _solution_series_batch(prob: KineticProblem, xs: list, ys: list,
                            inner_beta: Callable[[int], float],
                            extra_log: Callable[[int], float]) -> SeriesSumBatch:
     """:func:`_solution_series` at every nonzero pair (xs[i], ys[i]) at once.
@@ -311,10 +299,10 @@ def _solution_series_batch(prob: KineticProblem, cfg: SolutionSeriesConfig,
             return np.zeros(pos.size), np.ones(pos.size, dtype=bool)
         if n >= end:
             start = n
-            end = min(2 * n if n else MIN_TERMS + 2, cfg.outer_max_terms + 1,
+            end = min(2 * n if n else MIN_TERMS + 2, OUTER_MAX_TERMS + 1,
                       n + max(1, BLOCK_ENTRIES // pos.size))
             rows = ML2Rows(nu, [inner_beta(j) for j in range(start, end)],
-                           powers, pos, cfg.inner_tol)
+                           powers, pos, INNER_TOL)
             col[pos] = np.arange(pos.size)
         iv, _, converged = rows.take(n - start, col[pos])
         # An unconverged factor aborts, as in the per-point sum, and so
@@ -334,12 +322,11 @@ def _solution_series_batch(prob: KineticProblem, cfg: SolutionSeriesConfig,
         t[bad] = 0.0
         return t, bad
 
-    return sum_series_batch(term, len(xs), cfg.outer_tol, cfg.outer_max_terms,
+    return sum_series_batch(term, len(xs), OUTER_TOL, OUTER_MAX_TERMS,
                             MIN_TERMS)
 
 
-def _solution_grid(prob: KineticProblem, cfg: SolutionSeriesConfig,
-                   ts: np.ndarray,
+def _solution_grid(prob: KineticProblem, ts: np.ndarray,
                    point: Callable[[float], tuple],
                    inner_beta: Callable[[int], float],
                    extra_log: Callable[[int], float]) -> GridEvaluation:
@@ -354,14 +341,14 @@ def _solution_grid(prob: KineticProblem, cfg: SolutionSeriesConfig,
     batch = [i for i, (x, y) in enumerate(args) if x != 0.0 and y != 0.0]
     per_point = np.ones(size, dtype=bool)
     if len(batch) >= GRID_CROSSOVER:
-        res = _solution_series_batch(prob, cfg, [args[i][0] for i in batch],
+        res = _solution_series_batch(prob, [args[i][0] for i in batch],
                                      [args[i][1] for i in batch],
                                      inner_beta, extra_log)
         value[batch], terms[batch] = res.value, res.terms
         tail[batch], converged[batch] = res.tail_bound, res.converged
         per_point[batch] = False
     for i in np.flatnonzero(per_point).tolist():
-        ev = _solution_series(prob, cfg, *args[i], inner_beta, extra_log)
+        ev = _solution_series(prob, *args[i], inner_beta, extra_log)
         value[i], terms[i] = ev.value, ev.terms_used
         tail[i], converged[i] = ev.tail_bound, ev.converged
     return GridEvaluation(ts, value, terms, tail, converged)
@@ -370,8 +357,8 @@ def _solution_grid(prob: KineticProblem, cfg: SolutionSeriesConfig,
 _ZERO = lambda n: 0.0  # noqa: E731
 
 
-def solve(prob: KineticProblem, t: Times, variant: str = "stated",
-          cfg: SolutionSeriesConfig = DEFAULT_CONFIG) -> Evaluation:
+def solve(prob: KineticProblem, t: Times,
+          variant: str = "stated") -> Evaluation:
     """The solution ``N0 sum_n C_n x**n E_{nu,b(n)}(-(a t)**nu)`` of the
     problem's equation at ``t``, with ``x`` the forcing argument (``t``, or
     ``(d t)**nu`` for powered forcing) and ``a`` the removal rate.
@@ -400,8 +387,8 @@ def solve(prob: KineticProblem, t: Times, variant: str = "stated",
         return _forcing_arg(prob, t), -((a * t) ** nu)
 
     if isinstance(t, np.ndarray):
-        return _solution_grid(prob, cfg, t, point, inner_beta, extra_log)
-    return _solution_series(prob, cfg, *point(t), inner_beta, extra_log)
+        return _solution_grid(prob, t, point, inner_beta, extra_log)
+    return _solution_series(prob, *point(t), inner_beta, extra_log)
 
 
 # The named theorems: each checks its forcing and rates, then calls solve.
@@ -413,36 +400,31 @@ def _require(prob: KineticProblem, forcing: Forcing, equal_rates: bool) -> None:
         raise DomainError("this solver requires equal rates a == d")
 
 
-def solve_theorem1(prob: KineticProblem, t: Times,
-                   cfg: SolutionSeriesConfig = DEFAULT_CONFIG) -> Evaluation:
+def solve_theorem1(prob: KineticProblem, t: Times) -> Evaluation:
     """Plain forcing, equal rates: N0 sum_n C_n t**n E_{nu,n+1}(-(d t)**nu)."""
     _require(prob, Forcing.PLAIN, equal_rates=True)
-    return solve(prob, t, "stated", cfg)
+    return solve(prob, t, "stated")
 
 
-def solve_theorem2_stated(prob: KineticProblem, t: Times,
-                          cfg: SolutionSeriesConfig = DEFAULT_CONFIG) -> Evaluation:
+def solve_theorem2_stated(prob: KineticProblem, t: Times) -> Evaluation:
     """Powered forcing, equal rates, unweighted series."""
     _require(prob, Forcing.POWERED, equal_rates=True)
-    return solve(prob, t, "stated", cfg)
+    return solve(prob, t, "stated")
 
 
-def solve_theorem2_rederived(prob: KineticProblem, t: Times,
-                             cfg: SolutionSeriesConfig = DEFAULT_CONFIG) -> Evaluation:
+def solve_theorem2_rederived(prob: KineticProblem, t: Times) -> Evaluation:
     """Powered forcing, equal rates, with the Gamma(nu n + 1)/n! weight."""
     _require(prob, Forcing.POWERED, equal_rates=True)
-    return solve(prob, t, "rederived", cfg)
+    return solve(prob, t, "rederived")
 
 
-def solve_theorem3_stated(prob: KineticProblem, t: Times,
-                          cfg: SolutionSeriesConfig = DEFAULT_CONFIG) -> Evaluation:
+def solve_theorem3_stated(prob: KineticProblem, t: Times) -> Evaluation:
     """Powered forcing, independent rates, unweighted series."""
     _require(prob, Forcing.POWERED, equal_rates=False)
-    return solve(prob, t, "stated", cfg)
+    return solve(prob, t, "stated")
 
 
-def solve_theorem3_rederived(prob: KineticProblem, t: Times,
-                             cfg: SolutionSeriesConfig = DEFAULT_CONFIG) -> Evaluation:
+def solve_theorem3_rederived(prob: KineticProblem, t: Times) -> Evaluation:
     """Powered forcing, independent rates, with the Gamma(nu n + 1)/n! weight."""
     _require(prob, Forcing.POWERED, equal_rates=False)
-    return solve(prob, t, "rederived", cfg)
+    return solve(prob, t, "rederived")

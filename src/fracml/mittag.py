@@ -16,7 +16,9 @@ Both return a :class:`SeriesEvaluation` carrying truncation diagnostics;
 form (or directly through the gamma function while its argument is in
 range), and Gamma poles met inside a series contribute zero terms via the
 reciprocal-gamma convention.  The tail certificate is tested from the index
-:func:`_cert_start` gives, where the gamma argument is past all poles.
+:func:`_cert_start` gives, where the gamma argument is past all poles.  A
+series is summed to the caller's ``tol`` (``DEFAULT_TOL`` by default) within
+``MAX_TERMS`` terms, the budget of the extended-precision re-sum too.
 
 Every value comes from one of three paths, named by
 :attr:`SeriesEvaluation.status`:
@@ -81,6 +83,7 @@ status ``overflow``.
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import math
 import sys
@@ -99,7 +102,7 @@ from .specfun import is_gamma_pole, recip_gamma, recip_k_gamma, signed_log_gamma
 from .summation import SeriesAbort, sum_series, sum_series_batch
 
 DEFAULT_TOL = 1e-12
-DEFAULT_MAX_TERMS = 10_000
+MAX_TERMS = 10_000
 MIN_TERMS = 8
 
 _EPS = sys.float_info.epsilon
@@ -200,7 +203,7 @@ def _needed_dps(abs_sum: float, value: float) -> int:
 _MP_LOCK = threading.Lock()
 
 
-def _mp_sum(term_mp, dps: int, max_terms: int) -> tuple[float, int]:
+def _mp_sum(term_mp, dps: int) -> tuple[float, int]:
     """Sum an mpmath term generator until three consecutive nonzero terms
     fall below the working precision relative to the largest magnitude seen.
     Zero terms (at gamma poles) neither count nor break the run."""
@@ -210,7 +213,7 @@ def _mp_sum(term_mp, dps: int, max_terms: int) -> tuple[float, int]:
         thresh = mpf(10) ** (-(dps + 3))
         small = 0
         n = 0
-        while n < max_terms:
+        while n < MAX_TERMS:
             t = term_mp(n)
             total += t
             at = abs(t)
@@ -237,8 +240,8 @@ def _should_escalate(x: float, abs_sum: float, value: float,
     )
 
 
-def _extended_sum(term_mp, abs_sum: float, approx: float,
-                  max_terms: int) -> tuple[float, int, float]:
+def _extended_sum(term_mp, abs_sum: float,
+                  approx: float) -> tuple[float, int, float]:
     """Re-sum a cancelling series in extended precision.
 
     The working precision must cover the (unknown) ratio of the absolute
@@ -251,15 +254,14 @@ def _extended_sum(term_mp, abs_sum: float, approx: float,
     dps, value, used = 22, approx, 0
     for _ in range(6):
         dps = _needed_dps(abs_sum, target)
-        value, used = _mp_sum(term_mp, dps, max_terms)
+        value, used = _mp_sum(term_mp, dps)
         if dps >= _needed_dps(abs_sum, value):
             break
         target = max(abs(value), 1e-300)
     return value, used, abs_sum * 10.0 ** (3 - dps)
 
 
-def ml2(p: TwoParamML, x: float, tol: float = DEFAULT_TOL,
-        max_terms: int = DEFAULT_MAX_TERMS) -> SeriesEvaluation:
+def ml2(p: TwoParamML, x: float, tol: float = DEFAULT_TOL) -> SeriesEvaluation:
     """Evaluate the two-parameter Mittag-Leffler series at real ``x``.
 
     ``converged`` is True when the geometric tail certificate bounds the
@@ -302,13 +304,12 @@ def ml2(p: TwoParamML, x: float, tol: float = DEFAULT_TOL,
         err_units += _ERR_LOG * abs(t)
         return t
 
-    res = sum_series(term, tol, max_terms,
-                     _cert_start(alpha, beta, max_terms))
+    res = sum_series(term, tol, MAX_TERMS, _cert_start(alpha, beta, MAX_TERMS))
     value, used, tail = res.value, res.terms, res.tail_bound
     converged, status = res.converged, _series_status(res)
     if converged and _should_escalate(x, res.abs_sum, value, err_units, tol):
         value, used_x, tail, status = _ml2_cancelling(
-            alpha, beta, x, res.abs_sum, value, tol, max_terms)
+            alpha, beta, x, res.abs_sum, value, tol)
         used = max(used, used_x)
     elif res.abort is not None and x < 0.0:
         contour = _ml2_contour(alpha, beta, x, tol)
@@ -357,8 +358,8 @@ def _series_status(res) -> str:
 
 
 def _ml2_cancelling(alpha: float, beta: float, x: float, abs_sum: float,
-                    approx: float, tol: float,
-                    max_terms: int) -> tuple[float, int, float, str]:
+                    approx: float,
+                    tol: float) -> tuple[float, int, float, str]:
     """``E_{alpha,beta}(x)`` at ``x < 0`` where the double-precision sum
     (``approx``, with absolute term sum ``abs_sum``) cancels too much to meet
     ``tol``.
@@ -372,8 +373,7 @@ def _ml2_cancelling(alpha: float, beta: float, x: float, abs_sum: float,
     contour = _ml2_contour(alpha, beta, x, tol)
     if contour is not None:
         return contour[0], 0, contour[1], "contour"
-    value, used, tail = _ml2_extended(alpha, beta, x, abs_sum, approx,
-                                      max_terms)
+    value, used, tail = _ml2_extended(alpha, beta, x, abs_sum, approx)
     return value, used, tail, "extended"
 
 
@@ -440,11 +440,9 @@ class ML2Rows:
     """
 
     def __init__(self, alpha: float, betas: list, powers: PowerTable,
-                 idx: np.ndarray, tol: float = DEFAULT_TOL,
-                 max_terms: int = DEFAULT_MAX_TERMS):
+                 idx: np.ndarray, tol: float = DEFAULT_TOL):
         _check_tol(tol)
         self.alpha, self.betas, self.tol = alpha, betas, tol
-        self.max_terms = max_terms
         self.width = width = idx.size
         rows = np.repeat(np.arange(len(betas)), width)
         points = np.tile(idx, len(betas))
@@ -476,8 +474,8 @@ class ML2Rows:
             # branch, or a NaN gamma value from outside it.
             return t, ~np.isfinite(t)
 
-        start = [_cert_start(alpha, beta, max_terms) for beta in betas]
-        res = sum_series_batch(term, rows.size, tol, max_terms,
+        start = [_cert_start(alpha, beta, MAX_TERMS) for beta in betas]
+        res = sum_series_batch(term, rows.size, tol, MAX_TERMS,
                                np.repeat(start, width))
         self.res = res
         self.escalate = res.converged & _should_escalate_batch(
@@ -499,21 +497,20 @@ class ML2Rows:
             i = f[j]
             v, used_x, tail, _ = _ml2_cancelling(
                 self.alpha, beta, float(self.x[i]),
-                float(self.res.abs_sum[i]), float(value[j]), self.tol,
-                self.max_terms)
+                float(self.res.abs_sum[i]), float(value[j]), self.tol)
             value[j] = v
             used[j] = max(int(used[j]), used_x)
             settled[j] = tail <= self.tol * max(1.0, abs(v))
         for j in np.flatnonzero(~self.res.converged[f]).tolist():
             ev = ml2(TwoParamML(self.alpha, beta), float(self.x[f[j]]),
-                     self.tol, self.max_terms)
+                     self.tol)
             value[j], used[j], settled[j] = (ev.value, ev.terms_used,
                                              ev.converged)
         return value, used, settled
 
 
 def _ml2_extended(alpha: float, beta: float, x: float, abs_sum: float,
-                  approx: float, max_terms: int) -> tuple[float, int, float]:
+                  approx: float) -> tuple[float, int, float]:
     xm, al, be = mpf(x), mpf(alpha), mpf(beta)
 
     def term(n: int):
@@ -522,7 +519,7 @@ def _ml2_extended(alpha: float, beta: float, x: float, abs_sum: float,
             return mpf(0)
         return xm**n / mp.gamma(a)
 
-    return _extended_sum(term, abs_sum, approx, max_terms)
+    return _extended_sum(term, abs_sum, approx)
 
 
 # Contour parameters after Garrappa, "Numerical evaluation of two and three
@@ -689,12 +686,7 @@ def _contour_placements(alpha: float, beta: float, phi1: Optional[float]):
         yield mu, u_max / _RELATIVE_NODES, _RELATIVE_NODES
 
 
-# The memo of _pole: the alpha it serves, and the parts for that alpha by x.
-_pole_memo: tuple = (None, {})
-# The most points the memo keeps; past it, it starts afresh.
-_POLE_MEMO_SIZE = 4096
-
-
+@functools.lru_cache(maxsize=4096)
 def _pole(alpha: float, x: float) -> tuple:
     """The parts of :func:`_pole_residues` that depend only on ``(alpha,
     x)``: ``alpha``, ``log r``, ``theta = pi/alpha``, ``r cos theta`` and
@@ -702,30 +694,17 @@ def _pole(alpha: float, x: float) -> tuple:
 
     The inner factors of a solution share one ``alpha`` (its order ``nu``),
     and those of one point share its ``x``; a batched grid visits them row
-    by row, point after point.  So the parts of every ``x`` of the current
-    ``alpha`` are kept, up to ``_POLE_MEMO_SIZE`` of them.  The memo is
-    replaced whole when ``alpha`` changes, so concurrent callers at worst
-    recompute an entry.
+    by row, point after point.  So the parts are cached by ``(alpha, x)``.
     """
-    global _pole_memo
-    memo_alpha, table = _pole_memo
-    if memo_alpha != alpha or len(table) >= _POLE_MEMO_SIZE:
-        table = {}
-        _pole_memo = (alpha, table)
-    parts = table.get(x)
-    if parts is not None:
-        return parts
     prec, rnd = _RESIDUE_PREC, round_nearest
     a = from_float(alpha)
     log_r = mpf_div(mpf_log(from_float(-x), prec, rnd), a, prec, rnd)
     r = mpf_exp(log_r, prec, rnd)
     theta = mpf_div(mpf_pi(prec, rnd), a, prec, rnd)
     cos_t, sin_t = mpf_cos_sin(theta, prec, rnd)
-    parts = (a, log_r, theta, mpf_mul(r, cos_t, prec, rnd),
-             mpf_mul(r, sin_t, prec, rnd), to_float(r, rnd=rnd),
-             to_float(log_r, rnd=rnd))
-    table[x] = parts
-    return parts
+    return (a, log_r, theta, mpf_mul(r, cos_t, prec, rnd),
+            mpf_mul(r, sin_t, prec, rnd), to_float(r, rnd=rnd),
+            to_float(log_r, rnd=rnd))
 
 
 def _pole_residues(alpha: float, beta: float, x: float) -> tuple:
@@ -816,8 +795,8 @@ def _ml2_contour(alpha: float, beta: float, x: float,
     return None
 
 
-def kml(p: MLParameters, z: float, tol: float = DEFAULT_TOL,
-        max_terms: int = DEFAULT_MAX_TERMS) -> SeriesEvaluation:
+def kml(p: MLParameters, z: float,
+        tol: float = DEFAULT_TOL) -> SeriesEvaluation:
     """Evaluate the generalized k-Mittag-Leffler series at real ``z``.
 
     Terms are assembled in log space from the step-k Pochhammer ratio, the
@@ -852,13 +831,12 @@ def kml(p: MLParameters, z: float, tol: float = DEFAULT_TOL,
         err_units += _ERR_LOG * abs(t)
         return t
 
-    res = sum_series(term, tol, max_terms,
-                     _cert_start(p.alpha, p.beta, max_terms, p.k))
+    res = sum_series(term, tol, MAX_TERMS,
+                     _cert_start(p.alpha, p.beta, MAX_TERMS, p.k))
     value, used, tail = res.value, res.terms, res.tail_bound
     status = _series_status(res)
     if res.converged and _should_escalate(z, res.abs_sum, value, err_units, tol):
-        value, used_mp, tail = _kml_extended(p, z, res.abs_sum, value,
-                                             max_terms)
+        value, used_mp, tail = _kml_extended(p, z, res.abs_sum, value)
         used, status = max(used, used_mp), "extended"
     converged = res.converged and tail <= tol * max(1.0, abs(value))
     return SeriesEvaluation(value, used, tail, converged, status)
@@ -919,8 +897,7 @@ def log_coeff_parts(p: MLParameters) -> Callable[[int], tuple]:
     return parts
 
 
-def kml_batch(p: MLParameters, zs: list, tol: float = DEFAULT_TOL,
-              max_terms: int = DEFAULT_MAX_TERMS) -> tuple:
+def kml_batch(p: MLParameters, zs: list, tol: float = DEFAULT_TOL) -> tuple:
     """Evaluate the generalized k-Mittag-Leffler series at every real ``zs[i]``
     at once.
 
@@ -966,8 +943,8 @@ def kml_batch(p: MLParameters, zs: list, tol: float = DEFAULT_TOL,
             err_units[pos] += _ERR_LOG * np.abs(t)
             return t, over
 
-        res = sum_series_batch(term, idx.size, tol, max_terms,
-                               _cert_start(p.alpha, p.beta, max_terms, p.k))
+        res = sum_series_batch(term, idx.size, tol, MAX_TERMS,
+                               _cert_start(p.alpha, p.beta, MAX_TERMS, p.k))
         ok = ~(res.converged & _should_escalate_batch(
             z[idx], res.abs_sum, res.value, err_units, tol))
         done = idx[ok]
@@ -976,14 +953,14 @@ def kml_batch(p: MLParameters, zs: list, tol: float = DEFAULT_TOL,
         settled[done] = (res.converged
                          & _certified(res.tail_bound, res.value, tol))[ok]
     for i in np.flatnonzero(~summed).tolist():
-        ev = kml(p, zs[i], tol, max_terms)
+        ev = kml(p, zs[i], tol)
         value[i], used[i], tail[i] = ev.value, ev.terms_used, ev.tail_bound
         settled[i] = ev.converged
     return value, used, tail, settled
 
 
 def _kml_extended(p: MLParameters, z: float, abs_sum: float,
-                  approx: float, max_terms: int) -> tuple[float, int, float]:
+                  approx: float) -> tuple[float, int, float]:
     km, al, be = mpf(p.k), mpf(p.alpha), mpf(p.beta)
     gm, qm, zm = mpf(p.gamma), mpf(p.q), mpf(z)
 
@@ -994,4 +971,4 @@ def _kml_extended(p: MLParameters, z: float, abs_sum: float,
         den = km ** (a - 1) * mp.gamma(a) * mp.factorial(n)
         return num * zm**n / den
 
-    return _extended_sum(term, abs_sum, approx, max_terms)
+    return _extended_sum(term, abs_sum, approx)

@@ -67,12 +67,17 @@ def signed_log_gamma(x: float) -> tuple[float, float]:
     """(log |Gamma(x)|, sign of Gamma(x)); sign is 0.0 at a pole.
 
     The sign on the negative axis alternates between consecutive poles:
-    Gamma is negative on (-1, 0), positive on (-2, -1), and so on.
+    Gamma is negative on (-1, 0), positive on (-2, -1), and so on.  Past
+    about 2.6e305, where log Gamma(x) itself exceeds the double range, the
+    result is ``(inf, 1.0)``, so the reciprocals built from it are 0.0.
     """
     if is_gamma_pole(x):
         return math.inf, 0.0
     if x > 0.0:
-        return math.lgamma(x), 1.0
+        try:
+            return math.lgamma(x), 1.0
+        except OverflowError:
+            return math.inf, 1.0
     sign = -1.0 if math.floor(x) % 2 else 1.0
     return math.lgamma(x), sign
 
@@ -154,6 +159,8 @@ def generalized_pochhammer(g: float, n, q: float) -> float:
     lb, sb = signed_log_gamma(g)
     if sa == 0.0 or sb == 0.0:
         raise PoleError(f"gamma pole in (g)_nq at g = {g}, g + nq = {top}")
+    if la == math.inf or lb == math.inf:
+        raise OverflowError("log-gamma in (g)_nq exceeds the double range")
     return sa * sb * math.exp(la - lb)
 
 

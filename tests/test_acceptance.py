@@ -244,13 +244,13 @@ def test_criterion_8_negative_controls(capsys):
         def gate(rep):
             return rep.order_estimate >= 1.5 and rep.max_residuals[-1] <= 1e-5
 
-        def perturbed(p, t, cfg):
-            ev = solve_theorem1(p, t, cfg)
+        def perturbed(p, t):
+            ev = solve_theorem1(p, t)
             return SeriesEvaluation(1.01 * ev.value, ev.terms_used,
                                     ev.tail_bound, ev.converged)
 
-        def dead(p, t, cfg):
-            return SeriesEvaluation(0.0, 1, 0.0, True)
+        def dead(p, t):
+            return SeriesEvaluation(0.0 * t, 1, 0.0, True)
 
         scale = max(forcing_value(prob, 0.5 * i / 64).value for i in range(65))
         rep = residual_report(prob, perturbed, 0.5, (16, 32, 64))

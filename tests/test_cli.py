@@ -294,6 +294,22 @@ class TestEvalMl:
         assert out.splitlines()[1] == row
         assert "overflowed" in err
 
+    @pytest.mark.parametrize("argv, row", [
+        (["eval-ml", "--alpha", "1", "--beta", "1e306", "--x", "0"],
+         "0,1,0,true"),
+        (["eval-ml", "--alpha", "1", "--beta", "1e306", "--x", "1"],
+         "0,9,0,true"),
+        (["eval-kml", "--k", "1", "--alpha", "1", "--beta", "1e306",
+          "--gamma", "1", "--tau", "1", "--z", "0"], "0,1,0,true"),
+    ])
+    def test_log_gamma_beyond_the_double_range_gives_zero(self, argv, row,
+                                                         capsys):
+        # log Gamma(1e306) exceeds the largest double: 1/Gamma is 0, where
+        # math.lgamma's OverflowError once ended in a traceback.
+        code, out, _ = run(argv, capsys)
+        assert code == 0
+        assert out.splitlines()[1] == row
+
 
 class TestEvalKml:
     def test_database_value(self, capsys):
@@ -441,14 +457,14 @@ class TestSolve:
     def test_batched_grid_computes_each_pole_once(self, capsys,
                                                   monkeypatch):
         # One pole per nonzero time point at most: the memo keeps every
-        # point of the current order, although the grid visits them row by
-        # row.  Counted by the one cos_sin each computation makes.
+        # point, although the grid visits them row by row.  Counted by the
+        # one cos_sin each computation makes.
         calls = []
         original = mittag.mpf_cos_sin
         monkeypatch.setattr(
             mittag, "mpf_cos_sin",
             lambda *args: calls.append(args) or original(*args))
-        monkeypatch.setattr(mittag, "_pole_memo", (None, {}))
+        mittag._pole.cache_clear()
         code, out, _ = run(POLE_GRID_ARGV, capsys)
         assert code == 0
         assert out == POLE_GRID_STDOUT
@@ -504,8 +520,8 @@ class TestVerify:
     def test_unconverged_forcing_exits_3(self, capsys, monkeypatch):
         # A converging solver double isolates the forcing, whose series
         # diverges: the report is incomplete and nothing is printed.
-        def zero_solver(prob, t, cfg):
-            return SeriesEvaluation(0.0, 1, 0.0, True)
+        def zero_solver(prob, t):
+            return SeriesEvaluation(0.0 * t, 1, 0.0, True)
 
         monkeypatch.setitem(cli._SOLVERS, (1, "stated"), zero_solver)
         code, out, err = run(["verify", *DIVERGENT_FLAGS, "--grids", "16,32"],

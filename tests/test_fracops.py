@@ -191,8 +191,8 @@ class TestResidualReport:
                                          rep.max_residuals[1:]))
 
     def test_zero_solver_is_rejected(self):
-        def zero_solver(prob, t, cfg):
-            return SeriesEvaluation(0.0, 1, 0.0, True)
+        def zero_solver(prob, t):
+            return SeriesEvaluation(0.0 * t, 1, 0.0, True)
 
         prob = db_problem()
         rep = residual_report(prob, zero_solver, 0.5, (16, 32, 64))
@@ -202,8 +202,8 @@ class TestResidualReport:
         assert rep.order_estimate < 0.1
 
     def test_perturbed_solver_is_rejected(self):
-        def perturbed(prob, t, cfg):
-            ev = solve_theorem1(prob, t, cfg)
+        def perturbed(prob, t):
+            ev = solve_theorem1(prob, t)
             return SeriesEvaluation(1.01 * ev.value, ev.terms_used,
                                     ev.tail_bound, ev.converged)
 
@@ -214,8 +214,8 @@ class TestResidualReport:
         assert rep.order_estimate < 0.5
 
     def test_unconverged_point_marks_report_incomplete(self):
-        def flaky(prob, t, cfg):
-            ev = solve_theorem1(prob, t, cfg)
+        def flaky(prob, t):
+            ev = solve_theorem1(prob, t)
             return SeriesEvaluation(ev.value, ev.terms_used, math.inf, False)
 
         rep = residual_report(db_problem(), flaky, 0.5, (16, 32))
@@ -224,8 +224,8 @@ class TestResidualReport:
     def test_unconverged_forcing_marks_report_incomplete(self):
         # q = 2 > 1 + alpha/k: the forcing has no value at t > 0.  A
         # converging solver double leaves the forcing's flag alone to decide.
-        def zero_solver(prob, t, cfg):
-            return SeriesEvaluation(0.0, 1, 0.0, True)
+        def zero_solver(prob, t):
+            return SeriesEvaluation(0.0 * t, 1, 0.0, True)
 
         ml = MLParameters(k=1.0, alpha=0.5, beta=7.0, gamma=2.0, q=2.0)
         prob = KineticProblem(n0=0.05, ml=ml, d=3.0, nu=1.0)
@@ -238,15 +238,15 @@ class TestResidualReport:
         solver_times = []
         forcing_times = []
 
-        def solver(prob, t, cfg):
+        def solver(prob, t):
             solver_times.append(np.array(t))
-            return solve_theorem1(prob, t, cfg)
+            return solve_theorem1(prob, t)
 
         forcing = fracml.fracops.forcing_value
 
-        def counting_forcing(prob, t, tol):
+        def counting_forcing(prob, t):
             forcing_times.append(np.array(t))
-            return forcing(prob, t, tol)
+            return forcing(prob, t)
 
         monkeypatch.setattr(fracml.fracops, "forcing_value", counting_forcing)
         rep = residual_report(db_problem(), solver, 0.5, (64, 128, 256))

@@ -16,7 +16,6 @@ from fracml.kinetics import (
     GRID_CROSSOVER,
     Forcing,
     KineticProblem,
-    SolutionSeriesConfig,
     forcing_value,
     solve,
     solve_theorem1,
@@ -82,12 +81,6 @@ class TestProblemValidation:
     def test_negative_time_rejected(self):
         with pytest.raises(DomainError):
             solve_theorem1(problem(), -0.1)
-
-    def test_config_bounds(self):
-        with pytest.raises(DomainError):
-            SolutionSeriesConfig(outer_max_terms=20_000)
-        with pytest.raises(DomainError):
-            SolutionSeriesConfig(outer_tol=0.0)
 
 
 class TestAnchors:
@@ -198,13 +191,13 @@ class TestSolve:
 
     @pytest.mark.parametrize("k", [1e-300, 0.5, 3.0, 1e300])
     @pytest.mark.parametrize("alpha", [5e-324, 1e-300, 1.0, 1e300])
-    def test_out_of_range_coefficients(self, k, alpha):
+    def test_out_of_range_coefficients(self, monkeypatch, k, alpha):
         # beta/k or alpha/k beyond the double range: the point is a number
         # or unconverged, never an exception.
         ml = MLParameters(k=k, alpha=alpha, beta=1e-30, gamma=1.0, q=1.0)
-        cfg = SolutionSeriesConfig(outer_max_terms=200)
+        monkeypatch.setattr(fracml.kinetics, "OUTER_MAX_TERMS", 200)
         for t in (0.0, 0.5):
-            ev = solve(problem(nu=1.0, d=1.0, ml=ml), t, cfg=cfg)
+            ev = solve(problem(nu=1.0, d=1.0, ml=ml), t)
             assert math.isfinite(ev.value) or not ev.converged
 
 
@@ -531,16 +524,16 @@ class TestGridEvaluation:
         ts = [0.1 * i for i in range(GRID_CROSSOVER - 1)]
         _assert_grid_matches_points(solve_theorem1, problem(), ts)
 
-    def test_unconverged_point_is_reported(self):
-        cfg = SolutionSeriesConfig(outer_max_terms=8)
+    def test_unconverged_point_is_reported(self, monkeypatch):
+        monkeypatch.setattr(fracml.kinetics, "OUTER_MAX_TERMS", 8)
         prob = problem(nu=1.0)
         ts = np.linspace(0.0, 0.5, GRID_CROSSOVER + 1)
-        grid = solve_theorem1(prob, ts, cfg)
+        grid = solve_theorem1(prob, ts)
         assert not grid.converged
         assert grid.first_uncertified == ts[1]
         assert isinstance(grid.terms_used, int)
         for i, t in enumerate(ts.tolist()):
-            assert _point(grid, i) == solve_theorem1(prob, t, cfg)
+            assert _point(grid, i) == solve_theorem1(prob, t)
 
     def test_time_validation(self):
         with pytest.raises(DomainError):

@@ -115,8 +115,9 @@ class TestTwoParamEvaluator:
         assert ev.converged
         assert rel(ev.value, 0.25 * math.exp(0.5)) < 1e-12
 
-    def test_max_terms_exhaustion_is_flagged(self):
-        ev = ml2(TwoParamML(1.0, 1.0), 10.0, max_terms=3)
+    def test_max_terms_exhaustion_is_flagged(self, monkeypatch):
+        monkeypatch.setattr(mittag, "MAX_TERMS", 3)
+        ev = ml2(TwoParamML(1.0, 1.0), 10.0)
         assert not ev.converged
         assert ev.tail_bound == math.inf
 
@@ -134,13 +135,13 @@ class TestTwoParamEvaluator:
         "alpha,beta,x",
         [(1.0, 1.0, 1.0), (0.5, 1.0, 2.0), (2.0, 1.0, 4.0),
          (1.5, 2.5, 3.0), (1.0, 1.0, -3.0), (0.7, 0.9, -2.0)])
-    def test_tail_soundness(self, alpha, beta, x):
+    def test_tail_soundness(self, monkeypatch, alpha, beta, x):
         # Doubling the term budget moves the value by at most the
         # certified tail bound.
         ev = ml2(TwoParamML(alpha, beta), x)
         assert ev.converged
-        longer = ml2(TwoParamML(alpha, beta), x, tol=1e-15,
-                     max_terms=2 * ev.terms_used)
+        monkeypatch.setattr(mittag, "MAX_TERMS", 2 * ev.terms_used)
+        longer = ml2(TwoParamML(alpha, beta), x, tol=1e-15)
         slack = 2e-15 * max(1.0, abs(ev.value))
         assert abs(longer.value - ev.value) <= ev.tail_bound + slack
 
@@ -486,15 +487,16 @@ class TestOutOfRangeParameters:
 
     @pytest.mark.parametrize("k", KS)
     @pytest.mark.parametrize("alpha", ALPHAS)
-    def test_kml_and_kml_batch(self, k, alpha):
+    def test_kml_and_kml_batch(self, monkeypatch, k, alpha):
         # A small term budget: at a tiny alpha/k the gamma argument never
         # reaches 2, so those series run to the budget.
+        monkeypatch.setattr(mittag, "MAX_TERMS", 300)
         zs = [0.25, -0.25, 1e-301, 0.0]
         for beta in (1e-310, 1.5, 1e300):
             p = MLParameters(k, alpha, beta, 1.0, 1.0)
-            out = kml_batch(p, zs, max_terms=300)
+            out = kml_batch(p, zs)
             for i, z in enumerate(zs):
-                ev = kml(p, z, max_terms=300)
+                ev = kml(p, z)
                 assert _fields(*out, i) == repr(ev)
                 assert ev.status in ("series", "extended", "overflow",
                                      "budget", "divergent")
@@ -755,7 +757,7 @@ class TestPoleResidues:
     def test_independent_of_the_mpmath_context(self, monkeypatch, alpha,
                                                beta, x):
         expected = oracles.mp_pole_residues(alpha, beta, x)
-        monkeypatch.setattr(mittag, "_pole_memo", (None, {}))
+        mittag._pole.cache_clear()
         with mpmath.workdps(5):
             cold = mittag._pole_residues(alpha, beta, x)
             warm = mittag._pole_residues(alpha, beta, x)
@@ -763,8 +765,9 @@ class TestPoleResidues:
         assert cold == warm == expected
 
     def test_threads_sharing_the_memo(self):
-        # Threads alternate between two poles, so each replaces the memo the
-        # others read; every result must still be exact.
+        # Threads alternate between two poles of an emptied memo, so they
+        # fill and read it at once; every result must still be exact.
+        mittag._pole.cache_clear()
         cases = [(1.6245, b, -75.88) for b in (1.0, 7.5)] + [
             (1.9, b, -500.0) for b in (25.0, 3.0)]
         expected = [oracles.mp_pole_residues(*c) for c in cases]
@@ -835,10 +838,11 @@ class TestCertStart:
          SeriesEvaluation(0.4444475606030481, 9, 6.383540679292933e-21, True),
          "series"),
     ])
-    def test_ml2_at_the_edges(self, alpha, beta, x, max_terms, expected,
-                              status):
+    def test_ml2_at_the_edges(self, monkeypatch, alpha, beta, x, max_terms,
+                              expected, status):
         # Pinned from the per-term veto.
-        ev = ml2(TwoParamML(alpha, beta), x, 1e-12, max_terms)
+        monkeypatch.setattr(mittag, "MAX_TERMS", max_terms)
+        ev = ml2(TwoParamML(alpha, beta), x, 1e-12)
         assert (ev, ev.status) == (expected, status)
 
 
@@ -861,22 +865,23 @@ class TestExtendedPrecision:
             mittag, "_ml2_cancelling",
             lambda *a: args.append(a) or (0.0, 0, 0.0, "contour"))
         ml2(TwoParamML(alpha, beta), x, 1e-13)
-        (_, _, _, abs_sum, approx, tol, max_terms), = args
+        (_, _, _, abs_sum, approx, tol), = args
         ref = oracles.mp_ml2_sum(alpha, beta, x)
         evaluations = [
-            mittag._ml2_extended(alpha, beta, x, abs_sum, approx, max_terms),
+            mittag._ml2_extended(alpha, beta, x, abs_sum, approx),
             mittag._kml_extended(MLParameters(1.0, alpha, beta, 1.0, 1.0), x,
-                                 abs_sum, approx, max_terms)]
+                                 abs_sum, approx)]
         for value, _, tail in evaluations:
             assert tail <= tol * abs(value)
             assert abs(value - ref) <= max(tail, mittag._EPS * abs(ref))
 
-    def test_pole_zeros_do_not_stop_the_sum(self):
+    def test_pole_zeros_do_not_stop_the_sum(self, monkeypatch):
         # Twelve leading zeros (gamma poles), then 1 + 1/2 + 1/4 + ...
         def term(n):
             return mpmath.mpf(0) if n < 12 else mpmath.mpf(2) ** (12 - n)
 
-        value, used = mittag._mp_sum(term, 20, 1000)
+        monkeypatch.setattr(mittag, "MAX_TERMS", 1000)
+        value, used = mittag._mp_sum(term, 20)
         assert rel(value, 2.0) <= 1e-15 and used > 70
 
     def test_leading_pole_zeros(self):
@@ -890,13 +895,15 @@ class TestExtendedPrecision:
 
 
 class TestStatus:
-    def test_ml2_paths(self):
+    def test_ml2_paths(self, monkeypatch):
         p = TwoParamML(1.0, 1.0)
         assert ml2(p, 1.0).status == "series"
         assert ml2(p, 0.0).status == "series"
         assert ml2(p, -60.0).status == "extended"
         assert ml2(TwoParamML(1.5, 1.0), -40.0).status == "contour"
-        assert ml2(p, 10.0, max_terms=3).status == "budget"
+        with monkeypatch.context() as m:
+            m.setattr(mittag, "MAX_TERMS", 3)
+            assert ml2(p, 10.0).status == "budget"
         # E_{1/2,1}(30) = e**900 erfc(-30) is not a double.
         ev = ml2(TwoParamML(0.5, 1.0), 30.0)
         assert (ev.converged, ev.status) == (False, "overflow")
@@ -909,12 +916,14 @@ class TestStatus:
         assert math.isinf(ev.value)
         assert (ev.converged, ev.status) == (False, "overflow")
 
-    def test_kml_paths(self):
+    def test_kml_paths(self, monkeypatch):
         p = MLParameters(1.0, 1.0, 1.0, 1.0, 1.0)   # E(z) = exp(z)
         assert kml(p, 1.0).status == "series"
         assert kml(p, 0.0).status == "series"
         assert kml(p, -20.0).status == "extended"
-        assert kml(p, 3.0, max_terms=3).status == "budget"
+        with monkeypatch.context() as m:
+            m.setattr(mittag, "MAX_TERMS", 3)
+            assert kml(p, 3.0).status == "budget"
         assert kml(p, 800.0).status == "overflow"
         ev = kml(MLParameters(1e-5, 1.0, 0.001, 1.0, 1.0), 0.0)
         assert (ev.converged, ev.status) == (False, "overflow")
