@@ -30,15 +30,15 @@ Because the grids double, ``np.linspace(0, t_max, g + 1)`` equals
 ``np.linspace(0, t_max, G + 1)[::G // g]`` exactly (``t_max / g`` and
 ``t_max / G`` differ by a power of two), so the report is bit-identical to
 sampling every grid afresh.  A report is complete only when the solver and
-the forcing converged at every sample; otherwise the CLI's ``verify``
-exits 3 and prints no report.
+the forcing converged at every sample; otherwise it forms no residual, and
+the CLI's ``verify`` exits 3 and prints no report.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -67,9 +67,6 @@ class SampledFunction:
     def times(self) -> np.ndarray:
         return self.step * np.arange(self.values.size)
 
-    def __len__(self) -> int:
-        return self.values.size
-
 
 @dataclass(frozen=True)
 class ResidualReport:
@@ -77,14 +74,15 @@ class ResidualReport:
 
     ``order_estimate`` is the mean of log2(max_res[j] / max_res[j+1]) over
     successive grid halvings; ``complete`` is False when any solver or
-    forcing evaluation failed to converge (its point is still recorded).
+    forcing evaluation failed to converge, and such a report holds no
+    residuals (empty tuples, a NaN order).
     """
 
     grid_steps: tuple
     max_residuals: tuple
     l2_residuals: tuple
     order_estimate: float
-    complete: bool = field(default=True)
+    complete: bool = True
 
 
 def _pow_diff(m: np.ndarray, p: float) -> np.ndarray:
@@ -154,8 +152,8 @@ def residual_report(prob: KineticProblem,
 
     ``solver(prob, ts)`` and ``forcing_value(prob, ts)`` are each called
     once, with the times of the finest grid; the solver returns one value
-    per time.  ``complete`` is False unless both the solver and every
-    forcing point converged.
+    per time.  Unless both the solver and every forcing point converged,
+    the quadrature is skipped and the report has ``complete=False``.
     """
     if not (math.isfinite(t_max) and t_max > 0.0):
         raise DomainError("t_max must be finite and > 0")
@@ -165,6 +163,9 @@ def residual_report(prob: KineticProblem,
     ts = np.linspace(0.0, t_max, finest + 1)
     ev = solver(prob, ts)
     forcing = forcing_value(prob, ts)
+    if not (ev.converged and forcing.converged):
+        # An unconverged sample may be NaN: there is no residual to form.
+        return ResidualReport(grids, (), (), math.nan, complete=False)
     max_res = []
     l2_res = []
     for steps in grids:
@@ -178,32 +179,20 @@ def residual_report(prob: KineticProblem,
     ratios = [math.log2(max(a, 1e-300) / max(b, 1e-300))
               for a, b in zip(max_res, max_res[1:])]
     order = sum(ratios) / len(ratios)
-    return ResidualReport(grids, tuple(max_res), tuple(l2_res), order,
-                          bool(ev.converged) and forcing.converged)
+    return ResidualReport(grids, tuple(max_res), tuple(l2_res), order)
 
 
-def laplace_numeric(f: SampledFunction, p: float,
-                    t_max: Optional[float] = None) -> float:
-    """Trapezoidal Laplace transform integral_0^t_max exp(-p t) f(t) dt.
+def laplace_numeric(f: SampledFunction, p: float) -> float:
+    """Trapezoidal Laplace transform integral_0^T exp(-p t) f(t) dt over the
+    whole sampled range, ``T`` its last time.
 
     A property-testing helper, not a production transform: the caller is
-    responsible for choosing ``p * t_max`` large enough (>= 20) that the
-    discarded tail is negligible.  ``t_max`` truncates the sample range and
-    defaults to all of it.
+    responsible for sampling far enough (``p * T >= 20``) that the
+    discarded tail is negligible.
     """
     if not (math.isfinite(p) and p > 0.0):
         raise DomainError("p must be finite and > 0")
-    v = f.values
-    ts = f.times
-    if t_max is not None:
-        if t_max > ts[-1] * (1.0 + 1e-12):
-            raise DomainError("t_max exceeds the sampled range")
-        keep = ts <= t_max * (1.0 + 1e-12)
-        v = v[keep]
-        ts = ts[keep]
-        if v.size < 2:
-            raise DomainError("t_max leaves fewer than two samples")
-    return float(np.trapezoid(np.exp(-p * ts) * v, dx=f.step))
+    return float(np.trapezoid(np.exp(-p * f.times) * f.values, dx=f.step))
 
 
 def laplace_step_check(f: SampledFunction, nu: float,

@@ -76,6 +76,7 @@ import numpy as np
 
 from .errors import DomainError
 from .mittag import (
+    _LOG_HUGE,
     MIN_TERMS,
     ML2Rows,
     MLParameters,
@@ -260,7 +261,7 @@ def _solution_series(prob: KineticProblem, x: float, y: float,
             return 0.0
         logmag = (log_n0 + log_coeff(n) + n * log_x + extra_log(n)
                   + math.log(abs(iv)))
-        if logmag > 700.0:
+        if logmag > _LOG_HUGE:
             raise SeriesAbort("solution series term overflow")
         return math.copysign(math.exp(logmag), iv)
 
@@ -304,7 +305,7 @@ def _solution_series_batch(prob: KineticProblem, xs: list, ys: list,
             rows = ML2Rows(nu, [inner_beta(j) for j in range(start, end)],
                            powers, pos, INNER_TOL)
             col[pos] = np.arange(pos.size)
-        iv, _, converged = rows.take(n - start, col[pos])
+        iv, converged = rows.take(n - start, col[pos])
         # An unconverged factor aborts, as in the per-point sum, and so
         # does a zero factor at a nonzero argument (it underflowed).  The
         # terms of aborting points are not used; theirs are formed from
@@ -315,7 +316,7 @@ def _solution_series_batch(prob: KineticProblem, xs: list, ys: list,
         logmag = (log_n0 + ((num - pw) - lg)) + n * log_x[pos]
         logmag = logmag + extra_log(n)
         logmag = logmag + np.fromiter(map(math.log, aiv), float, pos.size)
-        bad |= logmag > 700.0
+        bad |= logmag > _LOG_HUGE
         logmag[bad] = 0.0
         mag = np.fromiter(map(math.exp, logmag.tolist()), float, pos.size)
         t = np.copysign(mag, iv)

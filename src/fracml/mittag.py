@@ -56,15 +56,18 @@ of convergence).
 Batched forms serve the kinetic grid solvers and the residual check.
 :class:`ML2Rows` evaluates ``E_{alpha,beta_r}`` for several offsets
 ``beta_r`` at many arguments in one compensated sum, deferring each
-cancelling entry's contour or re-sum until it is asked for.  It returns
-what :func:`ml2` returns, bit for bit, at every entry, evaluating with
-:func:`ml2` the entries its sum did not finish.  :func:`kml_batch` evaluates
-:func:`kml` at many arguments, forming each term's log-coefficient once for
-all of them, and returns exactly what :func:`kml` returns at each; it sends
-to :func:`kml` only the points it does not sum (``z = 0``, beyond the
-radius) and those that need extended precision.  Only IEEE-exact operations
-are vectorized; logarithms, powers, exponentials and gamma values come from
-the scalar calls the per-point evaluators make.
+cancelling entry's contour or re-sum until it is asked for.  Its
+``take`` returns the value and the convergence flag :func:`ml2` returns,
+bit for bit, at every entry, evaluating with :func:`ml2` the entries its
+sum did not finish, among them every entry whose gamma argument is not
+positive (its one caller, the kinetic solution series, has none).
+:func:`kml_batch` evaluates :func:`kml` at many arguments, forming each
+term's log-coefficient once for all of them, and returns exactly what
+:func:`kml` returns at each; it sends to :func:`kml` only the points it
+does not sum (``z = 0``, beyond the radius) and those that need extended
+precision.  Only IEEE-exact operations are vectorized; logarithms, powers,
+exponentials and gamma values come from the scalar calls the per-point
+evaluators make.
 
 The coefficient ``(gamma)_{nq,k} / gamma_k(n alpha + beta)`` that
 :func:`kml` and the kinetic solution series share is stated once, in
@@ -82,6 +85,7 @@ status ``overflow``.
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import functools
 import itertools
@@ -337,16 +341,10 @@ def _cert_start(alpha: float, beta: float, max_terms: int,
     def ok(n: int) -> bool:
         return (alpha * n + beta) / k >= 2.0
 
-    lo, hi = MIN_TERMS, max(MIN_TERMS, min(max_terms, sys.maxsize))
-    if ok(lo):
-        return lo
-    while hi - lo > 1:  # ok(lo) is False; the answer lies in (lo, hi]
-        mid = (lo + hi) // 2
-        if ok(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    if ok(MIN_TERMS):
+        return MIN_TERMS
+    return MIN_TERMS + bisect.bisect_left(
+        range(MIN_TERMS, min(max_terms, sys.maxsize)), True, key=ok)
 
 
 def _series_status(res) -> str:
@@ -433,10 +431,14 @@ class ML2Rows:
     points ``x_i`` of a :class:`PowerTable` (columns), summed in one
     :func:`~fracml.summation.sum_series_batch` call.
 
-    Each row follows :func:`ml2`'s term, pole, direct-branch and certificate
+    Each row follows :func:`ml2`'s term, direct-branch and certificate
     rules for its own ``beta_r``, with one scalar ``math.gamma`` per row and
-    term.  A cancelling entry goes to :func:`_ml2_cancelling` only when
-    :meth:`take` asks for it.
+    term.  A gamma argument outside ``[_DIRECT_GAMMA_MIN,
+    _DIRECT_GAMMA_MAX]`` -- zero, negative or a pole among them -- is out of
+    the branch, so its entries are :func:`ml2`'s: the kinetic solution
+    series, the one caller, only has offsets ``b(n) >= 1``.  A cancelling
+    entry goes to :func:`_ml2_cancelling` only when :meth:`take` asks for
+    it.
     """
 
     def __init__(self, alpha: float, betas: list, powers: PowerTable,
@@ -453,22 +455,13 @@ class ML2Rows:
 
         def term(m: int, pos: np.ndarray) -> tuple:
             den = []
-            poles = []
-            for r, beta in enumerate(betas):
+            for beta in betas:
                 a = alpha * m + beta
-                if a <= 0.0 and is_gamma_pole(a):
-                    den.append(math.inf)
-                    poles.append(r)
-                elif _DIRECT_GAMMA_MIN <= abs(a) <= _DIRECT_GAMMA_MAX:
-                    den.append(math.gamma(a))
-                else:
-                    den.append(math.nan)
+                den.append(math.gamma(a) if _DIRECT_GAMMA_MIN <= a
+                           <= _DIRECT_GAMMA_MAX else math.nan)
             if live[0] is not pos:
                 live[:] = pos, rows[pos], points[pos]
-            r = live[1]
-            t = powers.column(m)[live[2]] / np.array(den)[r]
-            if poles:
-                t[np.isin(r, poles)] = 0.0
+            t = powers.column(m)[live[2]] / np.array(den)[live[1]]
             err_units[pos] += _ERR_DIRECT * np.abs(t)
             # Not finite: an overflowing term, a NaN power from outside the
             # branch, or a NaN gamma value from outside it.
@@ -484,29 +477,25 @@ class ML2Rows:
                                                   tol)
 
     def take(self, row: int, cols: np.ndarray) -> tuple:
-        """``(value, terms_used, converged)`` of row ``row`` at columns
-        ``cols``, each entry equal bit for bit to the fields of :func:`ml2`.
-        An entry the batch did not sum to the end (an abort, an exhausted
-        budget, or a term outside the direct branch) is evaluated by
-        :func:`ml2`."""
+        """``(value, converged)`` of row ``row`` at columns ``cols``, each
+        entry equal bit for bit to the fields of :func:`ml2`.  An entry the
+        batch did not sum to the end (an abort, an exhausted budget, or a
+        term outside the direct branch) is evaluated by :func:`ml2`."""
         f = row * self.width + cols
-        value, used = self.res.value[f], self.res.terms[f]
-        settled = self.settled[f]
+        value, settled = self.res.value[f], self.settled[f]
         beta = self.betas[row]
         for j in np.flatnonzero(self.escalate[f]).tolist():
             i = f[j]
-            v, used_x, tail, _ = _ml2_cancelling(
+            v, _, tail, _ = _ml2_cancelling(
                 self.alpha, beta, float(self.x[i]),
                 float(self.res.abs_sum[i]), float(value[j]), self.tol)
             value[j] = v
-            used[j] = max(int(used[j]), used_x)
             settled[j] = tail <= self.tol * max(1.0, abs(v))
         for j in np.flatnonzero(~self.res.converged[f]).tolist():
             ev = ml2(TwoParamML(self.alpha, beta), float(self.x[f[j]]),
                      self.tol)
-            value[j], used[j], settled[j] = (ev.value, ev.terms_used,
-                                             ev.converged)
-        return value, used, settled
+            value[j], settled[j] = ev.value, ev.converged
+        return value, settled
 
 
 def _ml2_extended(alpha: float, beta: float, x: float, abs_sum: float,
@@ -871,25 +860,20 @@ def log_coeff_parts(p: MLParameters) -> Callable[[int], tuple]:
     1))``.
 
     Where a gamma argument (``a`` or ``gamma/k + n q``) has underflowed to 0
-    or passed about 2.6e305, its log-gamma, and so the coefficient, is not a
-    finite double: the call raises :class:`SeriesAbort`, so the sum stops
+    or passed about 2.6e305, its log-gamma is ``inf``
+    (:func:`fracml.specfun.signed_log_gamma`), and so the coefficient is not
+    a finite double: the call raises :class:`SeriesAbort`, so the sum stops
     there, unconverged.
     """
     k, alpha, beta, g, q = p.k, p.alpha, p.beta, p.gamma, p.q
     log_k = math.log(k)
     c0 = g / k
-    try:
-        lg_c0 = math.lgamma(c0)
-    except (ValueError, OverflowError):  # then parts(0) raises as well
-        lg_c0 = math.inf
+    lg_c0 = signed_log_gamma(c0)[0]  # if inf, parts(0) raises as well
 
     def parts(n: int) -> tuple:
         a = (alpha * n + beta) / k
-        try:
-            lg_c = math.lgamma(c0 + n * q)
-            lg = math.lgamma(a)
-        except (ValueError, OverflowError):
-            lg_c = lg = math.inf
+        lg_c = signed_log_gamma(c0 + n * q)[0]
+        lg = signed_log_gamma(a)[0]
         if lg_c == math.inf or lg == math.inf:
             raise SeriesAbort("coefficient overflow")
         return n * q * log_k + lg_c - lg_c0, (a - 1.0) * log_k, lg

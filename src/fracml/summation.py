@@ -48,7 +48,7 @@ def sum_series(
     term: Callable[[int], float],
     tol: float,
     max_terms: int,
-    min_terms: int = 8,
+    min_terms: int,
 ) -> SeriesSum:
     """Sum ``term(0) + term(1) + ...`` with the geometric-tail certificate,
     tested from index ``min_terms`` on.
@@ -103,7 +103,7 @@ def sum_series_batch(
     size: int,
     tol: float,
     max_terms: int,
-    min_terms: int | np.ndarray = 8,
+    min_terms: int | np.ndarray,
 ) -> SeriesSumBatch:
     """Sum ``size`` series at once, each exactly as :func:`sum_series` would.
 

@@ -530,6 +530,20 @@ class TestVerify:
         assert out == ""
         assert "converge" in err
 
+    def test_unconverged_solver_exits_3(self, capsys):
+        # With k = 1e300 and beta = 1e-30, C_0 = 1/gamma_k(beta) is not a
+        # double: the solver returns NaN, unconverged, at t = 0.  That is a
+        # convergence failure (exit 3), not a usage error (exit 2).
+        code, out, err = run(
+            ["verify", "--theorem", "1", "--variant", "stated",
+             "--N0", "0.05", "--gamma", "2", "--tau", "1", "--k", "1e300",
+             "--alpha", "6", "--beta", "1e-30", "--d", "3", "--nu", "1",
+             "--t-max", "0.5", "--grids", "16,32"], capsys)
+        assert code == 3
+        assert out == ""
+        assert err == ("error: solver or forcing failed to converge on a "
+                       "grid point\n")
+
     def test_grid_validation(self, capsys):
         base = ["verify", "--theorem", "1", "--variant", "stated", *DB_FLAGS,
                 "--nu", "1", "--t-max", "0.5"]

@@ -137,15 +137,6 @@ class TestLaplace:
         f = SampledFunction(ts[1], ts.copy())
         assert abs(laplace_numeric(f, 1.0) - 1.0) < 1e-5
 
-    def test_truncation_argument(self):
-        ts = grid(40.0, 8192)
-        f = SampledFunction(ts[1], np.ones(ts.size))
-        full = laplace_numeric(f, 2.0)
-        truncated = laplace_numeric(f, 2.0, t_max=20.0)
-        assert abs(full - truncated) < 1e-10
-        with pytest.raises(DomainError):
-            laplace_numeric(f, 2.0, t_max=80.0)
-
     def test_rejects_nonpositive_p(self):
         f = SampledFunction(0.1, np.ones(8))
         with pytest.raises(DomainError):
@@ -220,6 +211,16 @@ class TestResidualReport:
 
         rep = residual_report(db_problem(), flaky, 0.5, (16, 32))
         assert not rep.complete
+
+    def test_nan_from_an_unconverged_solver_marks_report_incomplete(self):
+        # An unconverged point may hold NaN; the report forms no residual
+        # from it and comes back incomplete instead of raising.
+        def failing(prob, t):
+            return SeriesEvaluation(math.nan * t, 0, math.inf, False)
+
+        rep = residual_report(db_problem(), failing, 0.5, (16, 32))
+        assert not rep.complete
+        assert rep.max_residuals == rep.l2_residuals == ()
 
     def test_unconverged_forcing_marks_report_incomplete(self):
         # q = 2 > 1 + alpha/k: the forcing has no value at t > 0.  A

@@ -242,17 +242,18 @@ class TestBatchEvaluator:
                        min_size=1, max_size=12),
            tol=st.sampled_from([1e-10, 1e-13]))
     def test_settled_points_equal_ml2(self, alpha, beta, xs, tol):
-        # Integer beta <= 0 puts gamma poles among the first terms; negative
-        # x with alpha near 1/2 cancels and escalates.
+        # Integer beta <= 0 puts gamma poles among the first terms, which
+        # the batch leaves to ml2; negative x with alpha near 1/2 cancels
+        # and escalates.
         p = TwoParamML(alpha, beta)
         idx = np.arange(len(xs))
-        value, used, settled = ML2Rows(p.alpha, [p.beta], PowerTable(xs),
-                                       idx, tol).take(0, idx)
+        value, settled = ML2Rows(p.alpha, [p.beta], PowerTable(xs),
+                                 idx, tol).take(0, idx)
         for i, x in enumerate(xs):
             if settled[i]:
                 ev = ml2(p, x, tol)
                 assert ev.converged
-                assert (value[i], used[i]) == (ev.value, ev.terms_used)
+                assert value[i] == ev.value
 
     def test_subnormal_beta(self):
         # 1/Gamma(beta) ~ beta is representable though Gamma(beta) is not.
@@ -260,15 +261,15 @@ class TestBatchEvaluator:
         assert ml2(p, 0.0).value == pytest.approx(2.2250738585e-313, rel=1e-12)
         xs = [1.0, -0.5]
         idx = np.arange(2)
-        value, used, settled = ML2Rows(p.alpha, [p.beta], PowerTable(xs),
-                                       idx).take(0, idx)
+        value, settled = ML2Rows(p.alpha, [p.beta], PowerTable(xs),
+                                 idx).take(0, idx)
         # Gamma(beta) is outside the direct branch: the batch leaves both
         # entries to ml2, which settles them.
         assert settled.all()
         for i, x in enumerate(xs):
             ev = ml2(p, x)
             assert ev.converged
-            assert (value[i], used[i]) == (ev.value, ev.terms_used)
+            assert value[i] == ev.value
             # E_{1,0}(x) = x e^x
             assert ev.value == pytest.approx(x * math.exp(x), rel=1e-12)
 
@@ -289,22 +290,20 @@ class TestBatchEvaluator:
         idx = np.arange(len(xs))
         rows = ML2Rows(alpha, betas, PowerTable(xs), idx)
         for r, beta in enumerate(betas):
-            value, used, converged = rows.take(r, idx)
+            value, converged = rows.take(r, idx)
             for i, x in enumerate(xs):
                 ev = ml2(TwoParamML(alpha, beta), x)
-                got = (float(value[i]), int(used[i]), bool(converged[i]))
-                assert repr(got) == repr((ev.value, ev.terms_used,
-                                          ev.converged)), (beta, x)
+                got = (float(value[i]), bool(converged[i]))
+                assert repr(got) == repr((ev.value, ev.converged)), (beta, x)
 
     def test_ordinary_points_settle(self):
         xs = [-3.0, -0.5, 0.25, 2.0, 4.0]
         p = TwoParamML(1.5, 2.5)
         idx = np.arange(5)
-        value, used, settled = ML2Rows(p.alpha, [p.beta], PowerTable(xs),
-                                       idx).take(0, idx)
+        value, settled = ML2Rows(p.alpha, [p.beta], PowerTable(xs),
+                                 idx).take(0, idx)
         assert settled.all()
         assert value.tolist() == [ml2(p, x).value for x in xs]
-        assert used.tolist() == [ml2(p, x).terms_used for x in xs]
 
 
 def _fields(value, used, tail, converged, i):
@@ -594,14 +593,13 @@ class TestContour:
         monkeypatch.setattr(mittag, "_ml2_cancelling", recording)
         p, xs = TwoParamML(1.5, 1.0), [-40.0, -3.0, -25.0]
         idx = np.arange(3)
-        value, used, settled = ML2Rows(p.alpha, [p.beta], PowerTable(xs),
-                                       idx).take(0, idx)
+        value, settled = ML2Rows(p.alpha, [p.beta], PowerTable(xs),
+                                 idx).take(0, idx)
         batch_calls, calls[:] = list(calls), []
         evs = [ml2(p, x) for x in xs]
         assert batch_calls == calls and len(calls) == 2
         assert settled.all()
         assert value.tolist() == [ev.value for ev in evs]
-        assert used.tolist() == [ev.terms_used for ev in evs]
         assert [ev.status for ev in evs] == ["contour", "series", "contour"]
 
     def test_uncertified_contour_falls_back_unchanged(self, monkeypatch):
@@ -613,10 +611,9 @@ class TestContour:
         assert ev.status == "extended" and ev.converged
         assert rel(ev.value, contour.value) <= 1e-12
         idx = np.arange(1)
-        value, used, settled = ML2Rows(p.alpha, [p.beta], PowerTable([x]),
-                                       idx).take(0, idx)
-        assert (value[0], used[0], settled[0]) == (ev.value, ev.terms_used,
-                                                   True)
+        value, settled = ML2Rows(p.alpha, [p.beta], PowerTable([x]),
+                                 idx).take(0, idx)
+        assert (value[0], settled[0]) == (ev.value, True)
 
     def test_database_sets_never_reach_the_contour(self, monkeypatch,
                                                    tmp_path):

@@ -83,9 +83,9 @@ def test_per_series_certificate_equals_scalar_sum(specs, tol, max_terms):
 
 
 def test_abort_reason_is_kept():
-    aborted = sum_series(scalar_term((1.0, 0.5, False, 0, 3)), 1e-12, 60)
+    aborted = sum_series(scalar_term((1.0, 0.5, False, 0, 3)), 1e-12, 60, 8)
     assert (aborted.converged, aborted.terms, aborted.abort) == (False, 2, "abort")
-    done = sum_series(scalar_term((1.0, 0.25, False, 0, None)), 1e-12, 60)
+    done = sum_series(scalar_term((1.0, 0.25, False, 0, None)), 1e-12, 60, 8)
     assert done.converged and done.abort is None
-    budget = sum_series(scalar_term((1.0, 0.99, False, 0, None)), 1e-12, 5)
+    budget = sum_series(scalar_term((1.0, 0.99, False, 0, None)), 1e-12, 5, 8)
     assert not budget.converged and budget.abort is None
