@@ -29,6 +29,7 @@ import argparse
 import functools
 import json
 import math
+import re
 import sys
 from typing import Callable, Optional
 
@@ -315,10 +316,22 @@ def _add_problem_flags(sub) -> None:
                      help="right endpoint of the time grid")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ``ArgumentParser`` that reads a negative number written with an
+    exponent (``--x -1e-05``) as the flag's value.  argparse before Python
+    3.14 knows negative numbers only without one, and took ``-1e-05`` for
+    a flag.  The subcommand parsers are of this class too."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+
+
 @functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
     # Built once per process: parsing leaves the parser unchanged.
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fracml",
         description="Mittag-Leffler functions and fractional kinetic "
                     "equation solutions with residual verification.")

@@ -37,7 +37,11 @@ Mittag-Leffler evaluators, applied to outer terms that already include their
 converged inner factor: to ``OUTER_TOL`` within ``OUTER_MAX_TERMS`` terms,
 each inner factor (and the forcing) evaluated to ``INNER_TOL``.  A
 coefficient that is not a double (see :func:`fracml.mittag.log_coeff_parts`)
-makes the point unconverged.
+makes the point unconverged.  Per point, the inner factors come from
+:func:`fracml.mittag.ml2_value`: the value and convergence flag of
+:func:`fracml.mittag.ml2`, taken from the contour alone, without the double
+series, where that series would certainly cancel and escalate to it (fast
+removal, large ``a t``).
 
 :func:`solve` also takes a 1-D array of times and returns a
 :class:`GridEvaluation`.  With at least ``GRID_CROSSOVER`` points whose
@@ -86,7 +90,7 @@ from .mittag import (
     kml,
     kml_batch,
     log_coeff_parts,
-    ml2,
+    ml2_value,
 )
 from .summation import SeriesAbort, SeriesSumBatch, sum_series, sum_series_batch
 
@@ -236,10 +240,11 @@ def _solution_series(prob: KineticProblem, x: float, y: float,
         return (num - pw) - lg
 
     def inner(n: int) -> float:
-        ev = ml2(TwoParamML(nu, inner_beta(n)), y, INNER_TOL)
-        if not ev.converged:
+        value, converged = ml2_value(TwoParamML(nu, inner_beta(n)), y,
+                                     INNER_TOL)
+        if not converged:
             raise SeriesAbort("inner Mittag-Leffler factor did not converge")
-        return ev.value
+        return value
 
     if x == 0.0:
         try:

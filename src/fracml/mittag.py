@@ -41,6 +41,13 @@ only where the contour does not certify (:func:`kml` has no contour and
 re-sums directly).  A negative-axis :func:`ml2` series that aborts on a
 term overflow also tries the contour, with no extended-precision fallback.
 
+:func:`ml2_value`, the entry of the kinetic solution series' inner
+factors, returns :func:`ml2`'s value and convergence flag bit for bit but
+skips the double series where it would certainly end on the contour:
+``0 < alpha <= 2``, ``1 <= beta``, ``x < 0``, and a certified contour value
+far below the bound under which the series must escalate
+(:func:`_escalation_bound`).  Every other factor is :func:`ml2`'s.
+
 The contour certificate is relative and is an error estimate, not a proven
 bound: the value is accepted only when ``10 * est <= tol * |value|``, where
 ``est`` adds the difference from a second contour with half the step and a
@@ -271,6 +278,13 @@ def ml2(p: TwoParamML, x: float, tol: float = DEFAULT_TOL) -> SeriesEvaluation:
     ``converged`` is True when the geometric tail certificate bounds the
     truncation error by ``tol * max(1, |value|)``.
     """
+    return _ml2(p, x, tol, _ml2_contour)
+
+
+def _ml2(p: TwoParamML, x: float, tol: float,
+         contour: Callable) -> SeriesEvaluation:
+    """:func:`ml2`, with ``contour`` called in place of
+    :func:`_ml2_contour` (:func:`ml2_value` passes one it has computed)."""
     _check_tol(tol)
     x = float(x)
     if not math.isfinite(x):
@@ -313,14 +327,100 @@ def ml2(p: TwoParamML, x: float, tol: float = DEFAULT_TOL) -> SeriesEvaluation:
     converged, status = res.converged, _series_status(res)
     if converged and _should_escalate(x, res.abs_sum, value, err_units, tol):
         value, used_x, tail, status = _ml2_cancelling(
-            alpha, beta, x, res.abs_sum, value, tol)
+            alpha, beta, x, res.abs_sum, value, tol, contour)
         used = max(used, used_x)
     elif res.abort is not None and x < 0.0:
-        contour = _ml2_contour(alpha, beta, x, tol)
-        if contour is not None:
-            (value, tail), status, converged = contour, "contour", True
+        found = contour(alpha, beta, x, tol)
+        if found is not None:
+            (value, tail), status, converged = found, "contour", True
     converged = converged and tail <= tol * max(1.0, abs(value))
     return SeriesEvaluation(value, used, tail, converged, status)
+
+
+# ml2_value's route: how far inside the escalation bound the contour value
+# must lie, and the largest tol it serves (see ml2_value).
+_ROUTE_MARGIN = 64.0
+_ROUTE_MAX_TOL = 1e-8
+
+
+def ml2_value(p: TwoParamML, x: float,
+              tol: float = DEFAULT_TOL) -> tuple[float, bool]:
+    """``(value, converged)`` of :func:`ml2`, bit for bit, without summing
+    the double series where it would certainly end on the contour.
+
+    Where :func:`_escalation_bound` gives a bound ``B > 0`` (only for ``0 <
+    alpha <= 2``, ``beta >= 1`` and ``x < 0``) the contour is computed
+    first, and a certified value of magnitude below ``B`` is returned as it
+    is: :func:`ml2` returns that same contour value, converged, whether its
+    series escalates or aborts on a term overflow, and a contour value that
+    small makes its series do one or the other.  Every other factor is
+    :func:`ml2`'s; one whose contour was computed and not taken is handed
+    that contour, so no factor computes it twice.
+    """
+    _check_tol(tol)
+    x = float(x)
+    bound = _escalation_bound(p.alpha, p.beta, x, tol)
+    if bound == 0.0:
+        ev = ml2(p, x, tol)
+    else:
+        found = _ml2_contour(p.alpha, p.beta, x, tol)
+        if found is not None and abs(found[0]) < bound:
+            return found[0], True
+        ev = _ml2(p, x, tol, lambda *args: found)
+    return ev.value, ev.converged
+
+
+def _escalation_bound(alpha: float, beta: float, x: float,
+                      tol: float) -> float:
+    """A bound ``B`` such that :func:`ml2` at ``(alpha, beta, x, tol)``
+    returns its contour value whenever that value is certified and smaller
+    than ``B`` in magnitude; 0.0 where no such bound is established, or
+    where the contour is not worth computing up front.
+
+    For ``0 < alpha <= 2``, ``beta >= 1`` and ``x < 0`` the terms
+    ``|x|**n / Gamma(alpha n + beta)`` have no gamma poles and are
+    unimodal: their ratio ``|x| Gamma(alpha n + beta) / Gamma(alpha n +
+    alpha + beta)`` falls with ``n`` (Gamma is log-convex).  With ``beta <=
+    170`` none of them up to the peak is below ``1/Gamma(170)``, so none
+    underflows to a zero that could pass the flat-tail certificate, and the
+    ratio test cannot pass before the peak: a series that certifies has
+    summed its peak term, so its ``abs_sum`` is at least any term ``L``,
+    taken here at the estimated peak ``(|x|**(1/alpha) - beta) / alpha``.
+    Its ``err_units`` is at least ``3 abs_sum``, so :func:`_should_escalate`
+    holds once the series value is below ``L * min(1/4, 3 eps / tol)``.
+    That value is the function value plus a truncation error of at most
+    ``tol * max(1, |value|)`` plus rounding noise, a small multiple of ``eps
+    abs_sum``, which ``tol <= _ROUTE_MAX_TOL`` keeps negligible in both
+    tests.  So ``B`` is that threshold divided by ``_ROUTE_MARGIN`` (64),
+    and ``B > tol`` covers the truncation: the contour, certified to about
+    ``tol / 10`` relative, needs only to be right within a factor of about
+    60.
+
+    The series must also not run out of terms: the term of index ``M =
+    MAX_TERMS - 1``, past the peak, must be below ``tol / 2`` with a ratio
+    below 0.4 (and the certificate may start by then), so the sum certifies
+    at ``M`` at the latest, unless a term overflows first, which
+    sends it to the contour too.  Last, ``B`` must exceed ``1/Gamma(beta)``
+    (the series' first term): a cancelling value is rarely larger, so a
+    contour computed for the bound is almost always taken.
+    """
+    if not (alpha <= 2.0 and 1.0 <= beta <= _DIRECT_GAMMA_MAX
+            and -math.inf < x < 0.0 and tol <= _ROUTE_MAX_TOL):
+        return 0.0
+    log_ax = math.log(-x)
+    m_last = MAX_TERMS - 1
+    lg_last = math.lgamma(alpha * m_last + beta)
+    if (m_last * log_ax - lg_last > math.log(0.5 * tol)
+            or log_ax - (math.lgamma(alpha * (m_last + 1) + beta) - lg_last)
+            > math.log(0.4)
+            or _cert_start(alpha, beta, MAX_TERMS) > m_last):
+        return 0.0
+    # Past the last index the ratio is below 1, so the peak lies before it
+    # and |x|**(1/alpha) < alpha MAX_TERMS + beta stays finite.
+    m = int(min(max((math.exp(log_ax / alpha) - beta) / alpha, 0.0), m_last))
+    log_peak = min(m * log_ax - math.lgamma(alpha * m + beta), _LOG_HUGE)
+    bound = math.exp(log_peak) * min(0.25, 3.0 * _EPS / tol) / _ROUTE_MARGIN
+    return bound if bound > max(tol, 1.0 / math.gamma(beta)) else 0.0
 
 
 def _cert_start(alpha: float, beta: float, max_terms: int,
@@ -356,21 +456,21 @@ def _series_status(res) -> str:
 
 
 def _ml2_cancelling(alpha: float, beta: float, x: float, abs_sum: float,
-                    approx: float,
-                    tol: float) -> tuple[float, int, float, str]:
+                    approx: float, tol: float,
+                    contour: Callable) -> tuple[float, int, float, str]:
     """``E_{alpha,beta}(x)`` at ``x < 0`` where the double-precision sum
     (``approx``, with absolute term sum ``abs_sum``) cancels too much to meet
     ``tol``.
 
     The one place both :func:`ml2` and :meth:`ML2Rows.take` send such an
-    entry: the contour (:func:`_ml2_contour`) when it certifies, otherwise
-    the extended-precision re-sum.  Returns ``(value, terms, tail_bound,
-    status)``; ``terms`` counts the extended-precision terms, 0 for the
-    contour.
+    entry: the contour (``contour``, which is :func:`_ml2_contour` or stands
+    in for it) when it certifies, otherwise the extended-precision re-sum.
+    Returns ``(value, terms, tail_bound, status)``; ``terms`` counts the
+    extended-precision terms, 0 for the contour.
     """
-    contour = _ml2_contour(alpha, beta, x, tol)
-    if contour is not None:
-        return contour[0], 0, contour[1], "contour"
+    found = contour(alpha, beta, x, tol)
+    if found is not None:
+        return found[0], 0, found[1], "contour"
     value, used, tail = _ml2_extended(alpha, beta, x, abs_sum, approx)
     return value, used, tail, "extended"
 
@@ -488,7 +588,8 @@ class ML2Rows:
             i = f[j]
             v, _, tail, _ = _ml2_cancelling(
                 self.alpha, beta, float(self.x[i]),
-                float(self.res.abs_sum[i]), float(value[j]), self.tol)
+                float(self.res.abs_sum[i]), float(value[j]), self.tol,
+                _ml2_contour)
             value[j] = v
             settled[j] = tail <= self.tol * max(1.0, abs(v))
         for j in np.flatnonzero(~self.res.converged[f]).tolist():

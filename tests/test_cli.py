@@ -6,6 +6,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fracml.cli as cli
 import fracml.mittag as mittag
@@ -250,6 +252,40 @@ class TestEvalMl:
         assert code == 0
         printed = float(out.strip().split("\n")[1].split(",")[0])
         assert printed == ml2(TwoParamML(1.5, 2.5), -2.25).value
+
+    @pytest.mark.parametrize("argv, flag, value", [
+        (["eval-ml", "--alpha", "1", "--beta", "1", "--x"], "--x", "-1e-5"),
+        (["eval-kml", "--k", "1", "--alpha", "1", "--beta", "1", "--gamma",
+          "1", "--tau", "1", "--z"], "--z", "-2.5e-3"),
+    ])
+    def test_negative_value_with_an_exponent(self, capsys, argv, flag,
+                                             value):
+        # argparse before Python 3.14 took -1e-5 for a flag ("expected one
+        # argument"); it is the value, as in --x=-1e-5.
+        code, out, err = run([*argv, value], capsys)
+        assert (code, err) == (0, "")
+        joined = run([*argv[:-1], f"{flag}={value}"], capsys)
+        assert joined == (0, out, "")
+
+    def test_flag_in_place_of_a_value_is_an_error(self, capsys):
+        code, _, err = run(["eval-ml", "--beta", "1", "--x", "--alpha", "1"],
+                           capsys)
+        assert code == 2
+        assert "argument --x: expected one argument" in err
+
+    @settings(max_examples=100)
+    @given(value=st.floats(max_value=-0.0, allow_infinity=False,
+                           allow_nan=False),
+           text=st.sampled_from([repr, str]))
+    def test_negative_floats_round_trip(self, value, text):
+        args = cli._parse(["eval-ml", "--alpha", "1", "--beta", text(value),
+                           "--x", text(value)])
+        assert (args.beta, args.x) == (value, value)
+        assert math.copysign(1.0, args.x) == -1.0
+        args = cli._parse(["eval-kml", "--k", "1", "--alpha", "1", "--beta",
+                           "1", "--gamma", "1", "--tau", "1", "--z",
+                           text(value)])
+        assert args.z == value and math.copysign(1.0, args.z) == -1.0
 
     def test_overflow_is_named(self, capsys):
         # E_{1/2,1}(30) = e**900 erfc(-30) is not a double: the series
@@ -725,12 +761,7 @@ STIFF_FLAGS = ["--N0", "0.05", "--gamma", "2", "--tau", "1", "--k", "2",
                "--alpha", "6", "--beta", "7", "--t-max", "1"]
 
 
-class TestGoldenBytes:
-    """Stdout pinned byte for byte on the cancelling route: every inner
-    factor of these fast-removal solves, and every listed ``eval-ml`` point,
-    takes the contour, most of them with the pole residues."""
-
-    @pytest.mark.parametrize("argv, expected", [
+STIFF_SOLVES = [
         (["--theorem", "1", "--variant", "stated", "--d", "55", "--a", "55",
           "--nu", "2", "--steps", "2"],
          "t,N\n0,0.0026596152026762184\n0.5,-0.0019012266609873154\n"
@@ -753,11 +784,34 @@ class TestGoldenBytes:
          "0.80000000000000004,-1.4266415499304901e-06\n"
          "0.90000000000000002,-6.7688653401904723e-07\n"
          "1,-3.4506295323889983e-07\n"),
-    ])
+]
+
+
+class TestGoldenBytes:
+    """Stdout pinned byte for byte on the cancelling route: every inner
+    factor of these fast-removal solves, and every listed ``eval-ml`` point,
+    takes the contour, most of them with the pole residues."""
+
+    @pytest.mark.parametrize("argv, expected", STIFF_SOLVES)
     def test_stiff_solve(self, capsys, argv, expected):
         code, out, _ = run(["solve", *STIFF_FLAGS, *argv], capsys)
         assert code == 0
         assert out == expected
+
+    def test_routed_inner_factors_sum_no_series(self, capsys, monkeypatch):
+        # The first solve: its inner factors at t = 0.5 and t = 1 made 20
+        # double-series sums before they were routed (mittag.ml2_value).
+        # Now 18 of them take the contour alone.  The two left (t = 1, b =
+        # 9 and 10) end on the contour too, but cancel too little for the
+        # bound that proves it beforehand (mittag._escalation_bound).
+        calls = []
+        original = mittag.sum_series
+        monkeypatch.setattr(mittag, "sum_series",
+                            lambda *args: calls.append(args) or original(*args))
+        argv, expected = STIFF_SOLVES[0]
+        code, out, _ = run(["solve", *STIFF_FLAGS, *argv], capsys)
+        assert (code, out) == (0, expected)
+        assert len(calls) == 2
 
     @pytest.mark.parametrize("alpha, beta, x, row", [
         ("1.5", "1", "-40", "-0.0099309654786934355,36,7.8319955496192333e-18"),

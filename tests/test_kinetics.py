@@ -350,17 +350,26 @@ def _record_calls(monkeypatch, module, name):
 
 
 def _grid_and_points(solver, prob, ts):
-    """A grid call and per-point calls at ``ts``, with the arguments of the
-    cancelling inner evaluations (``_ml2_cancelling``: the contour, else the
-    extended-precision re-sum) each made, sorted."""
+    """A grid call and per-point calls at ``ts``, with the ``(alpha, beta,
+    x)`` of the inner factors evaluated on the cancelling route each made:
+    those of the contour calls, then those of the extended-precision
+    re-sums, sorted."""
     mittag = fracml.mittag
-    with mock.patch.object(mittag, "_ml2_cancelling",
-                           wraps=mittag._ml2_cancelling) as escalations:
+    with mock.patch.object(mittag, "_ml2_contour",
+                           wraps=mittag._ml2_contour) as contour, \
+            mock.patch.object(mittag, "_ml2_extended",
+                              wraps=mittag._ml2_extended) as extended:
+        def routed():
+            calls = [sorted(c.args[:3] for c in m.call_args_list)
+                     for m in (contour, extended)]
+            contour.reset_mock()
+            extended.reset_mock()
+            return calls
+
         grid = solver(prob, np.array(ts))
-        grid_esc = sorted(c.args for c in escalations.call_args_list)
-        escalations.reset_mock()
+        grid_esc = routed()
         points = [solver(prob, t) for t in ts]
-        point_esc = sorted(c.args for c in escalations.call_args_list)
+        point_esc = routed()
     return grid, points, grid_esc, point_esc
 
 
@@ -466,10 +475,10 @@ class TestGridEvaluation:
         assert grid.converged
         assert grid.point_terms.max() > 2 * (MIN_TERMS + 2)  # a third block
         # Inner factors of outer indices past the first block escalate.
-        assert any(beta > MIN_TERMS + 2 for _, beta, *_ in grid_esc)
+        assert any(beta > MIN_TERMS + 2 for _, beta, _ in grid_esc[0])
         # Only the factors the outer sums use are evaluated on the
-        # cancelling route: the same calls, with the same arguments, as per
-        # point.
+        # cancelling route: the same contour and re-sum calls, at the same
+        # (alpha, beta, x), as per point.
         assert grid_esc == point_esc
         assert [_point(grid, i) for i in range(len(ts))] == points
 

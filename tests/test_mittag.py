@@ -8,12 +8,13 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
 import fracml.mittag as mittag
 from fracml.errors import DomainError
+from fracml.kinetics import INNER_TOL
 from fracml.mittag import (
     MLParameters,
     ML2Rows,
@@ -23,6 +24,7 @@ from fracml.mittag import (
     kml,
     kml_batch,
     ml2,
+    ml2_value,
 )
 from fracml.specfun import k_gamma, k_pochhammer, recip_gamma
 from fracml.summation import SeriesAbort
@@ -643,6 +645,117 @@ class TestContour:
             assert (tmp_path / path.name).read_bytes() == path.read_bytes()
 
 
+def _ml2_fields(p, x, tol):
+    ev = ml2(p, x, tol)
+    return ev.value, ev.converged
+
+
+def _same(got, want):
+    return (_bits(got[0]), got[1]) == (_bits(want[0]), want[1])
+
+
+def _count_calls(monkeypatch, name, replace=None):
+    calls = []
+    original = getattr(mittag, name)
+
+    def counting(*args):
+        calls.append(args)
+        return (replace or original)(*args)
+
+    monkeypatch.setattr(mittag, name, counting)
+    return calls
+
+
+class TestInnerFactorRoute:
+    """mittag.ml2_value: ml2's value and convergence flag, taking the contour
+    without the double series where ml2 certainly escalates to it."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(alpha=st.one_of(st.floats(0.0, 2.0, exclude_min=True),
+                           st.floats(1.0 - 1e-6, 1.0 + 1e-6),
+                           st.floats(2.0 - 1e-6, 2.0)),
+           beta=st.floats(1.0, 25.0), x=st.floats(-4000.0, -1e-3))
+    @example(alpha=1.5, beta=1.0, x=-40.0)    # routed, contour taken
+    @example(alpha=1.0, beta=1.0, x=-22.5)    # routed, contour uncertified
+    @example(alpha=2.0, beta=1.0, x=-3000.0)  # routed, pole residues
+    @example(alpha=0.5, beta=1.0, x=-30.0)    # the series overflows
+    def test_equals_ml2(self, alpha, beta, x):
+        p = TwoParamML(alpha, beta)
+        assert _same(ml2_value(p, x, INNER_TOL), _ml2_fields(p, x, INNER_TOL))
+
+    @pytest.mark.parametrize("alpha, beta, x", [
+        (1.5, 1.0, -40.0), (2.0, 1.0, -3000.0), (1.0, 2.0, -22.5),
+        (1.9, 7.0, -500.0)])
+    def test_routed_factor_sums_no_series(self, monkeypatch, alpha, beta, x):
+        p = TwoParamML(alpha, beta)
+        want = _ml2_fields(p, x, INNER_TOL)
+        assert ml2(p, x, INNER_TOL).status == "contour"
+        sums = _count_calls(monkeypatch, "sum_series")
+        contours = _count_calls(monkeypatch, "_ml2_contour")
+        assert _same(ml2_value(p, x, INNER_TOL), want)
+        assert (len(sums), len(contours)) == (0, 1)
+
+    @pytest.mark.parametrize("alpha, beta, x, tol", [
+        (2.5, 1.0, -10.0, INNER_TOL),   # alpha > 2: no contour
+        (1.5, 1.0, 40.0, INNER_TOL),    # x > 0
+        (1.5, 1.0, 0.0, INNER_TOL),
+        (1.5, 1.0, -0.0, INNER_TOL),
+        (0.7, 0.7, -40.0, INNER_TOL),   # beta < 1
+        (1.5, 0.5, -40.0, INNER_TOL),
+        (1.5, 1.0, -40.0, 1e-6),        # a large tol
+        (1.0, 1.0, -0.5, INNER_TOL),    # no cancellation
+    ])
+    def test_outside_the_route_falls_back(self, monkeypatch, alpha, beta, x,
+                                          tol):
+        p = TwoParamML(alpha, beta)
+        want = _ml2_fields(p, x, tol)
+        assert mittag._escalation_bound(alpha, beta, x, tol) == 0.0
+        calls = _count_calls(monkeypatch, "ml2")
+        contours = _count_calls(monkeypatch, "_ml2_contour")
+        assert _same(ml2_value(p, x, tol), want)
+        assert calls == [(p, x, tol)]
+        # Only ml2's own contour, where it escalates or overflows.
+        assert len(contours) <= 1
+
+    @pytest.mark.parametrize("scale", [None, 1e6])
+    def test_rejected_contour_is_computed_once(self, monkeypatch, scale):
+        # A routed factor whose contour is not taken: uncertified (None), or
+        # certified but (here, made) too large for the bound.  The fallback
+        # gets that contour and computes none of its own.
+        p, x = TwoParamML(1.5, 1.0), -40.0
+        assert mittag._escalation_bound(p.alpha, p.beta, x, INNER_TOL) > 0.0
+
+        def contour(*args):
+            return None if scale is None else (scale, 0.0)
+
+        contours = _count_calls(monkeypatch, "_ml2_contour", contour)
+        want = _ml2_fields(p, x, INNER_TOL)
+        assert len(contours) == 1
+        contours.clear()
+        assert _same(ml2_value(p, x, INNER_TOL), want)
+        assert len(contours) == 1
+        if scale is not None:
+            assert want == (scale, True)
+
+    def test_budget_below_the_bound_falls_back(self, monkeypatch):
+        # With too few terms to certify past the peak the series might end
+        # on its budget, so the route is not taken.
+        p, x = TwoParamML(1.5, 1.0), -40.0
+        assert mittag._escalation_bound(p.alpha, p.beta, x, INNER_TOL) > 0.0
+        monkeypatch.setattr(mittag, "MAX_TERMS", 30)
+        want = _ml2_fields(p, x, INNER_TOL)
+        assert mittag._escalation_bound(p.alpha, p.beta, x, INNER_TOL) == 0.0
+        assert _same(ml2_value(p, x, INNER_TOL), want)
+        assert want[1] is False
+
+    def test_invalid_arguments_raise_as_ml2(self):
+        p = TwoParamML(1.5, 1.0)
+        for x, tol in ((-math.inf, INNER_TOL), (math.nan, INNER_TOL),
+                       (-40.0, 0.0), (-40.0, math.nan), (-40.0, -1.0)):
+            with pytest.raises(DomainError):
+                ml2_value(p, x, tol)
+
+
 class TestRelativePlacements:
     """The contour placements chosen for relative accuracy, tried after
     Garrappa's, and the extended-precision residues."""
@@ -862,7 +975,7 @@ class TestExtendedPrecision:
             mittag, "_ml2_cancelling",
             lambda *a: args.append(a) or (0.0, 0, 0.0, "contour"))
         ml2(TwoParamML(alpha, beta), x, 1e-13)
-        (_, _, _, abs_sum, approx, tol), = args
+        (_, _, _, abs_sum, approx, tol, _), = args
         ref = oracles.mp_ml2_sum(alpha, beta, x)
         evaluations = [
             mittag._ml2_extended(alpha, beta, x, abs_sum, approx),
