@@ -16,9 +16,13 @@ Both return a :class:`SeriesEvaluation` carrying truncation diagnostics;
 form (or directly through the gamma function while its argument is in
 range), and Gamma poles met inside a series contribute zero terms via the
 reciprocal-gamma convention.  The tail certificate is tested from the index
-:func:`_cert_start` gives, where the gamma argument is past all poles.  A
-series is summed to the caller's ``tol`` (``DEFAULT_TOL`` by default) within
-``MAX_TERMS`` terms, the budget of the extended-precision re-sum too.
+:func:`_cert_start` gives, where the gamma argument is past all poles.  For
+:func:`ml2` with ``beta > 170`` it is also tested no earlier than the peak
+of the terms (:func:`_peak_start`): before it the terms can underflow to
+zeros that would pass the flat-tail certificate, while at smaller ``beta``
+none before the peak is below ``1/Gamma(170)``.  A series is summed to the
+caller's ``tol`` (``DEFAULT_TOL`` by default) within ``MAX_TERMS`` terms,
+the budget of the extended-precision re-sum too.
 
 Every value comes from one of three paths, named by
 :attr:`SeriesEvaluation.status`:
@@ -322,7 +326,10 @@ def _ml2(p: TwoParamML, x: float, tol: float,
         err_units += _ERR_LOG * abs(t)
         return t
 
-    res = sum_series(term, tol, MAX_TERMS, _cert_start(alpha, beta, MAX_TERMS))
+    start = _cert_start(alpha, beta, MAX_TERMS)
+    if beta > _DIRECT_GAMMA_MAX:
+        start = max(start, _peak_start(alpha, beta, log_ax))
+    res = sum_series(term, tol, MAX_TERMS, start)
     value, used, tail = res.value, res.terms, res.tail_bound
     converged, status = res.converged, _series_status(res)
     if converged and _should_escalate(x, res.abs_sum, value, err_units, tol):
@@ -436,7 +443,8 @@ def _cert_start(alpha: float, beta: float, max_terms: int,
     rounded argument is nondecreasing in ``n`` (``alpha, k > 0``), so a
     bisection finds the index.  Where no index below ``max_terms`` qualifies
     the result is ``max_terms`` (capped at ``sys.maxsize``, far beyond any
-    index a sum reaches), which no summation loop tests.
+    index a sum reaches), which no summation loop tests.  :func:`ml2` with
+    ``beta > 170`` starts no earlier than :func:`_peak_start` either.
     """
     def ok(n: int) -> bool:
         return (alpha * n + beta) / k >= 2.0
@@ -445,6 +453,36 @@ def _cert_start(alpha: float, beta: float, max_terms: int,
         return MIN_TERMS
     return MIN_TERMS + bisect.bisect_left(
         range(MIN_TERMS, min(max_terms, sys.maxsize)), True, key=ok)
+
+
+def _peak_start(alpha: float, beta: float, log_ax: float) -> int:
+    """The least ``n`` at which the :func:`ml2` term ratio ``|x| Gamma(a) /
+    Gamma(a + alpha)``, ``a = alpha n + beta``, is below 1, with ``log_ax =
+    log |x|``; ``MAX_TERMS`` where no index below it qualifies.
+
+    For ``beta > _DIRECT_GAMMA_MAX`` the terms before this peak can
+    underflow to 0.0 (the first is ``1/Gamma(beta)``), and two such zeros
+    would pass the flat-tail certificate of
+    :func:`~fracml.summation.sum_series` with the value 0, however large the
+    terms past them; :func:`ml2` therefore tests its certificate from this
+    index on.  Gamma is log-convex, so the ratio falls with ``n`` and a
+    bisection finds the index.  At smaller ``beta`` no term before the peak
+    is below ``1/Gamma(170)`` (see :func:`_escalation_bound`), and no term
+    before it can pass the geometric certificate, whose ratio must be below
+    1/2, so the rule is not needed there.
+    """
+    def past_peak(n: int) -> bool:
+        a = alpha * n + beta
+        # log Gamma(a + alpha) - log Gamma(a) by Stirling's formula.  Its
+        # omitted terms are below alpha / (12 a**2) at a > 170, so an index
+        # it admits early holds terms that near the peak, where neither
+        # certificate passes; unlike a difference of lgamma values it
+        # neither cancels nor overflows.
+        rise = ((a - 0.5) * math.log1p(alpha / a)
+                + alpha * (math.log(a + alpha) - 1.0))
+        return rise > log_ax
+
+    return bisect.bisect_left(range(MAX_TERMS), True, key=past_peak)
 
 
 def _series_status(res) -> str:

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fracml
 import fracml.cli as cli
 import fracml.mittag as mittag
 from fracml.cli import main
@@ -24,72 +26,41 @@ DB_FLAGS = ["--N0", "0.05", "--gamma", "2", "--tau", "1", "--k", "2",
 DIVERGENT_FLAGS = ["--theorem", "1", "--variant", "stated", "--N0", "0.05",
                    "--gamma", "2", "--tau", "2", "--k", "1", "--alpha", "0.5",
                    "--beta", "7", "--d", "3", "--nu", "1", "--t-max", "0.5"]
-# A 41-point stiff solve (theorem 1 stated, rate 41.8, nu 1.66): the
-# batched grid path, with every inner factor at t > 0 on the contour.
-POLE_GRID_ARGV = ["solve", "--theorem", "1", "--variant", "stated",
-                  "--N0", "0.05", "--gamma", "2", "--tau", "1", "--k", "2",
-                  "--alpha", "6", "--beta", "7", "--d", "41.8", "--a", "41.8",
-                  "--nu", "1.66", "--t-max", "1", "--steps", "40"]
-POLE_GRID_STDOUT = (
-    "t,N\n"
-    "0,0.0026596152026762184\n"
-    "0.025000000000000001,0.0010594125145657579\n"
-    "0.050000000000000003,-0.00077290588751240965\n"
-    "0.074999999999999997,-0.001242664243459136\n"
-    "0.10000000000000001,-0.00062932303640675228\n"
-    "0.125,0.00011260917448743565\n"
-    "0.14999999999999999,0.00038898427999389649\n"
-    "0.17499999999999999,0.00022909216933570271\n"
-    "0.20000000000000001,-3.5594578730062582e-05\n"
-    "0.22500000000000001,-0.00015858721997375391\n"
-    "0.25,-0.00011667885016654367\n"
-    "0.27500000000000002,-1.8656988995861008e-05\n"
-    "0.29999999999999999,3.8031869256628431e-05\n"
-    "0.32500000000000001,3.2975861991824282e-05\n"
-    "0.34999999999999998,4.9633972503383475e-07\n"
-    "0.375,-2.1814273828801385e-05\n"
-    "0.40000000000000002,-2.2066205335683795e-05\n"
-    "0.42499999999999999,-1.029336594440983e-05\n"
-    "0.45000000000000001,-5.1493498951544338e-07\n"
-    "0.47499999999999998,1.4311212037295945e-06\n"
-    "0.5,-1.800066108102746e-06\n"
-    "0.52500000000000002,-5.0968250508044163e-06\n"
-    "0.55000000000000004,-5.8017870461168515e-06\n"
-    "0.57499999999999996,-4.4586994744093979e-06\n"
-    "0.59999999999999998,-2.8638729617052056e-06\n"
-    "0.625,-2.1469510063383853e-06\n"
-    "0.65000000000000002,-2.2666929658231899e-06\n"
-    "0.67500000000000004,-2.6051656983580268e-06\n"
-    "0.69999999999999996,-2.6956180687261503e-06\n"
-    "0.72499999999999998,-2.4883564577306554e-06\n"
-    "0.75,-2.1840418941160337e-06\n"
-    "0.77500000000000002,-1.9651669701272109e-06\n"
-    "0.80000000000000004,-1.8707997057546236e-06\n"
-    "0.82499999999999996,-1.8366547323278399e-06\n"
-    "0.84999999999999998,-1.7912872475491113e-06\n"
-    "0.875,-1.7110805823990759e-06\n"
-    "0.90000000000000002,-1.613828736878021e-06\n"
-    "0.92500000000000004,-1.5252791163913827e-06\n"
-    "0.94999999999999996,-1.4561084797589969e-06\n"
-    "0.97499999999999998,-1.4010740456746255e-06\n"
-    "1,-1.3502284520834483e-06\n"
-)
-# Parameters whose coefficient or radius leaves the double range: alpha/k
-# underflows to 0 (eval-kml), and beta/k underflows to 0 (solve).
-UNDERFLOW_KML_ARGV = ["eval-kml", "--k", "1e300", "--alpha", "1e-300",
-                      "--beta", "1.5", "--gamma", "1", "--tau", "1",
-                      "--z", "0.25"]
-UNDERFLOW_SOLVE_ARGV = ["solve", "--theorem", "1", "--variant", "stated",
-                        "--N0", "0.05", "--gamma", "1", "--tau", "1",
-                        "--k", "1e300", "--alpha", "1", "--beta", "1e-30",
-                        "--d", "1", "--nu", "1", "--t-max", "1",
-                        "--steps", "2"]
+# The database set's coefficients with a fast removal rate (--d, --a): the
+# inner factors of these solves cancel and take the contour.
+STIFF_FLAGS = ["--N0", "0.05", "--gamma", "2", "--tau", "1", "--k", "2",
+               "--alpha", "6", "--beta", "7", "--t-max", "1"]
+# eval-ml points whose value comes from the contour, most of them with the
+# pole residues: (alpha, beta, x, the CSV row before its ",true").
+CONTOUR_POINTS = [
+    ("1.5", "1", "-40", "-0.0099309654786934355,36,7.8319955496192333e-18"),
+    ("1.8", "1", "-300", "-0.0031536759551233475,49,3.2878743967758906e-18"),
+    ("2", "1", "-3000", "-0.20416991670227119,79,6.514263820966912e-19"),
+    ("1.6245", "1", "-75.88",
+     "0.0014896304694669358,38,6.7991857462774382e-18"),
+    ("0.5", "1", "-30", "0.018795888861416758,751,2.7094336723422872e-17"),
+    ("0.7", "0.7", "-40",
+     "0.00015219492112585262,748,1.0981507571639696e-17"),
+    ("0.5", "1", "-10", "0.056140992743822608,800,7.5232965053750764e-17"),
+    ("0.5", "1", "-1000",
+     "0.00056418930145338774,132,9.5366748771553275e-19"),
+    ("1.2", "2.5", "-25", "0.044410235574744349,48,3.5826940177721725e-17"),
+]
+EVAL = "value,terms_used,tail_bound,converged\n"
+OVERFLOWED = ("error: series did not converge: a term overflowed after {} "
+              "terms\n")
+BEYOND_RADIUS = ("error: series does not converge at this argument: it lies "
+                 "beyond the radius of convergence\n")
 
-# The --help text of the top level and of each subcommand, pinned byte for
-# byte: the parser is the one statement of every flag, and its help must
-# not move when the flags change form.  Formatted at 80 columns.
-HELP = {
-    '': (
+# Every pinned CLI case: id -> (argv, exit code, stdout, stderr), each
+# output whole and byte for byte.  test_case runs every row through
+# cli.main, and through the program FRACML_EXE names when that is set.
+# A new pinned case is one row.
+CASES = {
+    # The --help texts, formatted at 80 columns: the parser is the one
+    # statement of every flag, and its help must not move when the flags
+    # change form.
+    "help": (["--help"], 0, (
         'usage: fracml [-h] {eval-ml,eval-kml,solve,verify,table} ...\n'
         '\n'
         'Mittag-Leffler functions and fractional kinetic equation solutions with\n'
@@ -105,8 +76,8 @@ HELP = {
         '\n'
         'options:\n'
         '  -h, --help            show this help message and exit\n'
-    ),
-    'eval-ml': (
+    ), ""),
+    "help-eval-ml": (["eval-ml", "--help"], 0, (
         'usage: fracml eval-ml [-h] [--alpha ALPHA] [--beta BETA] [--x X]\n'
         '                      [--config CONFIG] [--out OUT] [--tol TOL]\n'
         '\n'
@@ -118,8 +89,8 @@ HELP = {
         '  --config CONFIG  key=value file supplying defaults for any flag\n'
         '  --out OUT        output path (default: standard output)\n'
         '  --tol TOL        series tolerance (default 1e-12)\n'
-    ),
-    'eval-kml': (
+    ), ""),
+    "help-eval-kml": (["eval-kml", "--help"], 0, (
         'usage: fracml eval-kml [-h] [--k K] [--alpha ALPHA] [--beta BETA]\n'
         '                       [--gamma GAMMA] [--tau TAU] [--z Z] [--config CONFIG]\n'
         '                       [--out OUT] [--tol TOL]\n'
@@ -135,8 +106,8 @@ HELP = {
         '  --config CONFIG  key=value file supplying defaults for any flag\n'
         '  --out OUT        output path (default: standard output)\n'
         '  --tol TOL        series tolerance (default 1e-12)\n'
-    ),
-    'solve': (
+    ), ""),
+    "help-solve": (["solve", "--help"], 0, (
         'usage: fracml solve [-h] [--theorem THEOREM] [--variant VARIANT] [--N0 N0]\n'
         '                    [--gamma GAMMA] [--tau TAU] [--k K] [--alpha ALPHA]\n'
         '                    [--beta BETA] [--d D] [--a A] [--nu NU] [--t-max T_MAX]\n'
@@ -159,8 +130,8 @@ HELP = {
         '  --steps STEPS      number of uniform grid steps (>= 1)\n'
         '  --config CONFIG\n'
         '  --out OUT\n'
-    ),
-    'verify': (
+    ), ""),
+    "help-verify": (["verify", "--help"], 0, (
         'usage: fracml verify [-h] [--theorem THEOREM] [--variant VARIANT] [--N0 N0]\n'
         '                     [--gamma GAMMA] [--tau TAU] [--k K] [--alpha ALPHA]\n'
         '                     [--beta BETA] [--d D] [--a A] [--nu NU] [--t-max T_MAX]\n'
@@ -188,8 +159,8 @@ HELP = {
         '(default 1e-5)\n'
         '  --config CONFIG\n'
         '  --out OUT\n'
-    ),
-    'table': (
+    ), ""),
+    "help-table": (["table", "--help"], 0, (
         'usage: fracml table [-h] [--t-max T_MAX] [--steps STEPS] [--config CONFIG]\n'
         '                    [--out OUT]\n'
         '\n'
@@ -199,8 +170,164 @@ HELP = {
         '  --steps STEPS\n'
         '  --config CONFIG\n'
         '  --out OUT\n'
-    ),
+    ), ""),
+    **{f"eval-ml-{alpha}-{beta}-{x}":
+       (["eval-ml", "--alpha", alpha, "--beta", beta, "--x", x], 0,
+        f"{EVAL}{row},true\n", "")
+       for alpha, beta, x, row in CONTOUR_POINTS},
+    # E_{1,250}(2300): the terms before its peak underflow to 0.0, and two
+    # of them once certified the value 0 after 9 terms.
+    "eval-ml-past-underflowed-terms": (
+        ["eval-ml", "--alpha", "1", "--beta", "250", "--x", "2300"], 0,
+        EVAL + "6.4132358129087008e+161,4352,5.1968482081503295e-227,true\n",
+        ""),
+    # E_{1/2,1}(30) = e**900 erfc(-30) is not a double: the series stops on
+    # a term overflow long before the term budget.
+    "eval-ml-overflow": (
+        ["eval-ml", "--alpha", "0.5", "--beta", "1", "--x", "30"], 3,
+        EVAL + "2.4736042850237856e+304,751,inf,false\n",
+        OVERFLOWED.format(751)),
+    # E_{1,beta}(0) = 1/Gamma(beta) exceeds the largest double: once a
+    # certified inf, or an OverflowError traceback.
+    "eval-ml-reciprocal-gamma--171.5": (
+        ["eval-ml", "--alpha", "1", "--beta", "-171.5", "--x", "0"], 3,
+        EVAL + "inf,1,0,false\n", OVERFLOWED.format(1)),
+    "eval-ml-reciprocal-gamma--200.5": (
+        ["eval-ml", "--alpha", "1", "--beta", "-200.5", "--x", "0"], 3,
+        EVAL + "-inf,1,0,false\n", OVERFLOWED.format(1)),
+    # log Gamma(1e306) exceeds the largest double: 1/Gamma is 0, where
+    # math.lgamma's OverflowError once ended in a traceback.
+    "eval-ml-log-gamma-beyond-range-x0": (
+        ["eval-ml", "--alpha", "1", "--beta", "1e306", "--x", "0"], 0,
+        EVAL + "0,1,0,true\n", ""),
+    "eval-ml-log-gamma-beyond-range-x1": (
+        ["eval-ml", "--alpha", "1", "--beta", "1e306", "--x", "1"], 0,
+        EVAL + "0,9,0,true\n", ""),
+    "eval-kml-log-gamma-beyond-range": (
+        ["eval-kml", "--k", "1", "--alpha", "1", "--beta", "1e306",
+         "--gamma", "1", "--tau", "1", "--z", "0"], 0, EVAL + "0,1,0,true\n",
+        ""),
+    # argparse before Python 3.14 took -1e-5 for a flag ("expected one
+    # argument"); it is the value, as in --x=-1e-5.
+    "eval-ml-negative-exponent": (
+        ["eval-ml", "--alpha", "1", "--beta", "1", "--x", "-1e-5"], 0,
+        EVAL + "0.99999000004999983,9,2.7557349843263518e-51,true\n", ""),
+    "eval-ml-negative-exponent-joined": (
+        ["eval-ml", "--alpha", "1", "--beta", "1", "--x=-1e-5"], 0,
+        EVAL + "0.99999000004999983,9,2.7557349843263518e-51,true\n", ""),
+    "eval-kml-negative-exponent": (
+        ["eval-kml", "--k", "1", "--alpha", "1", "--beta", "1", "--gamma",
+         "1", "--tau", "1", "--z", "-2.5e-3"], 0,
+        EVAL + "0.99750312239746008,9,1.0515203919147061e-29,true\n", ""),
+    "eval-kml-negative-exponent-joined": (
+        ["eval-kml", "--k", "1", "--alpha", "1", "--beta", "1", "--gamma",
+         "1", "--tau", "1", "--z=-2.5e-3"], 0,
+        EVAL + "0.99750312239746008,9,1.0515203919147061e-29,true\n", ""),
+    # alpha/k underflows to 0, so q == 1 + alpha/k and the radius is the
+    # limit 1/k = 1e-300 (r log r -> 0), not a math domain error.
+    "eval-kml-underflowing-radius": (
+        ["eval-kml", "--k", "1e300", "--alpha", "1e-300", "--beta", "1.5",
+         "--gamma", "1", "--tau", "1", "--z", "0.25"], 3,
+        EVAL + "nan,0,inf,false\n", BEYOND_RADIUS),
+    # q = 1 + alpha/k = 2: the radius is 1/4, and no term is summed at 0.5.
+    "eval-kml-beyond-radius": (
+        ["eval-kml", "--k", "1", "--alpha", "1", "--beta", "1", "--gamma",
+         "1", "--tau", "2", "--z", "0.5"], 3,
+        EVAL + "nan,0,inf,false\n", BEYOND_RADIUS),
+    # Fast-removal solves: every inner factor at t > 0 takes the contour.
+    "solve-stiff-theorem1": (
+        ["solve", *STIFF_FLAGS, "--theorem", "1", "--variant", "stated",
+         "--d", "55", "--a", "55", "--nu", "2", "--steps", "2"], 0,
+        "t,N\n0,0.0026596152026762184\n0.5,-0.0019012266609873154\n"
+        "1,5.8709137100861808e-05\n", ""),
+    "solve-stiff-theorem2": (
+        ["solve", *STIFF_FLAGS, "--theorem", "2", "--variant", "rederived",
+         "--d", "57.5", "--a", "57.5", "--nu", "1.37", "--steps", "2"], 0,
+        "t,N\n0,0.0026596152026762184\n0.5,4.041899666294956e-06\n"
+        "1,1.1365728703053989e-05\n", ""),
+    # Eleven points: the batched grid path (mittag.ML2Rows).
+    "solve-stiff-theorem3": (
+        ["solve", *STIFF_FLAGS, "--theorem", "3", "--variant", "rederived",
+         "--d", "3", "--a", "60", "--nu", "1.81", "--steps", "10"], 0,
+        "t,N\n0,0.0026596152026762184\n"
+        "0.10000000000000001,0.0010113228278259103\n"
+        "0.20000000000000001,0.00030114689205672457\n"
+        "0.29999999999999999,6.8069075247511565e-05\n"
+        "0.40000000000000002,5.0963984532367282e-06\n"
+        "0.5,-6.1978393292958364e-06\n"
+        "0.59999999999999998,-5.2257130050564296e-06\n"
+        "0.69999999999999996,-2.9269373630895877e-06\n"
+        "0.80000000000000004,-1.4266415499304901e-06\n"
+        "0.90000000000000002,-6.7688653401904723e-07\n"
+        "1,-3.4506295323889983e-07\n", ""),
+    # A 41-point stiff solve (rate 41.8, nu 1.66) on the batched grid path.
+    "solve-pole-grid": (
+        ["solve", *STIFF_FLAGS, "--theorem", "1", "--variant", "stated",
+         "--d", "41.8", "--a", "41.8", "--nu", "1.66", "--steps", "40"], 0,
+        "t,N\n"
+        "0,0.0026596152026762184\n"
+        "0.025000000000000001,0.0010594125145657579\n"
+        "0.050000000000000003,-0.00077290588751240965\n"
+        "0.074999999999999997,-0.001242664243459136\n"
+        "0.10000000000000001,-0.00062932303640675228\n"
+        "0.125,0.00011260917448743565\n"
+        "0.14999999999999999,0.00038898427999389649\n"
+        "0.17499999999999999,0.00022909216933570271\n"
+        "0.20000000000000001,-3.5594578730062582e-05\n"
+        "0.22500000000000001,-0.00015858721997375391\n"
+        "0.25,-0.00011667885016654367\n"
+        "0.27500000000000002,-1.8656988995861008e-05\n"
+        "0.29999999999999999,3.8031869256628431e-05\n"
+        "0.32500000000000001,3.2975861991824282e-05\n"
+        "0.34999999999999998,4.9633972503383475e-07\n"
+        "0.375,-2.1814273828801385e-05\n"
+        "0.40000000000000002,-2.2066205335683795e-05\n"
+        "0.42499999999999999,-1.029336594440983e-05\n"
+        "0.45000000000000001,-5.1493498951544338e-07\n"
+        "0.47499999999999998,1.4311212037295945e-06\n"
+        "0.5,-1.800066108102746e-06\n"
+        "0.52500000000000002,-5.0968250508044163e-06\n"
+        "0.55000000000000004,-5.8017870461168515e-06\n"
+        "0.57499999999999996,-4.4586994744093979e-06\n"
+        "0.59999999999999998,-2.8638729617052056e-06\n"
+        "0.625,-2.1469510063383853e-06\n"
+        "0.65000000000000002,-2.2666929658231899e-06\n"
+        "0.67500000000000004,-2.6051656983580268e-06\n"
+        "0.69999999999999996,-2.6956180687261503e-06\n"
+        "0.72499999999999998,-2.4883564577306554e-06\n"
+        "0.75,-2.1840418941160337e-06\n"
+        "0.77500000000000002,-1.9651669701272109e-06\n"
+        "0.80000000000000004,-1.8707997057546236e-06\n"
+        "0.82499999999999996,-1.8366547323278399e-06\n"
+        "0.84999999999999998,-1.7912872475491113e-06\n"
+        "0.875,-1.7110805823990759e-06\n"
+        "0.90000000000000002,-1.613828736878021e-06\n"
+        "0.92500000000000004,-1.5252791163913827e-06\n"
+        "0.94999999999999996,-1.4561084797589969e-06\n"
+        "0.97499999999999998,-1.4010740456746255e-06\n"
+        "1,-1.3502284520834483e-06\n", ""),
+    # beta/k underflows to 0: Gamma there is not a double, so the
+    # coefficient stops every sum unconverged instead of raising.
+    "solve-unrepresentable-coefficient": (
+        ["solve", "--theorem", "1", "--variant", "stated", "--N0", "0.05",
+         "--gamma", "1", "--tau", "1", "--k", "1e300", "--alpha", "1",
+         "--beta", "1e-30", "--d", "1", "--nu", "1", "--t-max", "1",
+         "--steps", "2"], 3, "", "error: series did not converge at t = 0\n"),
+    # C_0 = 1/gamma_k(beta) is not a double: the solver returns NaN,
+    # unconverged, at t = 0.  That is a convergence failure (exit 3), not a
+    # usage error (exit 2).
+    "verify-unconverged-solver": (
+        ["verify", "--theorem", "1", "--variant", "stated", "--N0", "0.05",
+         "--gamma", "2", "--tau", "1", "--k", "1e300", "--alpha", "6",
+         "--beta", "1e-30", "--d", "3", "--nu", "1", "--t-max", "0.5",
+         "--grids", "16,32"], 3, "",
+        "error: solver or forcing failed to converge on a grid point\n"),
 }
+
+# The program under test besides cli.main, as a command line: "fracml" once
+# installed, or "python -m fracml".
+EXE = shlex.split(os.environ.get("FRACML_EXE", ""))
+
 
 def run(argv, capsys):
     code = main(argv)
@@ -213,6 +340,25 @@ def run_subprocess(argv, program=("-m", "fracml")):
     env["PYTHONPATH"] = str(REPO / "src") + os.pathsep + env.get("PYTHONPATH", "")
     return subprocess.run([sys.executable, *program, *argv],
                           capture_output=True, env=env, cwd=REPO)
+
+
+@pytest.mark.parametrize("argv, code, out, err", CASES.values(),
+                         ids=list(CASES))
+def test_case(argv, code, out, err, capsys, monkeypatch, tmp_path):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run(argv, capsys) == (code, out, err)
+    if EXE:
+        proc = subprocess.run([*EXE, *argv], capture_output=True,
+                              cwd=tmp_path)
+        assert ((proc.returncode, proc.stdout, proc.stderr)
+                == (code, out.encode(), err.encode()))
+
+
+@pytest.mark.skipif(not EXE, reason="FRACML_EXE is not set")
+def test_installed_package_is_under_test():
+    # The in-process tests of an installed run import fracml from where it
+    # was installed, not from the checkout.
+    assert not Path(fracml.__file__).resolve().is_relative_to(REPO / "src")
 
 
 class TestEvalMl:
@@ -253,20 +399,6 @@ class TestEvalMl:
         printed = float(out.strip().split("\n")[1].split(",")[0])
         assert printed == ml2(TwoParamML(1.5, 2.5), -2.25).value
 
-    @pytest.mark.parametrize("argv, flag, value", [
-        (["eval-ml", "--alpha", "1", "--beta", "1", "--x"], "--x", "-1e-5"),
-        (["eval-kml", "--k", "1", "--alpha", "1", "--beta", "1", "--gamma",
-          "1", "--tau", "1", "--z"], "--z", "-2.5e-3"),
-    ])
-    def test_negative_value_with_an_exponent(self, capsys, argv, flag,
-                                             value):
-        # argparse before Python 3.14 took -1e-5 for a flag ("expected one
-        # argument"); it is the value, as in --x=-1e-5.
-        code, out, err = run([*argv, value], capsys)
-        assert (code, err) == (0, "")
-        joined = run([*argv[:-1], f"{flag}={value}"], capsys)
-        assert joined == (0, out, "")
-
     def test_flag_in_place_of_a_value_is_an_error(self, capsys):
         code, _, err = run(["eval-ml", "--beta", "1", "--x", "--alpha", "1"],
                            capsys)
@@ -286,16 +418,6 @@ class TestEvalMl:
                            "1", "--gamma", "1", "--tau", "1", "--z",
                            text(value)])
         assert args.z == value and math.copysign(1.0, args.z) == -1.0
-
-    def test_overflow_is_named(self, capsys):
-        # E_{1/2,1}(30) = e**900 erfc(-30) is not a double: the series
-        # stops on a term overflow long before the term budget.
-        code, out, err = run(["eval-ml", "--alpha", "0.5", "--beta", "1",
-                              "--x", "30"], capsys)
-        assert code == 3
-        assert out.splitlines()[1].split(",")[1:] == ["751", "inf", "false"]
-        assert "term overflowed after 751 terms" in err
-        assert "converge" in err and "budget" not in err
 
     def test_overflowing_negative_argument_takes_the_contour(self, capsys):
         code, out, _ = run(["eval-ml", "--alpha", "0.5", "--beta", "1",
@@ -318,35 +440,6 @@ class TestEvalMl:
             assert abs(value - expected) <= 1e-12 * abs(expected)
 
 
-    @pytest.mark.parametrize("beta, row", [("-171.5", "inf,1,0,false"),
-                                           ("-200.5", "-inf,1,0,false")])
-    def test_reciprocal_gamma_beyond_the_double_range_exits_3(
-            self, beta, row, capsys):
-        # E_{1,beta}(0) = 1/Gamma(beta) exceeds the largest double: once a
-        # certified inf, or an OverflowError traceback.
-        code, out, err = run(["eval-ml", "--alpha", "1", "--beta", beta,
-                              "--x", "0"], capsys)
-        assert code == 3
-        assert out.splitlines()[1] == row
-        assert "overflowed" in err
-
-    @pytest.mark.parametrize("argv, row", [
-        (["eval-ml", "--alpha", "1", "--beta", "1e306", "--x", "0"],
-         "0,1,0,true"),
-        (["eval-ml", "--alpha", "1", "--beta", "1e306", "--x", "1"],
-         "0,9,0,true"),
-        (["eval-kml", "--k", "1", "--alpha", "1", "--beta", "1e306",
-          "--gamma", "1", "--tau", "1", "--z", "0"], "0,1,0,true"),
-    ])
-    def test_log_gamma_beyond_the_double_range_gives_zero(self, argv, row,
-                                                         capsys):
-        # log Gamma(1e306) exceeds the largest double: 1/Gamma is 0, where
-        # math.lgamma's OverflowError once ended in a traceback.
-        code, out, _ = run(argv, capsys)
-        assert code == 0
-        assert out.splitlines()[1] == row
-
-
 class TestEvalKml:
     def test_database_value(self, capsys):
         code, out, _ = run(["eval-kml", "--k", "2", "--alpha", "6",
@@ -364,16 +457,6 @@ class TestEvalKml:
         assert "converge" in err
         assert out.strip().split("\n")[1].endswith("false")
 
-    def test_beyond_the_radius_exits_3_at_once(self, capsys):
-        # q = 1 + alpha/k = 2: the radius is 1/4, and no term is summed
-        # at z = 0.5.
-        code, out, err = run(["eval-kml", "--k", "1", "--alpha", "1",
-                              "--beta", "1", "--gamma", "1", "--tau", "2",
-                              "--z", "0.5"], capsys)
-        assert code == 3
-        assert out.splitlines()[1] == "nan,0,inf,false"
-        assert "radius of convergence" in err
-
     @pytest.mark.parametrize("beta, expected", [("400", 0.0),
                                                 ("1e-310", 1e-310)])
     def test_extreme_beta_at_zero(self, beta, expected, capsys):
@@ -386,15 +469,6 @@ class TestEvalKml:
         value, terms, tail, converged = out.splitlines()[1].split(",")
         assert float(value) == pytest.approx(expected, rel=1e-12, abs=0.0)
         assert (terms, tail, converged) == ("1", "0", "true")
-
-    def test_underflowing_radius_exits_3(self, capsys):
-        # alpha/k underflows to 0, so q == 1 + alpha/k and the radius is
-        # the limit 1/k = 1e-300 (r log r -> 0), not a math domain error.
-        code, out, err = run(UNDERFLOW_KML_ARGV, capsys)
-        assert code == 3
-        assert out.splitlines()[1] == "nan,0,inf,false"
-        assert err == ("error: series does not converge at this argument: "
-                       "it lies beyond the radius of convergence\n")
 
     def test_invalid_tau(self, capsys):
         code, _, err = run(["eval-kml", "--k", "1", "--alpha", "1",
@@ -482,14 +556,6 @@ class TestSolve:
         assert out == ""
         assert "converge" in err
 
-    def test_unrepresentable_coefficient_exits_3(self, capsys):
-        # beta/k underflows to 0: Gamma there is not a double, so the
-        # coefficient stops every sum unconverged instead of raising.
-        code, out, err = run(UNDERFLOW_SOLVE_ARGV, capsys)
-        assert code == 3
-        assert out == ""
-        assert err == "error: series did not converge at t = 0\n"
-
     def test_batched_grid_computes_each_pole_once(self, capsys,
                                                   monkeypatch):
         # One pole per nonzero time point at most: the memo keeps every
@@ -501,9 +567,8 @@ class TestSolve:
             mittag, "mpf_cos_sin",
             lambda *args: calls.append(args) or original(*args))
         mittag._pole.cache_clear()
-        code, out, _ = run(POLE_GRID_ARGV, capsys)
-        assert code == 0
-        assert out == POLE_GRID_STDOUT
+        argv, *pinned = CASES["solve-pole-grid"]
+        assert run(argv, capsys) == tuple(pinned)
         assert 0 < len(calls) <= 40
 
     def test_csv_round_trip_is_exact(self, capsys):
@@ -566,20 +631,6 @@ class TestVerify:
         assert out == ""
         assert "converge" in err
 
-    def test_unconverged_solver_exits_3(self, capsys):
-        # With k = 1e300 and beta = 1e-30, C_0 = 1/gamma_k(beta) is not a
-        # double: the solver returns NaN, unconverged, at t = 0.  That is a
-        # convergence failure (exit 3), not a usage error (exit 2).
-        code, out, err = run(
-            ["verify", "--theorem", "1", "--variant", "stated",
-             "--N0", "0.05", "--gamma", "2", "--tau", "1", "--k", "1e300",
-             "--alpha", "6", "--beta", "1e-30", "--d", "3", "--nu", "1",
-             "--t-max", "0.5", "--grids", "16,32"], capsys)
-        assert code == 3
-        assert out == ""
-        assert err == ("error: solver or forcing failed to converge on a "
-                       "grid point\n")
-
     def test_grid_validation(self, capsys):
         base = ["verify", "--theorem", "1", "--variant", "stated", *DB_FLAGS,
                 "--nu", "1", "--t-max", "0.5"]
@@ -629,12 +680,6 @@ class TestParser:
         code, _, err = run(["eval-ml", "--alpha", "1", "--beta", "1"], capsys)
         assert code == 2
         assert "--x" in err
-
-    @pytest.mark.parametrize("command", list(HELP))
-    def test_help_text(self, command, capsys, monkeypatch):
-        monkeypatch.setenv("COLUMNS", "80")
-        argv = [command, "--help"] if command else ["--help"]
-        assert run(argv, capsys) == (0, HELP[command], "")
 
     def test_value_check_is_a_usage_error(self, capsys):
         code, out, err = run(["eval-ml", "--alpha", "0", "--beta", "1",
@@ -757,46 +802,9 @@ class TestDeterminism:
         assert first.stdout == second.stdout
 
 
-STIFF_FLAGS = ["--N0", "0.05", "--gamma", "2", "--tau", "1", "--k", "2",
-               "--alpha", "6", "--beta", "7", "--t-max", "1"]
-
-
-STIFF_SOLVES = [
-        (["--theorem", "1", "--variant", "stated", "--d", "55", "--a", "55",
-          "--nu", "2", "--steps", "2"],
-         "t,N\n0,0.0026596152026762184\n0.5,-0.0019012266609873154\n"
-         "1,5.8709137100861808e-05\n"),
-        (["--theorem", "2", "--variant", "rederived", "--d", "57.5",
-          "--a", "57.5", "--nu", "1.37", "--steps", "2"],
-         "t,N\n0,0.0026596152026762184\n0.5,4.041899666294956e-06\n"
-         "1,1.1365728703053989e-05\n"),
-        # Eleven points: the batched grid path (mittag.ML2Rows).
-        (["--theorem", "3", "--variant", "rederived", "--d", "3", "--a", "60",
-          "--nu", "1.81", "--steps", "10"],
-         "t,N\n0,0.0026596152026762184\n"
-         "0.10000000000000001,0.0010113228278259103\n"
-         "0.20000000000000001,0.00030114689205672457\n"
-         "0.29999999999999999,6.8069075247511565e-05\n"
-         "0.40000000000000002,5.0963984532367282e-06\n"
-         "0.5,-6.1978393292958364e-06\n"
-         "0.59999999999999998,-5.2257130050564296e-06\n"
-         "0.69999999999999996,-2.9269373630895877e-06\n"
-         "0.80000000000000004,-1.4266415499304901e-06\n"
-         "0.90000000000000002,-6.7688653401904723e-07\n"
-         "1,-3.4506295323889983e-07\n"),
-]
-
-
 class TestGoldenBytes:
-    """Stdout pinned byte for byte on the cancelling route: every inner
-    factor of these fast-removal solves, and every listed ``eval-ml`` point,
-    takes the contour, most of them with the pole residues."""
-
-    @pytest.mark.parametrize("argv, expected", STIFF_SOLVES)
-    def test_stiff_solve(self, capsys, argv, expected):
-        code, out, _ = run(["solve", *STIFF_FLAGS, *argv], capsys)
-        assert code == 0
-        assert out == expected
+    """How the cancelling route computes the stiff solves and the contour
+    points whose bytes CASES pins."""
 
     def test_routed_inner_factors_sum_no_series(self, capsys, monkeypatch):
         # The first solve: its inner factors at t = 0.5 and t = 1 made 20
@@ -808,30 +816,13 @@ class TestGoldenBytes:
         original = mittag.sum_series
         monkeypatch.setattr(mittag, "sum_series",
                             lambda *args: calls.append(args) or original(*args))
-        argv, expected = STIFF_SOLVES[0]
-        code, out, _ = run(["solve", *STIFF_FLAGS, *argv], capsys)
-        assert (code, out) == (0, expected)
+        argv, *pinned = CASES["solve-stiff-theorem1"]
+        assert run(argv, capsys) == tuple(pinned)
         assert len(calls) == 2
 
-    @pytest.mark.parametrize("alpha, beta, x, row", [
-        ("1.5", "1", "-40", "-0.0099309654786934355,36,7.8319955496192333e-18"),
-        ("1.8", "1", "-300", "-0.0031536759551233475,49,3.2878743967758906e-18"),
-        ("2", "1", "-3000", "-0.20416991670227119,79,6.514263820966912e-19"),
-        ("1.6245", "1", "-75.88",
-         "0.0014896304694669358,38,6.7991857462774382e-18"),
-        ("0.5", "1", "-30", "0.018795888861416758,751,2.7094336723422872e-17"),
-        ("0.7", "0.7", "-40",
-         "0.00015219492112585262,748,1.0981507571639696e-17"),
-        ("0.5", "1", "-10", "0.056140992743822608,800,7.5232965053750764e-17"),
-        ("0.5", "1", "-1000",
-         "0.00056418930145338774,132,9.5366748771553275e-19"),
-        ("1.2", "2.5", "-25", "0.044410235574744349,48,3.5826940177721725e-17"),
-    ])
-    def test_contour_points(self, capsys, alpha, beta, x, row):
-        code, out, _ = run(["eval-ml", "--alpha", alpha, "--beta", beta,
-                            "--x", x], capsys)
-        assert code == 0
-        assert out == f"value,terms_used,tail_bound,converged\n{row},true\n"
+    @pytest.mark.parametrize("alpha, beta, x, row", CONTOUR_POINTS)
+    def test_contour_points(self, alpha, beta, x, row):
+        # Each row of CASES: a value of the contour, not of the series.
         p = TwoParamML(float(alpha), float(beta))
         assert ml2(p, float(x)).status == "contour"
 

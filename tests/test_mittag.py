@@ -956,6 +956,54 @@ class TestCertStart:
         assert (ev, ev.status) == (expected, status)
 
 
+class TestPeakStart:
+    """Past beta = 170 the terms before the peak can underflow to 0.0, and
+    ml2 may certify only past the peak (mittag._peak_start)."""
+
+    @settings(max_examples=12, deadline=None)
+    @given(alpha=st.floats(0.8, 1.5),
+           beta=st.floats(170.0, 400.0, exclude_min=True),
+           x=st.floats(1.0, 3000.0))
+    @example(alpha=1.0, beta=250.0, x=2300.0)   # once 0 after 9 terms
+    @example(alpha=1.0, beta=400.0, x=3000.0)
+    @example(alpha=0.8, beta=380.0, x=900.0)    # a term overflows
+    def test_positive_axis_against_the_oracle(self, alpha, beta, x):
+        ev = ml2(TwoParamML(alpha, beta), x)
+        if not ev.converged:
+            assert ev.status == "overflow"
+            return
+        # The terms are positive and unimodal: sum them to e**-70 of the
+        # largest, past the peak.  Log-form terms carry about eps * lgamma
+        # of relative rounding each; underflowed ones at most 1e-304 in all.
+        log_x, n, top = math.log(x), 0, -math.inf
+        while (term := n * log_x - math.lgamma(alpha * n + beta)) > top - 70:
+            top = max(top, term)
+            n += 1
+        ref = float(oracles.mp_ml2_partial(alpha, beta, x, n))
+        assert abs(ev.value - ref) <= 1e-10 * ref + 1e-300
+
+    @settings(max_examples=200, deadline=None)
+    @given(alpha=st.floats(1e-3, 50.0),
+           beta=st.floats(170.0, 1e6, exclude_min=True),
+           x=st.floats(1e-3, 1e5))
+    def test_start_is_the_first_falling_ratio(self, alpha, beta, x):
+        # Within one index of the first n where log Gamma(a + alpha) -
+        # log Gamma(a) passes log x, as lgamma gives it in its range.
+        def past(n):
+            a = alpha * n + beta
+            return math.lgamma(a + alpha) - math.lgamma(a) > math.log(x)
+
+        start = mittag._peak_start(alpha, beta, math.log(x))
+        assert start == mittag.MAX_TERMS or past(start + 1)
+        assert start == 0 or not past(start - 2)
+
+    def test_start_where_lgamma_overflows(self):
+        # log Gamma(1e306) is not a double, and beta + n rounds to beta.
+        assert mittag._peak_start(1.0, 1e306, 0.0) == 0
+        assert mittag._peak_start(1e-3, 1e306, math.log(1e308)) == (
+            mittag.MAX_TERMS)
+
+
 def test_brute_force_oracle_reaches_values_below_its_first_pass():
     # The first pass is accurate to about 1e-50 absolute; e**-300 lies far
     # below, so the oracle must keep adding digits until they cover it.
