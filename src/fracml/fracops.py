@@ -24,7 +24,7 @@ relies on.
 
 The residual report samples the solver and the forcing once, on the finest
 grid, in one grid call of each (see :mod:`fracml.kinetics`; the forcing is
-evaluated to ``kinetics.INNER_TOL``, the tolerance of the solution's inner
+evaluated to ``mittag.INNER_TOL``, the tolerance of the solution's inner
 factors), and takes each coarser grid as every ``G // g``-th sample.
 Because the grids double, ``np.linspace(0, t_max, g + 1)`` equals
 ``np.linspace(0, t_max, G + 1)[::G // g]`` exactly (``t_max / g`` and

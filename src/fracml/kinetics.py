@@ -35,7 +35,7 @@ requires and calls it.
 Outer series are truncated with the same geometric-tail certificate as the
 Mittag-Leffler evaluators, applied to outer terms that already include their
 converged inner factor: to ``OUTER_TOL`` within ``OUTER_MAX_TERMS`` terms,
-each inner factor (and the forcing) evaluated to ``INNER_TOL``.  A
+each inner factor (and the forcing) evaluated to ``mittag.INNER_TOL``.  A
 coefficient that is not a double (see :func:`fracml.mittag.log_coeff_parts`)
 makes the point unconverged.  Per point, the inner factors come from
 :func:`fracml.mittag.ml2_value`: the value and convergence flag of
@@ -81,6 +81,7 @@ import numpy as np
 from .errors import DomainError
 from .mittag import (
     _LOG_HUGE,
+    INNER_TOL,
     MIN_TERMS,
     ML2Rows,
     MLParameters,
@@ -137,11 +138,9 @@ class KineticProblem:
 
 
 # Truncation of the solution series: the outer sum's tolerance and term
-# budget, and the tolerance of each inner factor E_{nu,b(n)} (and of the
-# forcing, which the residual check compares with the solution).
+# budget.  Its inner factors and forcing are evaluated to mittag.INNER_TOL.
 OUTER_TOL = 1e-12
 OUTER_MAX_TERMS = 2000
-INNER_TOL = 1e-13
 
 
 # Grids with fewer batchable points than this are evaluated point by point:
@@ -219,7 +218,7 @@ def forcing_value(prob: KineticProblem, t: Times) -> Evaluation:
     t = _check_times(t)
     if isinstance(t, np.ndarray):
         value, terms, tail, converged = kml_batch(
-            prob.ml, [_forcing_arg(prob, ti) for ti in t.tolist()], INNER_TOL)
+            prob.ml, [_forcing_arg(prob, ti) for ti in t.tolist()])
         return GridEvaluation(t, prob.n0 * value, terms, prob.n0 * tail,
                               converged)
     ev = kml(prob.ml, _forcing_arg(prob, t), INNER_TOL)
@@ -240,8 +239,7 @@ def _solution_series(prob: KineticProblem, x: float, y: float,
         return (num - pw) - lg
 
     def inner(n: int) -> float:
-        value, converged = ml2_value(TwoParamML(nu, inner_beta(n)), y,
-                                     INNER_TOL)
+        value, converged = ml2_value(TwoParamML(nu, inner_beta(n)), y)
         if not converged:
             raise SeriesAbort("inner Mittag-Leffler factor did not converge")
         return value
@@ -308,7 +306,7 @@ def _solution_series_batch(prob: KineticProblem, xs: list, ys: list,
             end = min(2 * n if n else MIN_TERMS + 2, OUTER_MAX_TERMS + 1,
                       n + max(1, BLOCK_ENTRIES // pos.size))
             rows = ML2Rows(nu, [inner_beta(j) for j in range(start, end)],
-                           powers, pos, INNER_TOL)
+                           powers, pos)
             col[pos] = np.arange(pos.size)
         iv, converged = rows.take(n - start, col[pos])
         # An unconverged factor aborts, as in the per-point sum, and so

@@ -16,13 +16,13 @@ Both return a :class:`SeriesEvaluation` carrying truncation diagnostics;
 form (or directly through the gamma function while its argument is in
 range), and Gamma poles met inside a series contribute zero terms via the
 reciprocal-gamma convention.  The tail certificate is tested from the index
-:func:`_cert_start` gives, where the gamma argument is past all poles.  For
-:func:`ml2` with ``beta > 170`` it is also tested no earlier than the peak
-of the terms (:func:`_peak_start`): before it the terms can underflow to
-zeros that would pass the flat-tail certificate, while at smaller ``beta``
-none before the peak is below ``1/Gamma(170)``.  A series is summed to the
-caller's ``tol`` (``DEFAULT_TOL`` by default) within ``MAX_TERMS`` terms,
-the budget of the extended-precision re-sum too.
+:func:`_cert_start` gives, where the gamma argument is past all poles, and
+for :func:`ml2` with ``beta > 170`` and :func:`kml` with ``q = 1`` and
+``gamma >= k`` no earlier than the peak of the terms (:func:`_peak_start`),
+before which they can underflow to zeros that pass the flat-tail test.  A
+series is summed to the caller's ``tol`` (``DEFAULT_TOL`` by default,
+``INNER_TOL`` in the kinetic entries below) within ``MAX_TERMS`` terms, the
+budget of the extended-precision re-sum too.
 
 Every value comes from one of three paths, named by
 :attr:`SeriesEvaluation.status`:
@@ -117,6 +117,10 @@ from .specfun import is_gamma_pole, recip_gamma, recip_k_gamma, signed_log_gamma
 from .summation import SeriesAbort, sum_series, sum_series_batch
 
 DEFAULT_TOL = 1e-12
+# The tolerance of the kinetic solution series' inner factors and of its
+# forcing (fracml.kinetics): the one tolerance of ml2_value, ML2Rows and
+# kml_batch.  _escalation_bound's derivation needs it at most 1e-8.
+INNER_TOL = 1e-13
 MAX_TERMS = 10_000
 MIN_TERMS = 8
 
@@ -326,9 +330,10 @@ def _ml2(p: TwoParamML, x: float, tol: float,
         err_units += _ERR_LOG * abs(t)
         return t
 
-    start = _cert_start(alpha, beta, MAX_TERMS)
+    start = _cert_start(alpha, beta)
     if beta > _DIRECT_GAMMA_MAX:
-        start = max(start, _peak_start(alpha, beta, log_ax))
+        ml = MLParameters(1.0, alpha, beta, 1.0, 1.0)  # kml's E_{alpha,beta}
+        start = max(start, _peak_start(ml, log_ax))
     res = sum_series(term, tol, MAX_TERMS, start)
     value, used, tail = res.value, res.terms, res.tail_bound
     converged, status = res.converged, _series_status(res)
@@ -345,15 +350,13 @@ def _ml2(p: TwoParamML, x: float, tol: float,
 
 
 # ml2_value's route: how far inside the escalation bound the contour value
-# must lie, and the largest tol it serves (see ml2_value).
+# must lie (see _escalation_bound).
 _ROUTE_MARGIN = 64.0
-_ROUTE_MAX_TOL = 1e-8
 
 
-def ml2_value(p: TwoParamML, x: float,
-              tol: float = DEFAULT_TOL) -> tuple[float, bool]:
-    """``(value, converged)`` of :func:`ml2`, bit for bit, without summing
-    the double series where it would certainly end on the contour.
+def ml2_value(p: TwoParamML, x: float) -> tuple[float, bool]:
+    """``(value, converged)`` of :func:`ml2` at ``INNER_TOL``, bit for bit,
+    without the double series where it would certainly end on the contour.
 
     Where :func:`_escalation_bound` gives a bound ``B > 0`` (only for ``0 <
     alpha <= 2``, ``beta >= 1`` and ``x < 0``) the contour is computed
@@ -364,25 +367,23 @@ def ml2_value(p: TwoParamML, x: float,
     :func:`ml2`'s; one whose contour was computed and not taken is handed
     that contour, so no factor computes it twice.
     """
-    _check_tol(tol)
     x = float(x)
-    bound = _escalation_bound(p.alpha, p.beta, x, tol)
+    bound = _escalation_bound(p.alpha, p.beta, x)
     if bound == 0.0:
-        ev = ml2(p, x, tol)
+        ev = ml2(p, x, INNER_TOL)
     else:
-        found = _ml2_contour(p.alpha, p.beta, x, tol)
+        found = _ml2_contour(p.alpha, p.beta, x, INNER_TOL)
         if found is not None and abs(found[0]) < bound:
             return found[0], True
-        ev = _ml2(p, x, tol, lambda *args: found)
+        ev = _ml2(p, x, INNER_TOL, lambda *args: found)
     return ev.value, ev.converged
 
 
-def _escalation_bound(alpha: float, beta: float, x: float,
-                      tol: float) -> float:
-    """A bound ``B`` such that :func:`ml2` at ``(alpha, beta, x, tol)``
-    returns its contour value whenever that value is certified and smaller
-    than ``B`` in magnitude; 0.0 where no such bound is established, or
-    where the contour is not worth computing up front.
+def _escalation_bound(alpha: float, beta: float, x: float) -> float:
+    """A bound ``B`` such that :func:`ml2` at ``(alpha, beta, x, tol)``,
+    ``tol = INNER_TOL``, returns its contour value whenever that value is
+    certified and smaller than ``B`` in magnitude; 0.0 where no such bound
+    is established, or where the contour is not worth computing up front.
 
     For ``0 < alpha <= 2``, ``beta >= 1`` and ``x < 0`` the terms
     ``|x|**n / Gamma(alpha n + beta)`` have no gamma poles and are
@@ -397,11 +398,10 @@ def _escalation_bound(alpha: float, beta: float, x: float,
     holds once the series value is below ``L * min(1/4, 3 eps / tol)``.
     That value is the function value plus a truncation error of at most
     ``tol * max(1, |value|)`` plus rounding noise, a small multiple of ``eps
-    abs_sum``, which ``tol <= _ROUTE_MAX_TOL`` keeps negligible in both
-    tests.  So ``B`` is that threshold divided by ``_ROUTE_MARGIN`` (64),
-    and ``B > tol`` covers the truncation: the contour, certified to about
-    ``tol / 10`` relative, needs only to be right within a factor of about
-    60.
+    abs_sum``, which ``tol <= 1e-8`` keeps negligible in both tests.  So
+    ``B`` is that threshold divided by ``_ROUTE_MARGIN`` (64), and ``B >
+    tol`` covers the truncation: the contour, certified to about ``tol /
+    10`` relative, needs only to be right within a factor of about 60.
 
     The series must also not run out of terms: the term of index ``M =
     MAX_TERMS - 1``, past the peak, must be below ``tol / 2`` with a ratio
@@ -412,26 +412,26 @@ def _escalation_bound(alpha: float, beta: float, x: float,
     contour computed for the bound is almost always taken.
     """
     if not (alpha <= 2.0 and 1.0 <= beta <= _DIRECT_GAMMA_MAX
-            and -math.inf < x < 0.0 and tol <= _ROUTE_MAX_TOL):
+            and -math.inf < x < 0.0):
         return 0.0
     log_ax = math.log(-x)
     m_last = MAX_TERMS - 1
     lg_last = math.lgamma(alpha * m_last + beta)
-    if (m_last * log_ax - lg_last > math.log(0.5 * tol)
+    if (m_last * log_ax - lg_last > math.log(0.5 * INNER_TOL)
             or log_ax - (math.lgamma(alpha * (m_last + 1) + beta) - lg_last)
             > math.log(0.4)
-            or _cert_start(alpha, beta, MAX_TERMS) > m_last):
+            or _cert_start(alpha, beta) > m_last):
         return 0.0
     # Past the last index the ratio is below 1, so the peak lies before it
     # and |x|**(1/alpha) < alpha MAX_TERMS + beta stays finite.
     m = int(min(max((math.exp(log_ax / alpha) - beta) / alpha, 0.0), m_last))
     log_peak = min(m * log_ax - math.lgamma(alpha * m + beta), _LOG_HUGE)
-    bound = math.exp(log_peak) * min(0.25, 3.0 * _EPS / tol) / _ROUTE_MARGIN
-    return bound if bound > max(tol, 1.0 / math.gamma(beta)) else 0.0
+    bound = (math.exp(log_peak) * min(0.25, 3.0 * _EPS / INNER_TOL)
+             / _ROUTE_MARGIN)
+    return bound if bound > max(INNER_TOL, 1.0 / math.gamma(beta)) else 0.0
 
 
-def _cert_start(alpha: float, beta: float, max_terms: int,
-                k: float = 1.0) -> int:
+def _cert_start(alpha: float, beta: float, k: float = 1.0) -> int:
     """The index from which a series whose ``n``-th gamma argument is
     ``(alpha n + beta) / k`` may certify: the least ``n >= MIN_TERMS`` with
     ``(alpha n + beta) / k >= 2`` as rounded in double precision.  Past it
@@ -441,10 +441,10 @@ def _cert_start(alpha: float, beta: float, max_terms: int,
     The rule of :func:`ml2` and :class:`ML2Rows` (``k = 1``, where the
     division is exact) and of :func:`kml` and :func:`kml_batch`.  The
     rounded argument is nondecreasing in ``n`` (``alpha, k > 0``), so a
-    bisection finds the index.  Where no index below ``max_terms`` qualifies
-    the result is ``max_terms`` (capped at ``sys.maxsize``, far beyond any
-    index a sum reaches), which no summation loop tests.  :func:`ml2` with
-    ``beta > 170`` starts no earlier than :func:`_peak_start` either.
+    bisection finds the index.  Where no index below ``MAX_TERMS`` qualifies
+    the result is ``MAX_TERMS`` (capped at ``sys.maxsize``, far beyond any
+    index a sum reaches), which no summation loop tests.  :func:`ml2` and
+    :func:`kml` start no earlier than :func:`_peak_start` either.
     """
     def ok(n: int) -> bool:
         return (alpha * n + beta) / k >= 2.0
@@ -452,35 +452,41 @@ def _cert_start(alpha: float, beta: float, max_terms: int,
     if ok(MIN_TERMS):
         return MIN_TERMS
     return MIN_TERMS + bisect.bisect_left(
-        range(MIN_TERMS, min(max_terms, sys.maxsize)), True, key=ok)
+        range(MIN_TERMS, min(MAX_TERMS, sys.maxsize)), True, key=ok)
 
 
-def _peak_start(alpha: float, beta: float, log_ax: float) -> int:
-    """The least ``n`` at which the :func:`ml2` term ratio ``|x| Gamma(a) /
-    Gamma(a + alpha)``, ``a = alpha n + beta``, is below 1, with ``log_ax =
-    log |x|``; ``MAX_TERMS`` where no index below it qualifies.
+def _peak_start(p: MLParameters, log_az: float) -> int:
+    """The least ``n`` at which the :func:`kml` term ratio at ``q = 1``,
+    ``|z| k**(1 - s) (c0 + n) / (n + 1) Gamma(a) / Gamma(a + s)`` with ``s =
+    alpha / k``, ``a = (alpha n + beta) / k`` and ``c0 = gamma / k``, is
+    below 1 (``log_az = log |z|``); ``MAX_TERMS`` where no index below it
+    is, and 0 where ``q != 1`` or ``c0 < 1``.  At ``k = gamma = 1`` this is
+    the :func:`ml2` ratio, the added logarithms exactly 0.
 
-    For ``beta > _DIRECT_GAMMA_MAX`` the terms before this peak can
-    underflow to 0.0 (the first is ``1/Gamma(beta)``), and two such zeros
-    would pass the flat-tail certificate of
-    :func:`~fracml.summation.sum_series` with the value 0, however large the
-    terms past them; :func:`ml2` therefore tests its certificate from this
-    index on.  Gamma is log-convex, so the ratio falls with ``n`` and a
-    bisection finds the index.  At smaller ``beta`` no term before the peak
-    is below ``1/Gamma(170)`` (see :func:`_escalation_bound`), and no term
-    before it can pass the geometric certificate, whose ratio must be below
-    1/2, so the rule is not needed there.
+    Before the peak the terms can underflow to zeros that pass the flat-tail
+    test, while the geometric one cannot pass.  Gamma is log-convex and
+    ``(c0 + n) / (n + 1)`` does not rise for ``c0 >= 1``, so the ratio falls
+    and a bisection finds the index.  :func:`ml2` needs the rule only at
+    ``beta > 170``: no term before its peak is below ``1/Gamma(170)``
+    otherwise (see :func:`_escalation_bound`).
     """
+    if p.q != 1.0 or p.gamma < p.k:
+        return 0
+    k, alpha, beta, c0 = p.k, p.alpha, p.beta, p.gamma / p.k
+    s = alpha / k
+    shift = log_az + (1.0 - s) * math.log(k)
+
     def past_peak(n: int) -> bool:
-        a = alpha * n + beta
-        # log Gamma(a + alpha) - log Gamma(a) by Stirling's formula.  Its
-        # omitted terms are below alpha / (12 a**2) at a > 170, so an index
-        # it admits early holds terms that near the peak, where neither
-        # certificate passes; unlike a difference of lgamma values it
-        # neither cancels nor overflows.
-        rise = ((a - 0.5) * math.log1p(alpha / a)
-                + alpha * (math.log(a + alpha) - 1.0))
-        return rise > log_ax
+        a = (alpha * n + beta) / k
+        if a > _DIRECT_GAMMA_MAX:
+            # log Gamma(a + s) - log Gamma(a) by Stirling's formula, which
+            # neither cancels nor overflows: off by below s / (12 a**2), it
+            # moves the start at most into the peak, where neither test passes.
+            rise = ((a - 0.5) * math.log1p(s / a)
+                    + s * (math.log(a + s) - 1.0))
+        else:
+            rise = signed_log_gamma(a + s)[0] - signed_log_gamma(a)[0]
+        return rise > shift + math.log((c0 + n) / (n + 1))
 
     return bisect.bisect_left(range(MAX_TERMS), True, key=past_peak)
 
@@ -549,25 +555,19 @@ class PowerTable:
 
 
 def _should_escalate_batch(x: np.ndarray, abs_sum: np.ndarray,
-                           value: np.ndarray, err_units: np.ndarray,
-                           tol: float) -> np.ndarray:
-    # _should_escalate, elementwise; max(|value|, 1e-300) keeps a NaN as
+                           value: np.ndarray,
+                           err_units: np.ndarray) -> np.ndarray:
+    # _should_escalate at INNER_TOL, elementwise; np.maximum keeps a NaN as
     # Python's max does.
     av = np.abs(value)
     return ((x < 0.0) & (abs_sum > 4.0 * av)
-            & (_EPS * err_units > tol * np.where(1e-300 > av, 1e-300, av)))
-
-
-def _certified(tail: np.ndarray, value: np.ndarray, tol: float) -> np.ndarray:
-    # tail <= tol * max(1.0, |value|), elementwise; fmax, like Python's max
-    # with 1.0 first, gives 1.0 for a NaN.
-    return tail <= tol * np.fmax(np.abs(value), 1.0)
+            & (_EPS * err_units > INNER_TOL * np.maximum(av, 1e-300)))
 
 
 class ML2Rows:
     """``E_{alpha,beta_r}(x_i)`` for several offsets ``beta_r`` (rows) at the
-    points ``x_i`` of a :class:`PowerTable` (columns), summed in one
-    :func:`~fracml.summation.sum_series_batch` call.
+    points ``x_i`` of a :class:`PowerTable` (columns), summed to
+    ``INNER_TOL`` in one :func:`~fracml.summation.sum_series_batch` call.
 
     Each row follows :func:`ml2`'s term, direct-branch and certificate
     rules for its own ``beta_r``, with one scalar ``math.gamma`` per row and
@@ -580,9 +580,8 @@ class ML2Rows:
     """
 
     def __init__(self, alpha: float, betas: list, powers: PowerTable,
-                 idx: np.ndarray, tol: float = DEFAULT_TOL):
-        _check_tol(tol)
-        self.alpha, self.betas, self.tol = alpha, betas, tol
+                 idx: np.ndarray):
+        self.alpha, self.betas = alpha, betas
         self.width = width = idx.size
         rows = np.repeat(np.arange(len(betas)), width)
         points = np.tile(idx, len(betas))
@@ -605,34 +604,33 @@ class ML2Rows:
             # branch, or a NaN gamma value from outside it.
             return t, ~np.isfinite(t)
 
-        start = [_cert_start(alpha, beta, MAX_TERMS) for beta in betas]
-        res = sum_series_batch(term, rows.size, tol, MAX_TERMS,
+        start = [_cert_start(alpha, beta) for beta in betas]
+        res = sum_series_batch(term, rows.size, INNER_TOL, MAX_TERMS,
                                np.repeat(start, width))
         self.res = res
         self.escalate = res.converged & _should_escalate_batch(
-            x, res.abs_sum, res.value, err_units, tol)
-        self.settled = res.converged & _certified(res.tail_bound, res.value,
-                                                  tol)
+            x, res.abs_sum, res.value, err_units)
 
     def take(self, row: int, cols: np.ndarray) -> tuple:
         """``(value, converged)`` of row ``row`` at columns ``cols``, each
-        entry equal bit for bit to the fields of :func:`ml2`.  An entry the
-        batch did not sum to the end (an abort, an exhausted budget, or a
-        term outside the direct branch) is evaluated by :func:`ml2`."""
+        entry equal bit for bit to the fields of :func:`ml2` at
+        ``INNER_TOL``.  An entry the batch did not sum to the end (an abort,
+        an exhausted budget, or a term outside the direct branch) is
+        evaluated by :func:`ml2`."""
         f = row * self.width + cols
-        value, settled = self.res.value[f], self.settled[f]
+        value, settled = self.res.value[f], self.res.converged[f]
         beta = self.betas[row]
         for j in np.flatnonzero(self.escalate[f]).tolist():
             i = f[j]
             v, _, tail, _ = _ml2_cancelling(
                 self.alpha, beta, float(self.x[i]),
-                float(self.res.abs_sum[i]), float(value[j]), self.tol,
+                float(self.res.abs_sum[i]), float(value[j]), INNER_TOL,
                 _ml2_contour)
             value[j] = v
-            settled[j] = tail <= self.tol * max(1.0, abs(v))
+            settled[j] = tail <= INNER_TOL * max(1.0, abs(v))
         for j in np.flatnonzero(~self.res.converged[f]).tolist():
             ev = ml2(TwoParamML(self.alpha, beta), float(self.x[f[j]]),
-                     self.tol)
+                     INNER_TOL)
             value[j], settled[j] = ev.value, ev.converged
         return value, settled
 
@@ -959,8 +957,8 @@ def kml(p: MLParameters, z: float,
         err_units += _ERR_LOG * abs(t)
         return t
 
-    res = sum_series(term, tol, MAX_TERMS,
-                     _cert_start(p.alpha, p.beta, MAX_TERMS, p.k))
+    start = max(_cert_start(p.alpha, p.beta, p.k), _peak_start(p, log_az))
+    res = sum_series(term, tol, MAX_TERMS, start)
     value, used, tail = res.value, res.terms, res.tail_bound
     status = _series_status(res)
     if res.converged and _should_escalate(z, res.abs_sum, value, err_units, tol):
@@ -1020,21 +1018,19 @@ def log_coeff_parts(p: MLParameters) -> Callable[[int], tuple]:
     return parts
 
 
-def kml_batch(p: MLParameters, zs: list, tol: float = DEFAULT_TOL) -> tuple:
+def kml_batch(p: MLParameters, zs: list) -> tuple:
     """Evaluate the generalized k-Mittag-Leffler series at every real ``zs[i]``
-    at once.
+    at once, to ``INNER_TOL``.
 
     Returns ``(value, terms_used, tail_bound, converged)`` arrays aligned
-    with ``zs``, each entry equal bit for bit to the field of
-    :func:`kml` at ``zs[i]``.  The log-coefficient of each term is formed
+    with ``zs``, each entry equal bit for bit to the field of :func:`kml` at
+    ``zs[i]`` and ``INNER_TOL``.  The log-coefficient of each term is formed
     once for all points with :func:`kml`'s scalar calls; each point adds its
-    own ``n log|z|`` and takes a scalar ``math.exp``.  A point that
-    aborts, exhausts the budget or fails its certificate keeps the batch's
-    result, which is :func:`kml`'s; points at ``z = 0``, points beyond the
-    radius of convergence and points that need extended precision are
-    evaluated by :func:`kml`.
+    own ``n log|z|`` and takes a scalar ``math.exp``.  A point that aborts
+    or exhausts the budget keeps the batch's result, which is :func:`kml`'s;
+    points at ``z = 0``, beyond the radius of convergence or needing
+    extended precision are evaluated by :func:`kml`.
     """
-    _check_tol(tol)
     zs = [float(z) for z in zs]
     z = np.array(zs)
     if not np.isfinite(z).all():
@@ -1066,17 +1062,20 @@ def kml_batch(p: MLParameters, zs: list, tol: float = DEFAULT_TOL) -> tuple:
             err_units[pos] += _ERR_LOG * np.abs(t)
             return t, over
 
-        res = sum_series_batch(term, idx.size, tol, MAX_TERMS,
-                               _cert_start(p.alpha, p.beta, MAX_TERMS, p.k))
+        # kml's starts; the peak moves out with |z|, so test the largest first.
+        start = _cert_start(p.alpha, p.beta, p.k)
+        if _peak_start(p, float(log_az.max())) > start:
+            start = np.array([max(start, _peak_start(p, v))
+                              for v in log_az.tolist()])
+        res = sum_series_batch(term, idx.size, INNER_TOL, MAX_TERMS, start)
         ok = ~(res.converged & _should_escalate_batch(
-            z[idx], res.abs_sum, res.value, err_units, tol))
+            z[idx], res.abs_sum, res.value, err_units))
         done = idx[ok]
         value[done], used[done] = res.value[ok], res.terms[ok]
         tail[done], summed[done] = res.tail_bound[ok], True
-        settled[done] = (res.converged
-                         & _certified(res.tail_bound, res.value, tol))[ok]
+        settled[done] = res.converged[ok]
     for i in np.flatnonzero(~summed).tolist():
-        ev = kml(p, zs[i], tol)
+        ev = kml(p, zs[i], INNER_TOL)
         value[i], used[i], tail[i] = ev.value, ev.terms_used, ev.tail_bound
         settled[i] = ev.converged
     return value, used, tail, settled

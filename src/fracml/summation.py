@@ -8,12 +8,13 @@ certificate is: at the first index ``n >= min_terms`` where
 * ``|term_n| <= tol * max(1, |partial|)``, and
 * ``r = |term_{n+1}| / |term_n| < 1/2``,
 
-the tail is bounded by ``|term_{n+1}| / (1 - r)``.  A caller whose early
-terms can mislead the test (zero terms at gamma poles) passes the first
-index past them as ``min_terms``.  If no index certifies
-within ``max_terms``, or a term generator raises :class:`SeriesAbort`, the
-partial sum is returned with ``converged=False`` (and the abort's reason);
-a wrong answer is never reported silently.
+the tail is bounded by ``|term_{n+1}| / (1 - r) < |term_n|`` (by 0 where
+both terms are 0), so a converged sum's tail bound is at most ``tol * max(1,
+|value|)``.  A caller whose early terms can mislead the test (zero terms at
+gamma poles) passes the first index past them as ``min_terms``.  If no
+index certifies within ``max_terms``, or a term generator raises
+:class:`SeriesAbort`, the partial sum is returned with ``converged=False``
+(and the abort's reason); a wrong answer is never reported silently.
 
 :func:`sum_series_batch` sums many independent series at once with the same
 accumulator and the same certificate, elementwise.  It uses only IEEE-exact

@@ -207,6 +207,14 @@ CASES = {
         ["eval-kml", "--k", "1", "--alpha", "1", "--beta", "1e306",
          "--gamma", "1", "--tau", "1", "--z", "0"], 0, EVAL + "0,1,0,true\n",
         ""),
+    # At k = gamma = q = 1 the function is E_{1,250}(2300): its terms before
+    # the peak underflow to 0.0 as well, and two of them once certified the
+    # value 0 after 9 terms.
+    "eval-kml-past-underflowed-terms": (
+        ["eval-kml", "--k", "1", "--alpha", "1", "--beta", "250", "--gamma",
+         "1", "--tau", "1", "--z", "2300"], 0,
+        EVAL + "6.4132358129095149e+161,4351,1.0398215414616211e-226,true\n",
+        ""),
     # argparse before Python 3.14 took -1e-5 for a flag ("expected one
     # argument"); it is the value, as in --x=-1e-5.
     "eval-ml-negative-exponent": (

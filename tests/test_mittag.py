@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 import oracles
 import fracml.mittag as mittag
 from fracml.errors import DomainError
-from fracml.kinetics import INNER_TOL
 from fracml.mittag import (
+    INNER_TOL,
     MLParameters,
     ML2Rows,
     PowerTable,
@@ -241,19 +241,18 @@ class TestBatchEvaluator:
            beta=st.one_of(st.floats(-3.0, 5.0),
                           st.integers(-3, 5).map(float)),
            xs=st.lists(st.floats(-6.0, 6.0).filter(lambda x: x != 0.0),
-                       min_size=1, max_size=12),
-           tol=st.sampled_from([1e-10, 1e-13]))
-    def test_settled_points_equal_ml2(self, alpha, beta, xs, tol):
+                       min_size=1, max_size=12))
+    def test_settled_points_equal_ml2(self, alpha, beta, xs):
         # Integer beta <= 0 puts gamma poles among the first terms, which
         # the batch leaves to ml2; negative x with alpha near 1/2 cancels
         # and escalates.
         p = TwoParamML(alpha, beta)
         idx = np.arange(len(xs))
         value, settled = ML2Rows(p.alpha, [p.beta], PowerTable(xs),
-                                 idx, tol).take(0, idx)
+                                 idx).take(0, idx)
         for i, x in enumerate(xs):
             if settled[i]:
-                ev = ml2(p, x, tol)
+                ev = ml2(p, x, INNER_TOL)
                 assert ev.converged
                 assert value[i] == ev.value
 
@@ -269,7 +268,7 @@ class TestBatchEvaluator:
         # entries to ml2, which settles them.
         assert settled.all()
         for i, x in enumerate(xs):
-            ev = ml2(p, x)
+            ev = ml2(p, x, INNER_TOL)
             assert ev.converged
             assert value[i] == ev.value
             # E_{1,0}(x) = x e^x
@@ -294,7 +293,7 @@ class TestBatchEvaluator:
         for r, beta in enumerate(betas):
             value, converged = rows.take(r, idx)
             for i, x in enumerate(xs):
-                ev = ml2(TwoParamML(alpha, beta), x)
+                ev = ml2(TwoParamML(alpha, beta), x, INNER_TOL)
                 got = (float(value[i]), bool(converged[i]))
                 assert repr(got) == repr((ev.value, ev.converged)), (beta, x)
 
@@ -305,7 +304,7 @@ class TestBatchEvaluator:
         value, settled = ML2Rows(p.alpha, [p.beta], PowerTable(xs),
                                  idx).take(0, idx)
         assert settled.all()
-        assert value.tolist() == [ml2(p, x).value for x in xs]
+        assert value.tolist() == [ml2(p, x, INNER_TOL).value for x in xs]
 
 
 def _fields(value, used, tail, converged, i):
@@ -323,16 +322,15 @@ class TestKmlBatch:
            gamma=st.floats(0.1, 5.0),
            q=st.sampled_from([0.5, 1.0, 2.0, 3.0]),
            zs=st.lists(st.one_of(st.floats(-12.0, 12.0), st.just(0.0)),
-                       min_size=1, max_size=10),
-           tol=st.sampled_from([1e-10, 1e-13]))
-    def test_equals_kml(self, k, alpha, beta, gamma, q, zs, tol):
+                       min_size=1, max_size=10))
+    def test_equals_kml(self, k, alpha, beta, gamma, q, zs):
         # Negative z cancels and escalates; q = 2, 3 with small alpha/k is
         # divergent; a subnormal or huge beta takes the log form at z = 0
         # and aborts or vanishes elsewhere.
         p = MLParameters(k, alpha, beta, gamma, q)
-        out = kml_batch(p, zs, tol)
+        out = kml_batch(p, zs)
         for i, z in enumerate(zs):
-            assert _fields(*out, i) == repr(kml(p, z, tol)), z
+            assert _fields(*out, i) == repr(kml(p, z, INNER_TOL)), z
 
     def test_escalated_points_equal_kml(self, monkeypatch):
         # k = q = gamma = beta = 1: E(z) = exp(z), which cancels badly at
@@ -350,7 +348,7 @@ class TestKmlBatch:
         out = kml_batch(p, zs)
         assert calls == [-20.0, -3.0, -15.5]  # once each
         for i, z in enumerate(zs):
-            ev = kml(p, z)
+            ev = kml(p, z, INNER_TOL)
             assert ev.converged
             assert _fields(*out, i) == repr(ev)
         assert out[0][0] == pytest.approx(math.exp(-20.0), rel=1e-11)
@@ -389,7 +387,7 @@ class TestKmlBatch:
         assert calls == []
         monkeypatch.undo()
         for i, z in enumerate(zs):
-            ev = kml(p, z)
+            ev = kml(p, z, INNER_TOL)
             assert not ev.converged
             assert _fields(*out, i) == repr(ev)
 
@@ -497,7 +495,7 @@ class TestOutOfRangeParameters:
             p = MLParameters(k, alpha, beta, 1.0, 1.0)
             out = kml_batch(p, zs)
             for i, z in enumerate(zs):
-                ev = kml(p, z)
+                ev = kml(p, z, INNER_TOL)
                 assert _fields(*out, i) == repr(ev)
                 assert ev.status in ("series", "extended", "overflow",
                                      "budget", "divergent")
@@ -598,7 +596,7 @@ class TestContour:
         value, settled = ML2Rows(p.alpha, [p.beta], PowerTable(xs),
                                  idx).take(0, idx)
         batch_calls, calls[:] = list(calls), []
-        evs = [ml2(p, x) for x in xs]
+        evs = [ml2(p, x, INNER_TOL) for x in xs]
         assert batch_calls == calls and len(calls) == 2
         assert settled.all()
         assert value.tolist() == [ev.value for ev in evs]
@@ -607,9 +605,9 @@ class TestContour:
     def test_uncertified_contour_falls_back_unchanged(self, monkeypatch):
         # Without the contour, the route is the extended-precision path.
         p, x = TwoParamML(1.5, 1.0), -40.0
-        contour = ml2(p, x)
+        contour = ml2(p, x, INNER_TOL)
         monkeypatch.setattr(mittag, "_ml2_contour", lambda *args: None)
-        ev = ml2(p, x)
+        ev = ml2(p, x, INNER_TOL)
         assert ev.status == "extended" and ev.converged
         assert rel(ev.value, contour.value) <= 1e-12
         idx = np.arange(1)
@@ -645,8 +643,8 @@ class TestContour:
             assert (tmp_path / path.name).read_bytes() == path.read_bytes()
 
 
-def _ml2_fields(p, x, tol):
-    ev = ml2(p, x, tol)
+def _ml2_fields(p, x):
+    ev = ml2(p, x, INNER_TOL)
     return ev.value, ev.converged
 
 
@@ -681,20 +679,21 @@ class TestInnerFactorRoute:
     @example(alpha=0.5, beta=1.0, x=-30.0)    # the series overflows
     def test_equals_ml2(self, alpha, beta, x):
         p = TwoParamML(alpha, beta)
-        assert _same(ml2_value(p, x, INNER_TOL), _ml2_fields(p, x, INNER_TOL))
+        assert _same(ml2_value(p, x), _ml2_fields(p, x))
 
     @pytest.mark.parametrize("alpha, beta, x", [
         (1.5, 1.0, -40.0), (2.0, 1.0, -3000.0), (1.0, 2.0, -22.5),
         (1.9, 7.0, -500.0)])
     def test_routed_factor_sums_no_series(self, monkeypatch, alpha, beta, x):
         p = TwoParamML(alpha, beta)
-        want = _ml2_fields(p, x, INNER_TOL)
+        want = _ml2_fields(p, x)
         assert ml2(p, x, INNER_TOL).status == "contour"
         sums = _count_calls(monkeypatch, "sum_series")
         contours = _count_calls(monkeypatch, "_ml2_contour")
-        assert _same(ml2_value(p, x, INNER_TOL), want)
+        assert _same(ml2_value(p, x), want)
         assert (len(sums), len(contours)) == (0, 1)
 
+    # tol: the tolerance ml2_value hands to ml2.
     @pytest.mark.parametrize("alpha, beta, x, tol", [
         (2.5, 1.0, -10.0, INNER_TOL),   # alpha > 2: no contour
         (1.5, 1.0, 40.0, INNER_TOL),    # x > 0
@@ -702,17 +701,16 @@ class TestInnerFactorRoute:
         (1.5, 1.0, -0.0, INNER_TOL),
         (0.7, 0.7, -40.0, INNER_TOL),   # beta < 1
         (1.5, 0.5, -40.0, INNER_TOL),
-        (1.5, 1.0, -40.0, 1e-6),        # a large tol
         (1.0, 1.0, -0.5, INNER_TOL),    # no cancellation
     ])
     def test_outside_the_route_falls_back(self, monkeypatch, alpha, beta, x,
                                           tol):
         p = TwoParamML(alpha, beta)
-        want = _ml2_fields(p, x, tol)
-        assert mittag._escalation_bound(alpha, beta, x, tol) == 0.0
+        want = _ml2_fields(p, x)
+        assert mittag._escalation_bound(alpha, beta, x) == 0.0
         calls = _count_calls(monkeypatch, "ml2")
         contours = _count_calls(monkeypatch, "_ml2_contour")
-        assert _same(ml2_value(p, x, tol), want)
+        assert _same(ml2_value(p, x), want)
         assert calls == [(p, x, tol)]
         # Only ml2's own contour, where it escalates or overflows.
         assert len(contours) <= 1
@@ -723,16 +721,16 @@ class TestInnerFactorRoute:
         # certified but (here, made) too large for the bound.  The fallback
         # gets that contour and computes none of its own.
         p, x = TwoParamML(1.5, 1.0), -40.0
-        assert mittag._escalation_bound(p.alpha, p.beta, x, INNER_TOL) > 0.0
+        assert mittag._escalation_bound(p.alpha, p.beta, x) > 0.0
 
         def contour(*args):
             return None if scale is None else (scale, 0.0)
 
         contours = _count_calls(monkeypatch, "_ml2_contour", contour)
-        want = _ml2_fields(p, x, INNER_TOL)
+        want = _ml2_fields(p, x)
         assert len(contours) == 1
         contours.clear()
-        assert _same(ml2_value(p, x, INNER_TOL), want)
+        assert _same(ml2_value(p, x), want)
         assert len(contours) == 1
         if scale is not None:
             assert want == (scale, True)
@@ -741,19 +739,23 @@ class TestInnerFactorRoute:
         # With too few terms to certify past the peak the series might end
         # on its budget, so the route is not taken.
         p, x = TwoParamML(1.5, 1.0), -40.0
-        assert mittag._escalation_bound(p.alpha, p.beta, x, INNER_TOL) > 0.0
+        assert mittag._escalation_bound(p.alpha, p.beta, x) > 0.0
         monkeypatch.setattr(mittag, "MAX_TERMS", 30)
-        want = _ml2_fields(p, x, INNER_TOL)
-        assert mittag._escalation_bound(p.alpha, p.beta, x, INNER_TOL) == 0.0
-        assert _same(ml2_value(p, x, INNER_TOL), want)
+        want = _ml2_fields(p, x)
+        assert mittag._escalation_bound(p.alpha, p.beta, x) == 0.0
+        assert _same(ml2_value(p, x), want)
         assert want[1] is False
 
     def test_invalid_arguments_raise_as_ml2(self):
         p = TwoParamML(1.5, 1.0)
-        for x, tol in ((-math.inf, INNER_TOL), (math.nan, INNER_TOL),
-                       (-40.0, 0.0), (-40.0, math.nan), (-40.0, -1.0)):
+        for x in (-math.inf, math.inf, math.nan):
             with pytest.raises(DomainError):
-                ml2_value(p, x, tol)
+                ml2_value(p, x)
+
+    def test_inner_tol_is_within_the_bounds_derivation(self):
+        # _escalation_bound's derivation neglects rounding noise against
+        # the truncation, which needs INNER_TOL <= 1e-8.
+        assert 0.0 < mittag.INNER_TOL <= 1e-8
 
 
 class TestRelativePlacements:
@@ -921,7 +923,9 @@ class TestCertStart:
            max_terms=st.integers(0, 3000))
     def test_agrees_with_the_veto_at_every_index(self, alpha, beta, k,
                                                  max_terms):
-        start = mittag._cert_start(alpha, beta, max_terms, k)
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(mittag, "MAX_TERMS", max_terms)
+            start = mittag._cert_start(alpha, beta, k)
         for n in range(max_terms):
             assert (n >= start) == self._vetoed(alpha, beta, k, n), n
 
@@ -933,8 +937,9 @@ class TestCertStart:
         (1e-300, -1e300, 10 ** 30, sys.maxsize),   # and a huge budget
         (1.0, -50.0, 5, mittag.MIN_TERMS),         # the budget ends first
     ])
-    def test_edges(self, alpha, beta, max_terms, expected):
-        assert mittag._cert_start(alpha, beta, max_terms) == expected
+    def test_edges(self, monkeypatch, alpha, beta, max_terms, expected):
+        monkeypatch.setattr(mittag, "MAX_TERMS", max_terms)
+        assert mittag._cert_start(alpha, beta) == expected
 
     @pytest.mark.parametrize("alpha, beta, x, max_terms, expected, status", [
         (1e-300, 1.5, 0.5, 200,
@@ -956,9 +961,26 @@ class TestCertStart:
         assert (ev, ev.status) == (expected, status)
 
 
+def _summed_past_the_peak(alpha, beta, x):
+    """E_{alpha,beta}(x) for x > 0, as an mpmath number: its terms are
+    positive and unimodal, so the oracle sums them to e**-70 of the largest,
+    past the peak."""
+    log_x, n, top = math.log(x), 0, -math.inf
+    while (term := n * log_x - math.lgamma(alpha * n + beta)) > top - 70:
+        top = max(top, term)
+        n += 1
+    return oracles.mp_ml2_partial(alpha, beta, x, n)
+
+
+def _ml2_peak_start(alpha, beta, log_x):
+    # E_{alpha,beta} is kml at k = gamma = q = 1.
+    return mittag._peak_start(MLParameters(1.0, alpha, beta, 1.0, 1.0), log_x)
+
+
 class TestPeakStart:
     """Past beta = 170 the terms before the peak can underflow to 0.0, and
-    ml2 may certify only past the peak (mittag._peak_start)."""
+    ml2 may certify only past the peak (mittag._peak_start); so may kml
+    with q = 1 and gamma >= k, whose term ratio falls too."""
 
     @settings(max_examples=12, deadline=None)
     @given(alpha=st.floats(0.8, 1.5),
@@ -972,15 +994,39 @@ class TestPeakStart:
         if not ev.converged:
             assert ev.status == "overflow"
             return
-        # The terms are positive and unimodal: sum them to e**-70 of the
-        # largest, past the peak.  Log-form terms carry about eps * lgamma
-        # of relative rounding each; underflowed ones at most 1e-304 in all.
-        log_x, n, top = math.log(x), 0, -math.inf
-        while (term := n * log_x - math.lgamma(alpha * n + beta)) > top - 70:
-            top = max(top, term)
-            n += 1
-        ref = float(oracles.mp_ml2_partial(alpha, beta, x, n))
+        # Log-form terms carry about eps * lgamma of relative rounding each;
+        # underflowed ones at most 1e-304 in all.
+        ref = float(_summed_past_the_peak(alpha, beta, x))
         assert abs(ev.value - ref) <= 1e-10 * ref + 1e-300
+
+    @settings(max_examples=8, deadline=None)
+    @given(k=st.sampled_from([0.5, 1.0, 2.0]), alpha=st.floats(0.8, 1.5),
+           b=st.floats(170.0, 400.0, exclude_min=True),
+           x=st.floats(1.0, 3000.0))
+    @example(k=1.0, alpha=1.0, b=250.0, x=2300.0)   # once 0 after 9 terms
+    @example(k=0.5, alpha=1.0, b=180.0, x=1.0)      # E below the doubles
+    def test_kml_against_the_oracle(self, k, alpha, b, x):
+        # At gamma = k and q = 1 the coefficient (k)_{n,k} / n! is k**n, so
+        # kml(k, alpha k, b k, k, 1; z) = k**(1 - b) E_{alpha,b}(x) with
+        # x = k**(1 - alpha) z: ml2's terms past beta = 170, scaled.  z
+        # rounds x by an ulp or so, which moves the value by about x ulps.
+        p = MLParameters(k, alpha * k, b * k, k, 1.0)
+        z = x / k ** (1.0 - alpha)
+        ev = kml(p, z)
+        if not ev.converged:
+            assert ev.status == "overflow"
+            return
+        # Scaled in mpmath: the factor takes E out of or into the double
+        # range.
+        ref = float(mpmath.mpf(k) ** (1 - mpmath.mpf(b))
+                    * _summed_past_the_peak(alpha, b, x))
+        assert abs(ev.value - ref) <= 1e-10 * ref + 1e-300
+        # kml_batch starts each point where kml does, also where the points'
+        # peaks differ.
+        zs = [z, 1.0, z / 2.0]
+        out = kml_batch(p, zs)
+        for i, zi in enumerate(zs):
+            assert _fields(*out, i) == repr(kml(p, zi, INNER_TOL)), zi
 
     @settings(max_examples=200, deadline=None)
     @given(alpha=st.floats(1e-3, 50.0),
@@ -993,14 +1039,14 @@ class TestPeakStart:
             a = alpha * n + beta
             return math.lgamma(a + alpha) - math.lgamma(a) > math.log(x)
 
-        start = mittag._peak_start(alpha, beta, math.log(x))
+        start = _ml2_peak_start(alpha, beta, math.log(x))
         assert start == mittag.MAX_TERMS or past(start + 1)
         assert start == 0 or not past(start - 2)
 
     def test_start_where_lgamma_overflows(self):
         # log Gamma(1e306) is not a double, and beta + n rounds to beta.
-        assert mittag._peak_start(1.0, 1e306, 0.0) == 0
-        assert mittag._peak_start(1e-3, 1e306, math.log(1e308)) == (
+        assert _ml2_peak_start(1.0, 1e306, 0.0) == 0
+        assert _ml2_peak_start(1e-3, 1e306, math.log(1e308)) == (
             mittag.MAX_TERMS)
 
 
@@ -1110,7 +1156,7 @@ class TestKmlRadius:
         r = alpha / k
         radius = r ** r / (k * q ** q)
         z = scale * radius * (-1.0 if negative else 1.0)
-        ev = kml(p, z)
+        ev = kml(p, z, INNER_TOL)
         batch = kml_batch(p, [z])
         assert _fields(*batch, 0) == repr(ev)
         if abs(z) > radius:

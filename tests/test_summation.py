@@ -17,6 +17,14 @@ series = st.tuples(
 )
 
 
+def assert_certified(value, tail, converged, tol):
+    # A converged sum's tail bound is below tol * max(1, |value|): the
+    # batched Mittag-Leffler evaluators take a converged sum as certified
+    # without testing its tail again.
+    if converged:
+        assert tail <= tol * max(1.0, abs(value)), (value, tail, tol)
+
+
 def scalar_term(spec):
     scale, ratio, alternate, zeros, abort = spec
 
@@ -56,6 +64,9 @@ def test_batch_equals_scalar_sum(specs, tol, max_terms, cert_from):
                res.converged[i], res.abs_sum[i])
         assert got == ref[:5], (i, specs[i])  # the batch keeps no reason
         assert math.copysign(1.0, res.value[i]) == math.copysign(1.0, ref.value)
+        assert_certified(ref.value, ref.tail_bound, ref.converged, tol)
+        assert_certified(res.value[i], res.tail_bound[i], res.converged[i],
+                         tol)
 
 
 @settings(max_examples=100)
@@ -80,6 +91,9 @@ def test_per_series_certificate_equals_scalar_sum(specs, tol, max_terms):
         got = (res.value[i], res.terms[i], res.tail_bound[i],
                res.converged[i], res.abs_sum[i])
         assert got == ref[:5], (i, specs[i])
+        assert_certified(ref.value, ref.tail_bound, ref.converged, tol)
+        assert_certified(res.value[i], res.tail_bound[i], res.converged[i],
+                         tol)
 
 
 def test_abort_reason_is_kept():
