@@ -35,8 +35,9 @@ Every value comes from one of three paths, named by
   placement first, then placements chosen for accuracy relative to a small
   value, with the pole residues computed at 116 bits on mpmath's ``libmp``
   (:func:`_pole_residues`), outside the global mpmath context;
-* ``extended`` -- the series re-summed in extended precision (mpmath) with a
-  working precision sized from the measured condition number.
+* ``extended`` -- the series re-summed in extended precision (mpmath), in
+  one pass at a working precision sized from the absolute term sum the
+  double pass measured (:func:`_extended_sum`).
 
 An alternating series whose double-precision term noise would exceed the
 requested tolerance relative to the computed value goes to
@@ -209,13 +210,6 @@ class SeriesEvaluation:
 _MAX_DPS = 300
 
 
-def _needed_dps(abs_sum: float, value: float) -> int:
-    cond = abs_sum / max(abs(value), 1e-300)
-    extra = math.log10(cond) if cond > 1.0 else 0.0
-    # cond is inf when a zero value meets a huge abs_sum.
-    return min(_MAX_DPS, 22 + int(min(extra, _MAX_DPS)))
-
-
 # The extended-precision re-sum (_mp_sum) sets the global mpmath precision;
 # serialize it so the evaluators stay safe to call from multiple threads.
 # Nothing else takes the lock: the pole residues use explicit precision.
@@ -259,24 +253,21 @@ def _should_escalate(x: float, abs_sum: float, value: float,
     )
 
 
-def _extended_sum(term_mp, abs_sum: float,
-                  approx: float) -> tuple[float, int, float]:
-    """Re-sum a cancelling series in extended precision.
+def _extended_sum(term_mp, abs_sum: float) -> tuple[float, int, float]:
+    """Re-sum a cancelling series in extended precision, in one pass.
 
-    The working precision must cover the (unknown) ratio of the absolute
-    term sum to the true value; since a noise-dominated double result can
-    grossly overestimate that value, the precision is re-derived from each
-    pass's own result until it is self-consistent.  Returns the value, the
-    terms used, and the remaining noise floor as a tail bound.
+    Away from its real zeros a cancelling ``E_{alpha,beta}(-x)`` is no
+    smaller than about ``1 / abs_sum``: ``E_{1,1}(-x) * sum x**n/n! = 1`` is
+    the extreme, and the other cases decay algebraically or like their pole
+    residues.  The rounding of the sum stays below about ``abs_sum *
+    10**-dps``, so ``dps = 22 + 2 log10(abs_sum)`` keeps it some 22 digits
+    below that value, 9 beyond ``INNER_TOL``; an infinite ``abs_sum`` gets
+    ``_MAX_DPS``.  Returns the value, the terms used, and the remaining
+    noise floor as a tail bound.
     """
-    target = max(abs(approx), 1e-300)
-    dps, value, used = 22, approx, 0
-    for _ in range(6):
-        dps = _needed_dps(abs_sum, target)
-        value, used = _mp_sum(term_mp, dps)
-        if dps >= _needed_dps(abs_sum, value):
-            break
-        target = max(abs(value), 1e-300)
+    digits = min(math.log10(max(abs_sum, 1.0)), _MAX_DPS)
+    dps = min(_MAX_DPS, 22 + 2 * math.ceil(digits))
+    value, used = _mp_sum(term_mp, dps)
     return value, used, abs_sum * 10.0 ** (3 - dps)
 
 
@@ -339,7 +330,7 @@ def _ml2(p: TwoParamML, x: float, tol: float,
     converged, status = res.converged, _series_status(res)
     if converged and _should_escalate(x, res.abs_sum, value, err_units, tol):
         value, used_x, tail, status = _ml2_cancelling(
-            alpha, beta, x, res.abs_sum, value, tol, contour)
+            alpha, beta, x, res.abs_sum, tol, contour)
         used = max(used, used_x)
     elif res.abort is not None and x < 0.0:
         found = contour(alpha, beta, x, tol)
@@ -500,11 +491,10 @@ def _series_status(res) -> str:
 
 
 def _ml2_cancelling(alpha: float, beta: float, x: float, abs_sum: float,
-                    approx: float, tol: float,
+                    tol: float,
                     contour: Callable) -> tuple[float, int, float, str]:
     """``E_{alpha,beta}(x)`` at ``x < 0`` where the double-precision sum
-    (``approx``, with absolute term sum ``abs_sum``) cancels too much to meet
-    ``tol``.
+    (with absolute term sum ``abs_sum``) cancels too much to meet ``tol``.
 
     The one place both :func:`ml2` and :meth:`ML2Rows.take` send such an
     entry: the contour (``contour``, which is :func:`_ml2_contour` or stands
@@ -515,7 +505,7 @@ def _ml2_cancelling(alpha: float, beta: float, x: float, abs_sum: float,
     found = contour(alpha, beta, x, tol)
     if found is not None:
         return found[0], 0, found[1], "contour"
-    value, used, tail = _ml2_extended(alpha, beta, x, abs_sum, approx)
+    value, used, tail = _ml2_extended(alpha, beta, x, abs_sum)
     return value, used, tail, "extended"
 
 
@@ -624,8 +614,7 @@ class ML2Rows:
             i = f[j]
             v, _, tail, _ = _ml2_cancelling(
                 self.alpha, beta, float(self.x[i]),
-                float(self.res.abs_sum[i]), float(value[j]), INNER_TOL,
-                _ml2_contour)
+                float(self.res.abs_sum[i]), INNER_TOL, _ml2_contour)
             value[j] = v
             settled[j] = tail <= INNER_TOL * max(1.0, abs(v))
         for j in np.flatnonzero(~self.res.converged[f]).tolist():
@@ -635,8 +624,8 @@ class ML2Rows:
         return value, settled
 
 
-def _ml2_extended(alpha: float, beta: float, x: float, abs_sum: float,
-                  approx: float) -> tuple[float, int, float]:
+def _ml2_extended(alpha: float, beta: float, x: float,
+                  abs_sum: float) -> tuple[float, int, float]:
     xm, al, be = mpf(x), mpf(alpha), mpf(beta)
 
     def term(n: int):
@@ -645,7 +634,7 @@ def _ml2_extended(alpha: float, beta: float, x: float, abs_sum: float,
             return mpf(0)
         return xm**n / mp.gamma(a)
 
-    return _extended_sum(term, abs_sum, approx)
+    return _extended_sum(term, abs_sum)
 
 
 # Contour parameters after Garrappa, "Numerical evaluation of two and three
@@ -962,7 +951,7 @@ def kml(p: MLParameters, z: float,
     value, used, tail = res.value, res.terms, res.tail_bound
     status = _series_status(res)
     if res.converged and _should_escalate(z, res.abs_sum, value, err_units, tol):
-        value, used_mp, tail = _kml_extended(p, z, res.abs_sum, value)
+        value, used_mp, tail = _kml_extended(p, z, res.abs_sum)
         used, status = max(used, used_mp), "extended"
     converged = res.converged and tail <= tol * max(1.0, abs(value))
     return SeriesEvaluation(value, used, tail, converged, status)
@@ -1081,8 +1070,8 @@ def kml_batch(p: MLParameters, zs: list) -> tuple:
     return value, used, tail, settled
 
 
-def _kml_extended(p: MLParameters, z: float, abs_sum: float,
-                  approx: float) -> tuple[float, int, float]:
+def _kml_extended(p: MLParameters, z: float,
+                  abs_sum: float) -> tuple[float, int, float]:
     km, al, be = mpf(p.k), mpf(p.alpha), mpf(p.beta)
     gm, qm, zm = mpf(p.gamma), mpf(p.q), mpf(z)
 
@@ -1093,4 +1082,4 @@ def _kml_extended(p: MLParameters, z: float, abs_sum: float,
         den = km ** (a - 1) * mp.gamma(a) * mp.factorial(n)
         return num * zm**n / den
 
-    return _extended_sum(term, abs_sum, approx)
+    return _extended_sum(term, abs_sum)

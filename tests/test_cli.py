@@ -181,6 +181,13 @@ CASES = {
         ["eval-ml", "--alpha", "1", "--beta", "250", "--x", "2300"], 0,
         EVAL + "6.4132358129087008e+161,4352,5.1968482081503295e-227,true\n",
         ""),
+    # E_{1,1}(-250) = e**-250 on the extended path, 109 digits below its
+    # largest terms; a working precision sized from the double sum's noise
+    # once certified 9.8245059205782278e-52.
+    "eval-ml-extended-exponential": (
+        ["eval-ml", "--alpha", "1", "--beta", "1", "--x", "-250"], 0,
+        EVAL + "2.6691902155412764e-109,946,3.7464546145022992e-129,true\n",
+        ""),
     # E_{1/2,1}(30) = e**900 erfc(-30) is not a double: the series stops on
     # a term overflow long before the term budget.
     "eval-ml-overflow": (
@@ -314,6 +321,11 @@ CASES = {
         "0.94999999999999996,-1.4561084797589969e-06\n"
         "0.97499999999999998,-1.4010740456746255e-06\n"
         "1,-1.3502284520834483e-06\n", ""),
+    "solve-theorem1-unequal-rates": (
+        ["solve", "--theorem", "1", "--variant", "stated", "--N0", "1",
+         "--gamma", "1", "--tau", "1", "--k", "1", "--alpha", "1", "--beta",
+         "1", "--d", "1", "--a", "2", "--nu", "2", "--t-max", "1", "--steps",
+         "2"], 2, "", "error: --a must equal --d for theorem 1\n"),
     # beta/k underflows to 0: Gamma there is not a double, so the
     # coefficient stops every sum unconverged instead of raising.
     "solve-unrepresentable-coefficient": (
@@ -554,6 +566,17 @@ class TestSolve:
                                     "--steps", "2"], capsys)
                 assert code == 0 and len(out.splitlines()) == 4
         assert len(calls) <= 0
+
+    def test_overflowing_evaluation_exits_3(self, capsys):
+        # (d t)**nu overflows; the rest of the message is the platform's
+        # strerror text.
+        code, out, err = run(["solve", "--theorem", "2", "--variant",
+                              "stated", "--N0", "1", "--gamma", "1", "--tau",
+                              "1", "--k", "1", "--alpha", "1", "--beta", "1",
+                              "--d", "1e200", "--nu", "2", "--t-max", "1",
+                              "--steps", "2"], capsys)
+        assert (code, out) == (3, "")
+        assert err.startswith("error: evaluation overflowed:")
 
     def test_underflowed_inner_factors_exit_3(self, capsys):
         # The outer series diverges; once its inner factors underflow to

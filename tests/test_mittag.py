@@ -693,25 +693,23 @@ class TestInnerFactorRoute:
         assert _same(ml2_value(p, x), want)
         assert (len(sums), len(contours)) == (0, 1)
 
-    # tol: the tolerance ml2_value hands to ml2.
-    @pytest.mark.parametrize("alpha, beta, x, tol", [
-        (2.5, 1.0, -10.0, INNER_TOL),   # alpha > 2: no contour
-        (1.5, 1.0, 40.0, INNER_TOL),    # x > 0
-        (1.5, 1.0, 0.0, INNER_TOL),
-        (1.5, 1.0, -0.0, INNER_TOL),
-        (0.7, 0.7, -40.0, INNER_TOL),   # beta < 1
-        (1.5, 0.5, -40.0, INNER_TOL),
-        (1.0, 1.0, -0.5, INNER_TOL),    # no cancellation
+    @pytest.mark.parametrize("alpha, beta, x", [
+        (2.5, 1.0, -10.0),   # alpha > 2: no contour
+        (1.5, 1.0, 40.0),    # x > 0
+        (1.5, 1.0, 0.0),
+        (1.5, 1.0, -0.0),
+        (0.7, 0.7, -40.0),   # beta < 1
+        (1.5, 0.5, -40.0),
+        (1.0, 1.0, -0.5),    # no cancellation
     ])
-    def test_outside_the_route_falls_back(self, monkeypatch, alpha, beta, x,
-                                          tol):
+    def test_outside_the_route_falls_back(self, monkeypatch, alpha, beta, x):
         p = TwoParamML(alpha, beta)
         want = _ml2_fields(p, x)
         assert mittag._escalation_bound(alpha, beta, x) == 0.0
         calls = _count_calls(monkeypatch, "ml2")
         contours = _count_calls(monkeypatch, "_ml2_contour")
         assert _same(ml2_value(p, x), want)
-        assert calls == [(p, x, tol)]
+        assert calls == [(p, x, INNER_TOL)]
         # Only ml2's own contour, where it escalates or overflows.
         assert len(contours) <= 1
 
@@ -1076,12 +1074,12 @@ class TestExtendedPrecision:
             mittag, "_ml2_cancelling",
             lambda *a: args.append(a) or (0.0, 0, 0.0, "contour"))
         ml2(TwoParamML(alpha, beta), x, 1e-13)
-        (_, _, _, abs_sum, approx, tol, _), = args
+        (_, _, _, abs_sum, tol, _), = args
         ref = oracles.mp_ml2_sum(alpha, beta, x)
         evaluations = [
-            mittag._ml2_extended(alpha, beta, x, abs_sum, approx),
+            mittag._ml2_extended(alpha, beta, x, abs_sum),
             mittag._kml_extended(MLParameters(1.0, alpha, beta, 1.0, 1.0), x,
-                                 abs_sum, approx)]
+                                 abs_sum)]
         for value, _, tail in evaluations:
             assert tail <= tol * abs(value)
             assert abs(value - ref) <= max(tail, mittag._EPS * abs(ref))
@@ -1101,8 +1099,34 @@ class TestExtendedPrecision:
         assert ev.converged
         assert rel(ev.value, -(30.0 ** 51) * math.exp(-30.0)) <= 1e-12
 
-    def test_needed_digits_of_a_zero_value(self):
-        assert mittag._needed_dps(1e300, 0.0) == mittag._MAX_DPS
+    @pytest.mark.parametrize("x", [-60.0, -120.0, -200.0, -250.0, -300.0])
+    def test_exponential_in_one_pass(self, monkeypatch, x):
+        # E_{1,1}(x) = e**x = 1 / abs_sum, the smallest value the working
+        # precision is sized for.  A precision sized from the double sum's
+        # noise once certified 9.8e-52 for e**-250 = 2.7e-109.
+        passes = []
+        original = mittag._mp_sum
+        monkeypatch.setattr(mittag, "_mp_sum",
+                            lambda *a: passes.append(a) or original(*a))
+        evaluations = [ml2(TwoParamML(1.0, 1.0), x)]
+        if x == -200.0:
+            evaluations.append(kml(MLParameters(1.0, 1.0, 1.0, 1.0, 1.0), x))
+        for ev in evaluations:
+            assert ev.status == "extended" and ev.converged
+            assert rel(ev.value, math.exp(x)) <= 1e-15
+        assert len(passes) == len(evaluations)
+
+    def test_infinite_absolute_sum(self):
+        # An infinite abs_sum takes the most digits and raises nothing.
+        seen = set()
+
+        def term(n):
+            seen.add(mpmath.mp.dps)
+            return mpmath.mpf(2) ** -n
+
+        value, _, tail = mittag._extended_sum(term, math.inf)
+        assert seen == {mittag._MAX_DPS}
+        assert (value, tail) == (2.0, math.inf)
 
 
 class TestStatus:
