@@ -26,6 +26,9 @@ from pathlib import Path
 
 from fracml import cli
 
+# The verify grids of every residual record.
+GRIDS = "64,128,256"
+
 
 def run(argv, ok=(cli.EXIT_OK,)):
     """Run one CLI call; return its stdout, exit on an unexpected code."""
@@ -37,12 +40,12 @@ def run(argv, ok=(cli.EXIT_OK,)):
     return out.getvalue()
 
 
-def write_reports(out_dir, grids):
+def write_reports(out_dir):
     for set_id, theorem, nu, a, t_max in cli.DATABASE_SETS:
         for variant in ("stated", "rederived"):
             flags = {"theorem": theorem, "variant": variant,
                      **cli.DATABASE_FLAGS, "a": a, "nu": nu, "t_max": t_max}
-            argv = ["verify", "--grids", grids]
+            argv = ["verify", "--grids", GRIDS]
             for key, value in flags.items():
                 argv += [f"--{key.replace('_', '-')}", str(value)]
             report = json.loads(run(argv, (cli.EXIT_OK,
@@ -59,18 +62,14 @@ def write_reports(out_dir, grids):
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out-dir", default="artifacts")
-    ap.add_argument("--t-max", type=float, default=0.5)
-    ap.add_argument("--steps", type=int, default=50)
-    ap.add_argument("--grids", default="64,128,256")
     args = ap.parse_args()
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     db = out_dir / "database.csv"
-    run(["table", "--t-max", str(args.t_max), "--steps", str(args.steps),
-         "--out", str(db)])
+    run(["table", "--out", str(db)])
     print(f"wrote {db}")
-    for path, record in write_reports(out_dir, args.grids):
+    for path, record in write_reports(out_dir):
         print(f"wrote {path}  set={record['set']} variant={record['variant']:<9} "
               f"order={record['order_estimate']:+.3f} "
               f"finest_max_residual={record['max_residuals'][-1]:.3e} "

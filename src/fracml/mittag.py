@@ -37,7 +37,7 @@ Every value comes from one of three paths, named by
   (:func:`_pole_residues`), outside the global mpmath context;
 * ``extended`` -- the series re-summed in extended precision (mpmath), in
   one pass at a working precision sized from the absolute term sum the
-  double pass measured (:func:`_extended_sum`).
+  double pass measured (:func:`_mp_sum`), in a private mpmath context.
 
 An alternating series whose double-precision term noise would exceed the
 requested tolerance relative to the computed value goes to
@@ -75,11 +75,11 @@ sum did not finish, among them every entry whose gamma argument is not
 positive (its one caller, the kinetic solution series, has none).
 :func:`kml_batch` evaluates :func:`kml` at many arguments, forming each
 term's log-coefficient once for all of them, and returns exactly what
-:func:`kml` returns at each; it sends to :func:`kml` only the points it
-does not sum (``z = 0``, beyond the radius) and those that need extended
-precision.  Only IEEE-exact operations are vectorized; logarithms, powers,
-exponentials and gamma values come from the scalar calls the per-point
-evaluators make.
+:func:`kml` returns at each.  It sums only the points ``0 < z <= radius``,
+whose terms are all positive and so cannot cancel, and hands every other
+point to :func:`kml`.  Only IEEE-exact operations are vectorized;
+logarithms, powers, exponentials and gamma values come from the scalar
+calls the per-point evaluators make.
 
 The coefficient ``(gamma)_{nq,k} / gamma_k(n alpha + beta)`` that
 :func:`kml` and the kinetic solution series share is stated once, in
@@ -108,7 +108,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from mpmath import mp, mpf
+from mpmath import MPContext
 from mpmath.libmp import (dps_to_prec, fone, from_float, mpf_add, mpf_cos,
                           mpf_cos_sin, mpf_div, mpf_exp, mpf_log, mpf_mul,
                           mpf_pi, mpf_shift, mpf_sub, round_nearest, to_float)
@@ -210,20 +210,38 @@ class SeriesEvaluation:
 _MAX_DPS = 300
 
 
-# The extended-precision re-sum (_mp_sum) sets the global mpmath precision;
-# serialize it so the evaluators stay safe to call from multiple threads.
-# Nothing else takes the lock: the pole residues use explicit precision.
+# The extended-precision re-sum (_mp_sum) works in this private context, so
+# it neither reads nor sets the global mpmath precision, and the lock keeps
+# the evaluators safe to call from multiple threads.  Nothing else takes the
+# lock: the pole residues use explicit precision.
+_MP = MPContext()
 _MP_LOCK = threading.Lock()
 
 
-def _mp_sum(term_mp, dps: int) -> tuple[float, int]:
-    """Sum an mpmath term generator until three consecutive nonzero terms
-    fall below the working precision relative to the largest magnitude seen.
-    Zero terms (at gamma poles) neither count nor break the run."""
-    with _MP_LOCK, mp.workdps(dps):
-        total = mpf(0)
-        peak = mpf(0)
-        thresh = mpf(10) ** (-(dps + 3))
+def _mp_sum(term_mp, abs_sum: float) -> tuple[float, int, float]:
+    """Re-sum a cancelling series in extended precision, in one pass.
+
+    Away from its real zeros a cancelling ``E_{alpha,beta}(-x)`` is no
+    smaller than about ``1 / abs_sum``: ``E_{1,1}(-x) * sum x**n/n! = 1`` is
+    the extreme, and the other cases decay algebraically or like their pole
+    residues.  The rounding of the sum stays below about ``abs_sum *
+    10**-dps``, so ``dps = 22 + 2 log10(abs_sum)`` keeps it some 22 digits
+    below that value, 9 beyond ``INNER_TOL``; an infinite ``abs_sum`` gets
+    ``_MAX_DPS``.
+
+    ``term_mp(n)`` builds term ``n`` with the ``_MP`` context, which works at
+    ``dps`` digits meanwhile.  The sum stops once three consecutive nonzero
+    terms fall below the working precision relative to the largest magnitude
+    seen; zero terms (at gamma poles) neither count nor break the run.
+    Returns the value, the terms used, and the remaining noise floor as a
+    tail bound.
+    """
+    digits = min(math.log10(max(abs_sum, 1.0)), _MAX_DPS)
+    dps = min(_MAX_DPS, 22 + 2 * math.ceil(digits))
+    with _MP_LOCK, _MP.workdps(dps):
+        total = _MP.mpf(0)
+        peak = _MP.mpf(0)
+        thresh = _MP.mpf(10) ** (-(dps + 3))
         small = 0
         n = 0
         while n < MAX_TERMS:
@@ -239,36 +257,18 @@ def _mp_sum(term_mp, dps: int) -> tuple[float, int]:
             if small >= 3 and n >= 8:
                 break
             n += 1
-        return float(total), n + 1
+        return float(total), n + 1, abs_sum * 10.0 ** (3 - dps)
 
 
-def _should_escalate(x: float, abs_sum: float, value: float,
-                     err_units: float, tol: float) -> bool:
+def _should_escalate(x, abs_sum, value, err_units, tol):
     # Escalate only for genuinely cancelling alternating sums whose
-    # double-precision noise floor exceeds the requested relative accuracy.
-    return (
-        x < 0.0
-        and abs_sum > 4.0 * abs(value)
-        and _EPS * err_units > tol * max(abs(value), 1e-300)
-    )
-
-
-def _extended_sum(term_mp, abs_sum: float) -> tuple[float, int, float]:
-    """Re-sum a cancelling series in extended precision, in one pass.
-
-    Away from its real zeros a cancelling ``E_{alpha,beta}(-x)`` is no
-    smaller than about ``1 / abs_sum``: ``E_{1,1}(-x) * sum x**n/n! = 1`` is
-    the extreme, and the other cases decay algebraically or like their pole
-    residues.  The rounding of the sum stays below about ``abs_sum *
-    10**-dps``, so ``dps = 22 + 2 log10(abs_sum)`` keeps it some 22 digits
-    below that value, 9 beyond ``INNER_TOL``; an infinite ``abs_sum`` gets
-    ``_MAX_DPS``.  Returns the value, the terms used, and the remaining
-    noise floor as a tail bound.
-    """
-    digits = min(math.log10(max(abs_sum, 1.0)), _MAX_DPS)
-    dps = min(_MAX_DPS, 22 + 2 * math.ceil(digits))
-    value, used = _mp_sum(term_mp, dps)
-    return value, used, abs_sum * 10.0 ** (3 - dps)
+    # double-precision noise floor exceeds tol * max(|value|, 1e-300), on
+    # floats or elementwise on arrays.  That bound is split in two (tol > 0
+    # rounds monotonically) so that floats stay Python floats.
+    av = abs(value)
+    noise = _EPS * err_units
+    return ((x < 0.0) & (abs_sum > 4.0 * av) & (noise > tol * av)
+            & (noise > tol * 1e-300))
 
 
 def ml2(p: TwoParamML, x: float, tol: float = DEFAULT_TOL) -> SeriesEvaluation:
@@ -544,16 +544,6 @@ class PowerTable:
         return self._columns[m]
 
 
-def _should_escalate_batch(x: np.ndarray, abs_sum: np.ndarray,
-                           value: np.ndarray,
-                           err_units: np.ndarray) -> np.ndarray:
-    # _should_escalate at INNER_TOL, elementwise; np.maximum keeps a NaN as
-    # Python's max does.
-    av = np.abs(value)
-    return ((x < 0.0) & (abs_sum > 4.0 * av)
-            & (_EPS * err_units > INNER_TOL * np.maximum(av, 1e-300)))
-
-
 class ML2Rows:
     """``E_{alpha,beta_r}(x_i)`` for several offsets ``beta_r`` (rows) at the
     points ``x_i`` of a :class:`PowerTable` (columns), summed to
@@ -598,8 +588,8 @@ class ML2Rows:
         res = sum_series_batch(term, rows.size, INNER_TOL, MAX_TERMS,
                                np.repeat(start, width))
         self.res = res
-        self.escalate = res.converged & _should_escalate_batch(
-            x, res.abs_sum, res.value, err_units)
+        self.escalate = res.converged & _should_escalate(
+            x, res.abs_sum, res.value, err_units, INNER_TOL)
 
     def take(self, row: int, cols: np.ndarray) -> tuple:
         """``(value, converged)`` of row ``row`` at columns ``cols``, each
@@ -626,15 +616,15 @@ class ML2Rows:
 
 def _ml2_extended(alpha: float, beta: float, x: float,
                   abs_sum: float) -> tuple[float, int, float]:
-    xm, al, be = mpf(x), mpf(alpha), mpf(beta)
+    xm, al, be = _MP.mpf(x), _MP.mpf(alpha), _MP.mpf(beta)
 
     def term(n: int):
         a = al * n + be
-        if a <= 0 and a == mp.floor(a):
-            return mpf(0)
-        return xm**n / mp.gamma(a)
+        if a <= 0 and a == _MP.floor(a):
+            return _MP.mpf(0)
+        return xm**n / _MP.gamma(a)
 
-    return _extended_sum(term, abs_sum)
+    return _mp_sum(term, abs_sum)
 
 
 # Contour parameters after Garrappa, "Numerical evaluation of two and three
@@ -1013,12 +1003,14 @@ def kml_batch(p: MLParameters, zs: list) -> tuple:
 
     Returns ``(value, terms_used, tail_bound, converged)`` arrays aligned
     with ``zs``, each entry equal bit for bit to the field of :func:`kml` at
-    ``zs[i]`` and ``INNER_TOL``.  The log-coefficient of each term is formed
-    once for all points with :func:`kml`'s scalar calls; each point adds its
-    own ``n log|z|`` and takes a scalar ``math.exp``.  A point that aborts
-    or exhausts the budget keeps the batch's result, which is :func:`kml`'s;
-    points at ``z = 0``, beyond the radius of convergence or needing
-    extended precision are evaluated by :func:`kml`.
+    ``zs[i]`` and ``INNER_TOL``.  Only the points ``0 < z <= radius`` are
+    summed here: their terms are all positive, so the sum cannot cancel and
+    never escalates.  The log-coefficient of each term is formed once for
+    all of them with :func:`kml`'s scalar calls; each point adds its own ``n
+    log z`` and takes a scalar ``math.exp``.  A point that aborts or
+    exhausts the budget keeps the batch's result, which is :func:`kml`'s.
+    Every other point (``z <= 0``, beyond the radius of convergence) is
+    evaluated by :func:`kml`.
     """
     zs = [float(z) for z in zs]
     z = np.array(zs)
@@ -1028,13 +1020,11 @@ def kml_batch(p: MLParameters, zs: list) -> tuple:
     used = np.zeros(z.size, dtype=np.int64)
     tail = np.zeros(z.size)
     settled = np.zeros(z.size, dtype=bool)
-    summed = np.zeros(z.size, dtype=bool)
-    idx = np.flatnonzero((z != 0.0) & (np.abs(z) <= _radius(p)))
+    summed = (z > 0.0) & (z <= _radius(p))
+    idx = np.flatnonzero(summed)
     if idx.size:
         coeff = log_coeff_parts(p)
-        log_az = np.array([math.log(abs(zs[i])) for i in idx.tolist()])
-        negative = z[idx] < 0.0
-        err_units = np.zeros(idx.size)
+        log_az = np.array([math.log(zs[i]) for i in idx.tolist()])
 
         def term(n: int, pos: np.ndarray) -> tuple:
             try:
@@ -1046,23 +1036,16 @@ def kml_batch(p: MLParameters, zs: list) -> tuple:
             over = logmag > _LOG_HUGE
             logmag[over] = 0.0  # an aborting term is not used
             t = np.fromiter(map(math.exp, logmag.tolist()), float, pos.size)
-            if n % 2:
-                t[negative[pos]] *= -1.0
-            err_units[pos] += _ERR_LOG * np.abs(t)
             return t, over
 
-        # kml's starts; the peak moves out with |z|, so test the largest first.
+        # kml's starts; the peak moves out with z, so test the largest first.
         start = _cert_start(p.alpha, p.beta, p.k)
         if _peak_start(p, float(log_az.max())) > start:
             start = np.array([max(start, _peak_start(p, v))
                               for v in log_az.tolist()])
         res = sum_series_batch(term, idx.size, INNER_TOL, MAX_TERMS, start)
-        ok = ~(res.converged & _should_escalate_batch(
-            z[idx], res.abs_sum, res.value, err_units))
-        done = idx[ok]
-        value[done], used[done] = res.value[ok], res.terms[ok]
-        tail[done], summed[done] = res.tail_bound[ok], True
-        settled[done] = res.converged[ok]
+        value[idx], used[idx], tail[idx] = res.value, res.terms, res.tail_bound
+        settled[idx] = res.converged
     for i in np.flatnonzero(~summed).tolist():
         ev = kml(p, zs[i], INNER_TOL)
         value[i], used[i], tail[i] = ev.value, ev.terms_used, ev.tail_bound
@@ -1072,14 +1055,14 @@ def kml_batch(p: MLParameters, zs: list) -> tuple:
 
 def _kml_extended(p: MLParameters, z: float,
                   abs_sum: float) -> tuple[float, int, float]:
-    km, al, be = mpf(p.k), mpf(p.alpha), mpf(p.beta)
-    gm, qm, zm = mpf(p.gamma), mpf(p.q), mpf(z)
+    km, al, be = _MP.mpf(p.k), _MP.mpf(p.alpha), _MP.mpf(p.beta)
+    gm, qm, zm = _MP.mpf(p.gamma), _MP.mpf(p.q), _MP.mpf(z)
 
     def term(n: int):
         c0 = gm / km
-        num = km ** (n * qm) * mp.gamma(c0 + n * qm) / mp.gamma(c0)
+        num = km ** (n * qm) * _MP.gamma(c0 + n * qm) / _MP.gamma(c0)
         a = (al * n + be) / km
-        den = km ** (a - 1) * mp.gamma(a) * mp.factorial(n)
+        den = km ** (a - 1) * _MP.gamma(a) * _MP.factorial(n)
         return num * zm**n / den
 
-    return _extended_sum(term, abs_sum)
+    return _mp_sum(term, abs_sum)

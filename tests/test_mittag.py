@@ -3,6 +3,7 @@ import math
 import struct
 import sys
 import threading
+import warnings
 from pathlib import Path
 
 import mpmath
@@ -376,7 +377,8 @@ class TestKmlBatch:
     def test_budget_runs_are_not_summed_again(self, monkeypatch):
         # alpha/k = 3.3e-11: (alpha n + beta)/k never reaches 2 within the
         # budget, so no point certifies and every sum runs all its terms.
-        # The batch's partial sums are kml's; kml is not called.
+        # The batch's partial sums are kml's; kml is called only for the
+        # negative point, which the batch does not sum.
         calls = []
         original = mittag.kml
         monkeypatch.setattr(mittag, "kml",
@@ -384,12 +386,62 @@ class TestKmlBatch:
         p = MLParameters(3.0, 1e-10, 1.5, 1.0, 1.0)
         zs = [0.25, 0.5, -0.25]
         out = kml_batch(p, zs)
-        assert calls == []
+        assert calls == [(p, -0.25, INNER_TOL)]
         monkeypatch.undo()
         for i, z in enumerate(zs):
             ev = kml(p, z, INNER_TOL)
             assert not ev.converged
             assert _fields(*out, i) == repr(ev)
+
+    def test_sums_only_inside_the_positive_radius(self, monkeypatch):
+        # k = alpha = 1, q = 2: the radius of convergence is 1/4.  The batch
+        # sums 0 < z <= 1/4; kml gets z <= 0 and z beyond the radius, once
+        # each, among them -0.1, whose alternating sum does not escalate.
+        calls = []
+        original = mittag.kml
+        monkeypatch.setattr(mittag, "kml",
+                            lambda *args: calls.append(args[1])
+                            or original(*args))
+        p = MLParameters(1.0, 1.0, 1.0, 1.0, 2.0)
+        zs = [0.1, -0.1, 0.0, 0.3, 0.25, -0.3, 0.2]
+        out = kml_batch(p, zs)
+        assert calls == [-0.1, 0.0, 0.3, -0.3]
+        monkeypatch.undo()
+        assert kml(p, -0.1, INNER_TOL).status == "series"
+        for i, z in enumerate(zs):
+            assert _fields(*out, i) == repr(kml(p, z, INNER_TOL)), z
+
+
+class TestShouldEscalate:
+    # (x, abs_sum, value, err_units, tol, escalates)
+    CASES = [
+        (-1.0, 10.0, math.nan, 1e20, 1e-13, False),
+        (-1.0, 10.0, 0.0, 1e20, 1e-13, True),
+        (-1.0, 1.0, 0.0, 1e-300, 1e-13, False),      # below tol * 1e-300
+        (-1.0, 1.0, 1e-310, 1e-290, 1e-13, True),
+        (-1.0, 1.0, 1e-310, 1e-300, 1e-13, False),
+        (-1.0, math.inf, 1.0, 1e20, 1e-13, True),
+        (1.0, 10.0, 0.0, 1e20, 1e-13, False),        # not alternating
+        (-1.0, 10.0, 3.0, 1e20, 1e-13, False),       # no cancellation
+        (-1.0, math.inf, 1e300, 1e300, 1e300, False),
+        (-1.0, math.inf, -1e300, 1e300, 1e300, False),
+    ]
+
+    def test_floats_agree_with_arrays(self):
+        # Floats stay Python floats: at tol = 1e300 the product overflows
+        # to inf silently, where a numpy scalar would warn.
+        cases = np.array([c[:5] for c in self.CASES])
+        want = [c[5] for c in self.CASES]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = [mittag._should_escalate(*c[:5]) for c in self.CASES]
+        assert all(type(g) is bool for g in got)
+        assert got == want
+        for tol in sorted(set(cases[:, 4].tolist())):
+            rows = np.flatnonzero(cases[:, 4] == tol)
+            with np.errstate(over="ignore"):
+                batch = mittag._should_escalate(*cases[rows, :4].T, tol)
+            assert batch.tolist() == [want[i] for i in rows.tolist()]
 
 
 # E_{1.95...,20.5...}(-1065.6...): an inner factor of a fast-removal solve
@@ -1062,7 +1114,7 @@ def test_brute_force_oracle_reaches_values_below_its_first_pass():
 
 
 class TestExtendedPrecision:
-    """The extended-precision re-sum (mittag._extended_sum and _mp_sum)."""
+    """The extended-precision re-sum (mittag._mp_sum)."""
 
     def test_small_terms_stop_relative_to_the_largest(self, monkeypatch):
         # Every term of this series lies below 1; the stop must be relative
@@ -1090,7 +1142,7 @@ class TestExtendedPrecision:
             return mpmath.mpf(0) if n < 12 else mpmath.mpf(2) ** (12 - n)
 
         monkeypatch.setattr(mittag, "MAX_TERMS", 1000)
-        value, used = mittag._mp_sum(term, 20)
+        value, used, _ = mittag._mp_sum(term, 1.0)  # 22 digits
         assert rel(value, 2.0) <= 1e-15 and used > 70
 
     def test_leading_pole_zeros(self):
@@ -1121,12 +1173,30 @@ class TestExtendedPrecision:
         seen = set()
 
         def term(n):
-            seen.add(mpmath.mp.dps)
-            return mpmath.mpf(2) ** -n
+            seen.add(mittag._MP.dps)
+            return mittag._MP.mpf(2) ** -n
 
-        value, _, tail = mittag._extended_sum(term, math.inf)
+        value, _, tail = mittag._mp_sum(term, math.inf)
         assert seen == {mittag._MAX_DPS}
         assert (value, tail) == (2.0, math.inf)
+
+    def test_global_precision_untouched(self, monkeypatch):
+        # The re-sum works in a private mpmath context: while it runs, the
+        # global precision another thread would see stays at its default.
+        seen = set()
+        original = mittag._mp_sum
+
+        def recording(term_mp, abs_sum):
+            def term(n):
+                seen.add(mpmath.mp.dps)
+                return term_mp(n)
+            return original(term, abs_sum)
+
+        monkeypatch.setattr(mittag, "_mp_sum", recording)
+        assert ml2(TwoParamML(1.0, 1.0), -60.0).status == "extended"
+        ev = kml(MLParameters(1.0, 1.0, 1.0, 1.0, 1.0), -200.0)
+        assert (ev.status, ev.value) == ("extended", 1.3838965267367376e-87)
+        assert seen == {15}
 
 
 class TestStatus:
