@@ -32,6 +32,9 @@ Because the grids double, ``np.linspace(0, t_max, g + 1)`` equals
 sampling every grid afresh.  A report is complete only when the solver and
 the forcing converged at every sample; otherwise it forms no residual, and
 the CLI's ``verify`` exits 3 and prints no report.
+
+The verify gate is :meth:`ResidualReport.passes_gate`, stated once here for
+the CLI's ``verify`` and the acceptance tests.
 """
 
 from __future__ import annotations
@@ -68,6 +71,11 @@ class SampledFunction:
         return self.step * np.arange(self.values.size)
 
 
+# The least empirical order that passes the verify gate: the residual of a
+# true solution falls at second order, that of a wrong one levels off.
+MIN_ORDER = 1.5
+
+
 @dataclass(frozen=True)
 class ResidualReport:
     """Grid-refinement residual norms and an empirical convergence order.
@@ -83,6 +91,13 @@ class ResidualReport:
     l2_residuals: tuple
     order_estimate: float
     complete: bool = True
+
+    def passes_gate(self, threshold: float) -> bool:
+        """The verify gate: complete, an order estimate of at least
+        ``MIN_ORDER`` and a finest-grid max residual of at most
+        ``threshold``."""
+        return (self.complete and self.order_estimate >= MIN_ORDER
+                and self.max_residuals[-1] <= threshold)
 
 
 def _pow_diff(m: np.ndarray, p: float) -> np.ndarray:
@@ -158,7 +173,6 @@ def residual_report(prob: KineticProblem,
     if not (math.isfinite(t_max) and t_max > 0.0):
         raise DomainError("t_max must be finite and > 0")
     grids = check_grids(grids)
-    apow = prob.a ** prob.nu
     finest = grids[-1]
     ts = np.linspace(0.0, t_max, finest + 1)
     ev = solver(prob, ts)
@@ -166,6 +180,7 @@ def residual_report(prob: KineticProblem,
     if not (ev.converged and forcing.converged):
         # An unconverged sample may be NaN: there is no residual to form.
         return ResidualReport(grids, (), (), math.nan, complete=False)
+    apow = prob.a ** prob.nu
     max_res = []
     l2_res = []
     for steps in grids:

@@ -28,9 +28,14 @@ Only the rederived weights make the powered-argument series satisfy its
 equation for ``nu != 1``; the residual verification in :mod:`fracml.fracops`
 adjudicates this numerically, which is why both variants are kept.
 
-:func:`solve` evaluates this one series for any problem and variant; each
-``solve_theorem*`` entry point checks the forcing and rates its theorem
-requires and calls it.
+:func:`solve` evaluates this one series for any problem and variant.
+``THEOREMS`` states each theorem's forcing and whether it requires ``a ==
+d``, ``VARIANTS`` the variant names and ``SOLVERS`` the entry point of each
+(theorem, variant); each ``solve_theorem*`` entry point checks its row and
+calls :func:`solve`.  The command-line front end reads the same tables.
+
+A series argument beyond the double range (``(a t)**nu``, or the forcing's
+``(d t)**nu``) leaves its point unconverged, in the solution and the forcing.
 
 Outer series are truncated with the same geometric-tail certificate as the
 Mittag-Leffler evaluators, applied to outer terms that already include their
@@ -74,7 +79,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -103,16 +108,33 @@ class Forcing(enum.Enum):
     POWERED = "powered"    # f(t) = E((d t)**nu)
 
 
+class Theorem(NamedTuple):
+    """A kinetic equation: its forcing, and whether it requires ``a == d``."""
+
+    forcing: Forcing
+    equal_rates: bool
+
+
+THEOREMS = {
+    1: Theorem(Forcing.PLAIN, equal_rates=True),
+    2: Theorem(Forcing.POWERED, equal_rates=True),
+    3: Theorem(Forcing.POWERED, equal_rates=False),
+}
+
+# The series weights of a solution: unweighted, or Gamma(nu n + 1)/n!.
+VARIANTS = ("stated", "rederived")
+
+
 @dataclass(frozen=True)
 class KineticProblem:
     """A kinetic equation instance.
 
     ``n0`` is the initial number density, ``d`` the forcing rate constant,
-    ``a`` the removal rate constant (defaults to ``d``; theorems 1 and 2
-    require ``a == d``) and ``nu`` the fractional order.  ``d = 0`` is a
-    degenerate setting kept for testing the zero-removal identity
-    ``N(t) = N0 E(t)``; the kinetic theorems themselves require ``d > 0``,
-    which the command-line front end enforces.
+    ``a`` the removal rate constant (defaults to ``d``; ``THEOREMS`` says
+    which theorems require ``a == d``) and ``nu`` the fractional order.
+    ``d = 0`` is a degenerate setting kept for testing the zero-removal
+    identity ``N(t) = N0 E(t)``; the kinetic theorems themselves require
+    ``d > 0``, which the command-line front end enforces.
     """
 
     n0: float
@@ -201,9 +223,22 @@ def _check_times(t) -> Times:
     return ts if ts.ndim else float(ts)
 
 
+def _rate_power(rate: float, t: float, nu: float) -> float:
+    """(rate t)**nu, or inf where it overflows."""
+    try:
+        return (rate * t) ** nu
+    except OverflowError:
+        return math.inf
+
+
 def _forcing_arg(prob: KineticProblem, t: float) -> float:
     """The forcing's argument: t (plain) or (d t)**nu (powered)."""
-    return t if prob.forcing is Forcing.PLAIN else (prob.d * t) ** prob.nu
+    plain = prob.forcing is Forcing.PLAIN
+    return t if plain else _rate_power(prob.d, t, prob.nu)
+
+
+# The result at a point whose series cannot be formed.
+_UNCONVERGED = SeriesEvaluation(math.nan, 0, math.inf, False)
 
 
 def forcing_value(prob: KineticProblem, t: Times) -> Evaluation:
@@ -217,11 +252,16 @@ def forcing_value(prob: KineticProblem, t: Times) -> Evaluation:
     """
     t = _check_times(t)
     if isinstance(t, np.ndarray):
-        value, terms, tail, converged = kml_batch(
-            prob.ml, [_forcing_arg(prob, ti) for ti in t.tolist()])
+        zs = np.array([_forcing_arg(prob, ti) for ti in t.tolist()])
+        ok = zs < math.inf
+        value, terms, tail, converged = (np.full(zs.size, fill) for fill in (
+            _UNCONVERGED.value, 0, _UNCONVERGED.tail_bound, False))
+        value[ok], terms[ok], tail[ok], converged[ok] = kml_batch(
+            prob.ml, zs[ok].tolist())
         return GridEvaluation(t, prob.n0 * value, terms, prob.n0 * tail,
                               converged)
-    ev = kml(prob.ml, _forcing_arg(prob, t), INNER_TOL)
+    z = _forcing_arg(prob, t)
+    ev = kml(prob.ml, z, INNER_TOL) if z < math.inf else _UNCONVERGED
     return SeriesEvaluation(prob.n0 * ev.value, ev.terms_used,
                             prob.n0 * ev.tail_bound, ev.converged)
 
@@ -230,6 +270,8 @@ def _solution_series(prob: KineticProblem, x: float, y: float,
                      inner_beta: Callable[[int], float],
                      extra_log: Callable[[int], float]) -> SeriesEvaluation:
     """Sum N0 * sum_n C_n exp(extra_log(n)) x**n E_{nu, inner_beta(n)}(y)."""
+    if not (x < math.inf and y > -math.inf):  # an argument overflowed
+        return _UNCONVERGED
     nu = prob.nu
     log_n0 = math.log(prob.n0)
     coeff = log_coeff_parts(prob.ml)
@@ -248,7 +290,7 @@ def _solution_series(prob: KineticProblem, x: float, y: float,
         try:
             value = prob.n0 * math.exp(log_coeff(0)) * inner(0)
         except (SeriesAbort, OverflowError):  # C_0 is not a double
-            return SeriesEvaluation(math.nan, 0, math.inf, False)
+            return _UNCONVERGED
         return SeriesEvaluation(value, 1, 0.0, True)
 
     log_x = math.log(x)
@@ -342,7 +384,9 @@ def _solution_grid(prob: KineticProblem, ts: np.ndarray,
     tail = np.zeros(size)
     converged = np.zeros(size, dtype=bool)
     args = [point(t) for t in ts.tolist()]
-    batch = [i for i, (x, y) in enumerate(args) if x != 0.0 and y != 0.0]
+    # Points with nonzero, finite arguments (x >= 0 >= y).
+    batch = [i for i, (x, y) in enumerate(args)
+             if 0.0 < x < math.inf and -math.inf < y < 0.0]
     per_point = np.ones(size, dtype=bool)
     if len(batch) >= GRID_CROSSOVER:
         res = _solution_series_batch(prob, [args[i][0] for i in batch],
@@ -371,11 +415,11 @@ def solve(prob: KineticProblem, t: Times,
     one series.  Powered forcing is theorems 2 and 3: ``b(n) = nu n + 1``,
     and ``variant="rederived"`` weights term ``n`` by ``Gamma(nu n + 1) /
     n!``.  ``t`` is a time (result: :class:`SeriesEvaluation`) or a 1-D
-    array of times (result: :class:`GridEvaluation`).  A variant other than
-    ``"stated"`` or ``"rederived"`` raises :class:`DomainError`.
+    array of times (result: :class:`GridEvaluation`).  A variant not in
+    ``VARIANTS`` raises :class:`DomainError`.
     """
-    if variant not in ("stated", "rederived"):
-        raise DomainError("variant must be 'stated' or 'rederived'")
+    if variant not in VARIANTS:
+        raise DomainError(f"variant must be one of {VARIANTS}")
     t = _check_times(t)
     a, nu = prob.a, prob.nu
     extra_log = _ZERO
@@ -388,47 +432,57 @@ def solve(prob: KineticProblem, t: Times,
                 return math.lgamma(nu * n + 1.0) - math.lgamma(n + 1.0)
 
     def point(t: float) -> tuple:
-        return _forcing_arg(prob, t), -((a * t) ** nu)
+        return _forcing_arg(prob, t), -_rate_power(a, t, nu)
 
     if isinstance(t, np.ndarray):
         return _solution_grid(prob, t, point, inner_beta, extra_log)
     return _solution_series(prob, *point(t), inner_beta, extra_log)
 
 
-# The named theorems: each checks its forcing and rates, then calls solve.
+# The named theorems: each checks its row of THEOREMS, then calls solve.
 
-def _require(prob: KineticProblem, forcing: Forcing, equal_rates: bool) -> None:
+def _solve_theorem(theorem: int, prob: KineticProblem, t: Times,
+                   variant: str) -> Evaluation:
+    forcing, equal_rates = THEOREMS[theorem]
     if prob.forcing is not forcing:
         raise DomainError(f"this solver requires {forcing.value!r} forcing")
     if equal_rates and prob.a != prob.d:
         raise DomainError("this solver requires equal rates a == d")
+    return solve(prob, t, variant)
 
 
 def solve_theorem1(prob: KineticProblem, t: Times) -> Evaluation:
-    """Plain forcing, equal rates: N0 sum_n C_n t**n E_{nu,n+1}(-(d t)**nu)."""
-    _require(prob, Forcing.PLAIN, equal_rates=True)
-    return solve(prob, t, "stated")
+    """Theorem 1, both variants: N0 sum_n C_n t**n E_{nu,n+1}(-(d t)**nu)."""
+    return _solve_theorem(1, prob, t, "stated")
 
 
 def solve_theorem2_stated(prob: KineticProblem, t: Times) -> Evaluation:
-    """Powered forcing, equal rates, unweighted series."""
-    _require(prob, Forcing.POWERED, equal_rates=True)
-    return solve(prob, t, "stated")
+    """Theorem 2, unweighted series."""
+    return _solve_theorem(2, prob, t, "stated")
 
 
 def solve_theorem2_rederived(prob: KineticProblem, t: Times) -> Evaluation:
-    """Powered forcing, equal rates, with the Gamma(nu n + 1)/n! weight."""
-    _require(prob, Forcing.POWERED, equal_rates=True)
-    return solve(prob, t, "rederived")
+    """Theorem 2, with the Gamma(nu n + 1)/n! weight."""
+    return _solve_theorem(2, prob, t, "rederived")
 
 
 def solve_theorem3_stated(prob: KineticProblem, t: Times) -> Evaluation:
-    """Powered forcing, independent rates, unweighted series."""
-    _require(prob, Forcing.POWERED, equal_rates=False)
-    return solve(prob, t, "stated")
+    """Theorem 3, unweighted series."""
+    return _solve_theorem(3, prob, t, "stated")
 
 
 def solve_theorem3_rederived(prob: KineticProblem, t: Times) -> Evaluation:
-    """Powered forcing, independent rates, with the Gamma(nu n + 1)/n! weight."""
-    _require(prob, Forcing.POWERED, equal_rates=False)
-    return solve(prob, t, "rederived")
+    """Theorem 3, with the Gamma(nu n + 1)/n! weight."""
+    return _solve_theorem(3, prob, t, "rederived")
+
+
+# The entry point of each theorem and variant.  Theorem 1's series needs no
+# reweighting, so one entry point serves both of its variants.
+SOLVERS = {
+    (1, "stated"): solve_theorem1,
+    (1, "rederived"): solve_theorem1,
+    (2, "stated"): solve_theorem2_stated,
+    (2, "rederived"): solve_theorem2_rederived,
+    (3, "stated"): solve_theorem3_stated,
+    (3, "rederived"): solve_theorem3_rederived,
+}

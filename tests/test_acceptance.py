@@ -33,6 +33,8 @@ REPO = Path(__file__).resolve().parent.parent
 ARTIFACTS = REPO / "artifacts"
 
 DB_PARAMS = MLParameters(k=2.0, alpha=6.0, beta=7.0, gamma=2.0, q=1.0)
+# The default --threshold of fracml verify, which made the records.
+VERIFY_THRESHOLD = 1e-5
 
 
 def rel(a, b):
@@ -143,8 +145,7 @@ def _assert_matches_record(name, meta, rep):
         "max_residuals": list(rep.max_residuals),
         "l2_residuals": list(rep.l2_residuals),
         "order_estimate": rep.order_estimate,
-        "satisfies_equation_gate": bool(rep.order_estimate >= 1.5
-                                        and rep.max_residuals[-1] <= 1e-5),
+        "satisfies_equation_gate": rep.passes_gate(VERIFY_THRESHOLD),
     })
     assert record == expected, name
 
@@ -241,9 +242,6 @@ def test_criterion_8_negative_controls(capsys):
         prob = KineticProblem(n0=0.05, ml=DB_PARAMS, d=3.0, nu=1.0,
                               forcing=Forcing.PLAIN)
 
-        def gate(rep):
-            return rep.order_estimate >= 1.5 and rep.max_residuals[-1] <= 1e-5
-
         def perturbed(p, t):
             ev = solve_theorem1(p, t)
             return SeriesEvaluation(1.01 * ev.value, ev.terms_used,
@@ -254,14 +252,14 @@ def test_criterion_8_negative_controls(capsys):
 
         scale = max(forcing_value(prob, 0.5 * i / 64).value for i in range(65))
         rep = residual_report(prob, perturbed, 0.5, (16, 32, 64))
-        assert not gate(rep)
+        assert not rep.passes_gate(VERIFY_THRESHOLD)
         assert rep.max_residuals[-1] >= 1e-3 * scale
         rep = residual_report(prob, dead, 0.5, (16, 32, 64))
-        assert not gate(rep)
+        assert not rep.passes_gate(VERIFY_THRESHOLD)
         assert rep.max_residuals[-1] >= 0.5 * scale
         # control: the honest solver passes the same gate
-        assert gate(residual_report(prob, solve_theorem1, 0.5,
-                                    (16, 32, 64)))
+        assert residual_report(prob, solve_theorem1, 0.5,
+                               (16, 32, 64)).passes_gate(VERIFY_THRESHOLD)
 
         code = main(["eval-ml", "--alpha", "0", "--beta", "1", "--x", "1"])
         _, err = capsys.readouterr()

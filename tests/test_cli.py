@@ -14,7 +14,8 @@ import fracml
 import fracml.cli as cli
 import fracml.mittag as mittag
 from fracml.cli import main
-from fracml.kinetics import Forcing, KineticProblem, solve_theorem1
+from fracml.kinetics import (SOLVERS, THEOREMS, VARIANTS, Forcing,
+                             KineticProblem, solve_theorem1)
 from fracml.mittag import MLParameters, SeriesEvaluation, TwoParamML, ml2
 from fracml.specfun import k_gamma
 
@@ -326,6 +327,29 @@ CASES = {
          "--gamma", "1", "--tau", "1", "--k", "1", "--alpha", "1", "--beta",
          "1", "--d", "1", "--a", "2", "--nu", "2", "--t-max", "1", "--steps",
          "2"], 2, "", "error: --a must equal --d for theorem 1\n"),
+    # A series argument beyond the double range leaves its point
+    # unconverged: a t overflows to inf, (a t)**nu raises in the power, and
+    # so does the forcing's (d t)**nu.  Each once exited 2 ("x must be
+    # finite") or 3 with the platform's strerror text.
+    "solve-overflowing-removal-argument": (
+        ["solve", "--theorem", "1", "--variant", "stated", *DB_FLAGS[:-2],
+         "--d", "1e200", "--nu", "2", "--t-max", "1e200", "--steps", "2"], 3,
+        "", "error: series did not converge at t = 5e+199\n"),
+    "solve-overflowing-removal-power": (
+        ["solve", "--theorem", "3", "--variant", "stated", *DB_FLAGS,
+         "--a", "1e300", "--nu", "1.5", "--t-max", "1", "--steps", "2"], 3,
+        "", "error: series did not converge at t = 0.5\n"),
+    "solve-overflowing-forcing-argument": (
+        ["solve", "--theorem", "2", "--variant", "stated", "--N0", "1",
+         "--gamma", "1", "--tau", "1", "--k", "1", "--alpha", "1", "--beta",
+         "1", "--d", "1e200", "--nu", "2", "--t-max", "1", "--steps", "2"], 3,
+        "", "error: series did not converge at t = 0.5\n"),
+    # The grid times t_max * i / steps overflow: the message names the
+    # flags, not the times (once "t must be finite and >= 0").
+    "solve-overflowing-grid-times": (
+        ["solve", "--theorem", "1", "--variant", "stated", *DB_FLAGS,
+         "--nu", "1", "--t-max", "1e308", "--steps", "3"], 2, "",
+        "error: --t-max times --steps overflows\n"),
     # beta/k underflows to 0: Gamma there is not a double, so the
     # coefficient stops every sum unconverged instead of raising.
     "solve-unrepresentable-coefficient": (
@@ -372,6 +396,23 @@ def test_case(argv, code, out, err, capsys, monkeypatch, tmp_path):
                               cwd=tmp_path)
         assert ((proc.returncode, proc.stdout, proc.stderr)
                 == (code, out.encode(), err.encode()))
+
+
+@pytest.mark.parametrize("theorem, variant", SOLVERS,
+                         ids=[f"{t}-{v}" for t, v in SOLVERS])
+def test_theorem_table(theorem, variant, capsys):
+    # Every theorem and variant of kinetics.SOLVERS solves; a removal rate
+    # --a != --d is refused exactly where THEOREMS requires equal rates.
+    argv = ["solve", "--theorem", str(theorem), "--variant", variant,
+            *DB_FLAGS, "--nu", "5", "--t-max", "0.4", "--steps", "2"]
+    code, out, err = run(argv, capsys)
+    assert (code, len(out.splitlines()), err) == (0, 4, "")
+    code, out, err = run([*argv, "--a", "2"], capsys)
+    if THEOREMS[theorem].equal_rates:
+        assert (code, out, err) == (
+            2, "", f"error: --a must equal --d for theorem {theorem}\n")
+    else:
+        assert (code, len(out.splitlines()), err) == (0, 4, "")
 
 
 @pytest.mark.skipif(not EXE, reason="FRACML_EXE is not set")
@@ -538,13 +579,6 @@ class TestSolve:
         assert code2 == code3 == 0
         assert out2 == out3
 
-    def test_unequal_rates_rejected_for_theorem2(self, capsys):
-        code, _, err = run(["solve", "--theorem", "2", "--a", "2", *DB_FLAGS,
-                            "--nu", "5", "--t-max", "0.4", "--steps", "10",
-                            "--variant", "stated"], capsys)
-        assert code == 2
-        assert "--a" in err
-
     def test_fast_removal_solves_stay_off_extended_precision(
             self, capsys, monkeypatch):
         # Six stiff solves, one per (theorem, variant) pair: removal rate
@@ -557,26 +591,15 @@ class TestSolve:
             mittag, "_ml2_extended",
             lambda *args: calls.append(args) or original(*args))
         db_set = DB_FLAGS[:-2]  # without the forcing rate
-        for theorem in (1, 2, 3):
-            rates = ["--d", "40"] if theorem < 3 else ["--d", "3", "--a", "40"]
-            for variant in ("stated", "rederived"):
-                code, out, _ = run(["solve", "--theorem", str(theorem),
-                                    "--variant", variant, *db_set, *rates,
-                                    "--nu", "1.6", "--t-max", "1",
-                                    "--steps", "2"], capsys)
-                assert code == 0 and len(out.splitlines()) == 4
+        for theorem, variant in SOLVERS:
+            rates = (["--d", "40"] if THEOREMS[theorem].equal_rates
+                     else ["--d", "3", "--a", "40"])
+            code, out, _ = run(["solve", "--theorem", str(theorem),
+                                "--variant", variant, *db_set, *rates,
+                                "--nu", "1.6", "--t-max", "1", "--steps", "2"],
+                               capsys)
+            assert code == 0 and len(out.splitlines()) == 4
         assert len(calls) <= 0
-
-    def test_overflowing_evaluation_exits_3(self, capsys):
-        # (d t)**nu overflows; the rest of the message is the platform's
-        # strerror text.
-        code, out, err = run(["solve", "--theorem", "2", "--variant",
-                              "stated", "--N0", "1", "--gamma", "1", "--tau",
-                              "1", "--k", "1", "--alpha", "1", "--beta", "1",
-                              "--d", "1e200", "--nu", "2", "--t-max", "1",
-                              "--steps", "2"], capsys)
-        assert (code, out) == (3, "")
-        assert err.startswith("error: evaluation overflowed:")
 
     def test_underflowed_inner_factors_exit_3(self, capsys):
         # The outer series diverges; once its inner factors underflow to
@@ -871,8 +894,7 @@ class TestArtifacts:
             assert out == fh.read()
 
     @pytest.mark.parametrize("name", [
-        f"residuals_set{s}_{v}.json" for s in (1, 2, 3)
-        for v in ("stated", "rederived")])
+        f"residuals_set{s}_{v}.json" for s in (1, 2, 3) for v in VARIANTS])
     def test_verify_reproduces_record(self, name, capsys):
         with open(self.ARTIFACTS / name) as fh:
             record = json.load(fh)

@@ -8,6 +8,8 @@ import oracles
 import fracml.fracops
 from fracml.errors import DomainError
 from fracml.fracops import (
+    MIN_ORDER,
+    ResidualReport,
     SampledFunction,
     laplace_numeric,
     laplace_step_check,
@@ -267,3 +269,17 @@ class TestResidualReport:
             for steps in (16, 32, 64, 128, 256, 512):
                 coarse = grid(t_max, steps)
                 assert coarse.tolist() == finest[::1024 // steps].tolist()
+
+
+
+@pytest.mark.parametrize("report, passed", [
+    # order and finest residual exactly at their edges
+    (ResidualReport((16, 32), (1.0, 1e-5), (1.0, 1e-5), MIN_ORDER), True),
+    (ResidualReport((16, 32), (1.0, 1e-9), (1.0, 1e-9),
+                    math.nextafter(MIN_ORDER, 0.0)), False),
+    (ResidualReport((16, 32), (1.0, math.nextafter(1e-5, 1.0)), (1.0, 1.0),
+                    2.0), False),
+    (ResidualReport((16, 32), (), (), math.nan, complete=False), False),
+], ids=["at-edges", "order-below", "residual-above", "incomplete"])
+def test_gate(report, passed):
+    assert report.passes_gate(1e-5) is passed

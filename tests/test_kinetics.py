@@ -14,6 +14,9 @@ import fracml.mittag
 from fracml.errors import DomainError
 from fracml.kinetics import (
     GRID_CROSSOVER,
+    SOLVERS,
+    THEOREMS,
+    VARIANTS,
     Forcing,
     KineticProblem,
     forcing_value,
@@ -30,13 +33,9 @@ from oracles import UnknownCaseError, corollary_reduction
 
 DB_PARAMS = MLParameters(k=2.0, alpha=6.0, beta=7.0, gamma=2.0, q=1.0)
 
-ALL_SOLVERS = (
-    solve_theorem1,
-    solve_theorem2_stated,
-    solve_theorem2_rederived,
-    solve_theorem3_stated,
-    solve_theorem3_rederived,
-)
+# Each entry point's theorem, in the order of SOLVERS.
+THEOREM_OF = {solver: theorem for (theorem, _), solver in SOLVERS.items()}
+ALL_SOLVERS = tuple(THEOREM_OF)
 
 
 def rel(a, b):
@@ -87,8 +86,7 @@ class TestAnchors:
     def test_initial_value_all_solvers(self):
         expected = 0.05 / k_gamma(7.0, 2.0)
         for solver in ALL_SOLVERS:
-            forcing = (Forcing.PLAIN if solver is solve_theorem1
-                       else Forcing.POWERED)
+            forcing = THEOREMS[THEOREM_OF[solver]].forcing
             ev = solver(problem(nu=2.0, forcing=forcing), 0.0)
             assert ev.converged
             assert rel(ev.value, expected) < 1e-13
@@ -149,17 +147,6 @@ class TestCollapses:
             assert all(hi > lo for hi, lo in zip(slower, faster))
 
 
-# Each named entry point, with the (theorem, variant) the CLI maps to it.
-ENTRY_POINTS = [
-    (1, "stated", solve_theorem1),
-    (1, "rederived", solve_theorem1),
-    (2, "stated", solve_theorem2_stated),
-    (2, "rederived", solve_theorem2_rederived),
-    (3, "stated", solve_theorem3_stated),
-    (3, "rederived", solve_theorem3_rederived),
-]
-
-
 class TestSolve:
     """solve(prob, t, variant) is each theorem's entry point, bit for bit."""
 
@@ -167,11 +154,18 @@ class TestSolve:
     def _problem(theorem):
         # Removal rate 20 (theorem 3: forcing rate 3) with nu = 1.5: the
         # inner factors cancel and take the contour at the far end.
-        forcing = Forcing.PLAIN if theorem == 1 else Forcing.POWERED
-        d = 3.0 if theorem == 3 else 20.0
-        return problem(nu=1.5, forcing=forcing, d=d, a=20.0)
+        d = 20.0 if THEOREMS[theorem].equal_rates else 3.0
+        return problem(nu=1.5, forcing=THEOREMS[theorem].forcing, d=d,
+                       a=20.0)
 
-    @pytest.mark.parametrize("theorem, variant, entry", ENTRY_POINTS)
+    def test_table_names_every_theorem_and_variant(self):
+        assert list(SOLVERS) == [(theorem, variant) for theorem in THEOREMS
+                                 for variant in VARIANTS]
+        assert all(entry.__name__.startswith("solve_theorem")
+                   for entry in SOLVERS.values())
+
+    @pytest.mark.parametrize("theorem, variant, entry",
+                             [(*key, entry) for key, entry in SOLVERS.items()])
     def test_equals_the_entry_point(self, theorem, variant, entry):
         prob = self._problem(theorem)
         for t in (0.0, 0.35):
@@ -277,12 +271,11 @@ class TestCorollaryEquivalence:
         reduction = corollary_reduction(case_id)
         ml = reduction.apply(self.BASE)
         theorem = reduction.theorem
-        a = self.A_INDEP if theorem == 3 else self.D
-        forcing = Forcing.PLAIN if theorem == 1 else Forcing.POWERED
+        row = THEOREMS[theorem]
+        a = self.D if row.equal_rates else self.A_INDEP
         prob = KineticProblem(n0=self.N0, ml=ml, d=self.D, nu=self.NU,
-                              forcing=forcing, a=a)
-        solver = {1: solve_theorem1, 2: solve_theorem2_stated,
-                  3: solve_theorem3_stated}[theorem]
+                              forcing=row.forcing, a=a)
+        solver = SOLVERS[(theorem, "stated")]
         coeff = _direct_coefficient(case_id, ml)
         for t in (0.3, 0.7):
             got = solver(prob, t)
@@ -374,11 +367,9 @@ def _grid_and_points(solver, prob, ts):
 
 
 def _problem_for(solver, ml, d, a, nu):
-    if solver is solve_theorem1:
-        return problem(nu=nu, d=d, ml=ml)
-    if solver in (solve_theorem2_stated, solve_theorem2_rederived):
-        return problem(nu=nu, forcing=Forcing.POWERED, d=d, ml=ml)
-    return problem(nu=nu, forcing=Forcing.POWERED, d=d, a=a, ml=ml)
+    row = THEOREMS[THEOREM_OF[solver]]
+    return problem(nu=nu, forcing=row.forcing, d=d,
+                   a=None if row.equal_rates else a, ml=ml)
 
 
 class TestGridEvaluation:
@@ -523,6 +514,20 @@ class TestGridEvaluation:
         assert grid.t.tolist() == ts
         for i, t in enumerate(ts):
             assert repr(_point(grid, i)) == repr(forcing_value(prob, t))
+
+    def test_overflowing_arguments_are_unconverged(self):
+        # (d t)**nu and (a t)**nu overflow at the last time only: the eight
+        # points before it are summed in one batch, and that one is
+        # unconverged, in the solution and the forcing, as per point.
+        prob = problem(nu=2.0, forcing=Forcing.POWERED, d=1e200, a=1e199)
+        ts = [0.0, *(i * 1e-200 for i in range(1, 9)), 1.0]
+        for f in (solve_theorem3_stated, forcing_value):
+            grid = f(prob, np.array(ts))
+            assert grid.point_converged.tolist() == [True] * 9 + [False]
+            assert math.isnan(grid.value[-1])
+            assert grid.tail_bound[-1] == math.inf
+            for i, t in enumerate(ts):
+                assert repr(_point(grid, i)) == repr(f(prob, t))
 
     def test_small_grid_stays_per_point(self, monkeypatch):
         def no_batch(*args):
