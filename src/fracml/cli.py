@@ -38,7 +38,8 @@ import numpy as np
 from .errors import DomainError
 from .kinetics import SOLVERS, THEOREMS, VARIANTS, KineticProblem
 from .fracops import check_grids, residual_report
-from .mittag import MLParameters, TwoParamML, _valid_exponent_step, kml, ml2
+from .mittag import (DEFAULT_TOL, MLParameters, TwoParamML,
+                     _valid_exponent_step, kml, ml2)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -274,8 +275,8 @@ def _add_common(sub) -> None:
                      help="key=value file supplying defaults for any flag")
     sub.add_argument("--out", default=None,
                      help="output path (default: standard output)")
-    sub.add_argument("--tol", type=_positive, default=1e-12,
-                     help="series tolerance (default 1e-12)")
+    sub.add_argument("--tol", type=_positive, default=DEFAULT_TOL,
+                     help=f"series tolerance (default {DEFAULT_TOL:g})")
 
 
 def _add_problem_flags(sub) -> None:

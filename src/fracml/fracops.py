@@ -180,14 +180,20 @@ def residual_report(prob: KineticProblem,
     if not (ev.converged and forcing.converged):
         # An unconverged sample may be NaN: there is no residual to form.
         return ResidualReport(grids, (), (), math.nan, complete=False)
-    apow = prob.a ** prob.nu
+    try:
+        apow, rate = prob.a ** prob.nu, 1.0
+    except OverflowError:
+        # a**nu is not a double, while every (a t)**nu on the grid is: take
+        # the integral on the grid rescaled by a, which is a**nu times it.
+        apow, rate = 1.0, prob.a
     max_res = []
     l2_res = []
     for steps in grids:
         h = t_max / steps
         nvals = ev.value[::finest // steps]
         fvals = forcing.value[::finest // steps]
-        integ = rl_integral(SampledFunction(h, nvals), prob.nu).values
+        integ = rl_integral(SampledFunction(rate * h, nvals),
+                            prob.nu).values
         resid = nvals - fvals + apow * integ
         max_res.append(float(np.max(np.abs(resid))))
         l2_res.append(float(math.sqrt(h * float(np.sum(resid * resid)))))

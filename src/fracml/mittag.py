@@ -46,12 +46,13 @@ only where the contour does not certify (:func:`kml` has no contour and
 re-sums directly).  A negative-axis :func:`ml2` series that aborts on a
 term overflow also tries the contour, with no extended-precision fallback.
 
-:func:`ml2_value`, the entry of the kinetic solution series' inner
-factors, returns :func:`ml2`'s value and convergence flag bit for bit but
-skips the double series where it would certainly end on the contour:
-``0 < alpha <= 2``, ``1 <= beta``, ``x < 0``, and a certified contour value
-far below the bound under which the series must escalate
-(:func:`_escalation_bound`).  Every other factor is :func:`ml2`'s.
+:func:`ml2_value`, the one entry of every inner factor of the kinetic
+solution series that no batch settles, returns :func:`ml2`'s value and
+convergence flag bit for bit but skips the double series where it would
+certainly end on the contour: ``0 < alpha <= 2``, ``1 <= beta``, ``x <
+0``, and a certified contour value far below the bound under which the
+series must escalate (:func:`_escalation_bound`).  Every other factor is
+:func:`ml2`'s.
 
 The contour certificate is relative and is an error estimate, not a proven
 bound: the value is accepted only when ``10 * est <= tol * |value|``, where
@@ -70,8 +71,8 @@ Batched forms serve the kinetic grid solvers and the residual check.
 ``beta_r`` at many arguments in one compensated sum, deferring each
 cancelling entry's contour or re-sum until it is asked for.  Its
 ``take`` returns the value and the convergence flag :func:`ml2` returns,
-bit for bit, at every entry, evaluating with :func:`ml2` the entries its
-sum did not finish, among them every entry whose gamma argument is not
+bit for bit, at every entry, evaluating with :func:`ml2_value` the entries
+its sum did not finish, among them every entry whose gamma argument is not
 positive (its one caller, the kinetic solution series, has none).
 :func:`kml_batch` evaluates :func:`kml` at many arguments, forming each
 term's log-coefficient once for all of them, and returns exactly what
@@ -277,13 +278,6 @@ def ml2(p: TwoParamML, x: float, tol: float = DEFAULT_TOL) -> SeriesEvaluation:
     ``converged`` is True when the geometric tail certificate bounds the
     truncation error by ``tol * max(1, |value|)``.
     """
-    return _ml2(p, x, tol, _ml2_contour)
-
-
-def _ml2(p: TwoParamML, x: float, tol: float,
-         contour: Callable) -> SeriesEvaluation:
-    """:func:`ml2`, with ``contour`` called in place of
-    :func:`_ml2_contour` (:func:`ml2_value` passes one it has computed)."""
     _check_tol(tol)
     x = float(x)
     if not math.isfinite(x):
@@ -330,10 +324,10 @@ def _ml2(p: TwoParamML, x: float, tol: float,
     converged, status = res.converged, _series_status(res)
     if converged and _should_escalate(x, res.abs_sum, value, err_units, tol):
         value, used_x, tail, status = _ml2_cancelling(
-            alpha, beta, x, res.abs_sum, tol, contour)
+            alpha, beta, x, res.abs_sum, tol)
         used = max(used, used_x)
     elif res.abort is not None and x < 0.0:
-        found = contour(alpha, beta, x, tol)
+        found = _ml2_contour(alpha, beta, x, tol)
         if found is not None:
             (value, tail), status, converged = found, "contour", True
     converged = converged and tail <= tol * max(1.0, abs(value))
@@ -355,18 +349,15 @@ def ml2_value(p: TwoParamML, x: float) -> tuple[float, bool]:
     is: :func:`ml2` returns that same contour value, converged, whether its
     series escalates or aborts on a term overflow, and a contour value that
     small makes its series do one or the other.  Every other factor is
-    :func:`ml2`'s; one whose contour was computed and not taken is handed
-    that contour, so no factor computes it twice.
+    :func:`ml2`'s.
     """
     x = float(x)
     bound = _escalation_bound(p.alpha, p.beta, x)
-    if bound == 0.0:
-        ev = ml2(p, x, INNER_TOL)
-    else:
+    if bound > 0.0:
         found = _ml2_contour(p.alpha, p.beta, x, INNER_TOL)
         if found is not None and abs(found[0]) < bound:
             return found[0], True
-        ev = _ml2(p, x, INNER_TOL, lambda *args: found)
+    ev = ml2(p, x, INNER_TOL)
     return ev.value, ev.converged
 
 
@@ -491,18 +482,17 @@ def _series_status(res) -> str:
 
 
 def _ml2_cancelling(alpha: float, beta: float, x: float, abs_sum: float,
-                    tol: float,
-                    contour: Callable) -> tuple[float, int, float, str]:
+                    tol: float) -> tuple[float, int, float, str]:
     """``E_{alpha,beta}(x)`` at ``x < 0`` where the double-precision sum
     (with absolute term sum ``abs_sum``) cancels too much to meet ``tol``.
 
     The one place both :func:`ml2` and :meth:`ML2Rows.take` send such an
-    entry: the contour (``contour``, which is :func:`_ml2_contour` or stands
-    in for it) when it certifies, otherwise the extended-precision re-sum.
-    Returns ``(value, terms, tail_bound, status)``; ``terms`` counts the
-    extended-precision terms, 0 for the contour.
+    entry: the contour (:func:`_ml2_contour`) when it certifies, otherwise
+    the extended-precision re-sum.  Returns ``(value, terms, tail_bound,
+    status)``; ``terms`` counts the extended-precision terms, 0 for the
+    contour.
     """
-    found = contour(alpha, beta, x, tol)
+    found = _ml2_contour(alpha, beta, x, tol)
     if found is not None:
         return found[0], 0, found[1], "contour"
     value, used, tail = _ml2_extended(alpha, beta, x, abs_sum)
@@ -553,10 +543,10 @@ class ML2Rows:
     rules for its own ``beta_r``, with one scalar ``math.gamma`` per row and
     term.  A gamma argument outside ``[_DIRECT_GAMMA_MIN,
     _DIRECT_GAMMA_MAX]`` -- zero, negative or a pole among them -- is out of
-    the branch, so its entries are :func:`ml2`'s: the kinetic solution
-    series, the one caller, only has offsets ``b(n) >= 1``.  A cancelling
-    entry goes to :func:`_ml2_cancelling` only when :meth:`take` asks for
-    it.
+    the branch, so its entries are :func:`ml2_value`'s: the kinetic
+    solution series, the one caller, only has offsets ``b(n) >= 1``.  A
+    cancelling entry goes to :func:`_ml2_cancelling` only when :meth:`take`
+    asks for it.
     """
 
     def __init__(self, alpha: float, betas: list, powers: PowerTable,
@@ -596,7 +586,7 @@ class ML2Rows:
         entry equal bit for bit to the fields of :func:`ml2` at
         ``INNER_TOL``.  An entry the batch did not sum to the end (an abort,
         an exhausted budget, or a term outside the direct branch) is
-        evaluated by :func:`ml2`."""
+        evaluated by :func:`ml2_value`."""
         f = row * self.width + cols
         value, settled = self.res.value[f], self.res.converged[f]
         beta = self.betas[row]
@@ -604,13 +594,12 @@ class ML2Rows:
             i = f[j]
             v, _, tail, _ = _ml2_cancelling(
                 self.alpha, beta, float(self.x[i]),
-                float(self.res.abs_sum[i]), INNER_TOL, _ml2_contour)
+                float(self.res.abs_sum[i]), INNER_TOL)
             value[j] = v
             settled[j] = tail <= INNER_TOL * max(1.0, abs(v))
         for j in np.flatnonzero(~self.res.converged[f]).tolist():
-            ev = ml2(TwoParamML(self.alpha, beta), float(self.x[f[j]]),
-                     INNER_TOL)
-            value[j], settled[j] = ev.value, ev.converged
+            value[j], settled[j] = ml2_value(TwoParamML(self.alpha, beta),
+                                             float(self.x[f[j]]))
         return value, settled
 
 

@@ -25,17 +25,6 @@ from fracml.specfun import _as_count, _check_finite, k_gamma
 DPS = 50
 
 
-def mp_gamma(x):
-    with mp.workdps(DPS):
-        return mp.gamma(x)
-
-
-def mp_k_gamma(g, k):
-    with mp.workdps(DPS):
-        g, k = mpf(g), mpf(k)
-        return k ** (g / k - 1) * mp.gamma(g / k)
-
-
 @lru_cache(maxsize=None)
 def mp_ml2_partial(alpha, beta, x, terms):
     """Partial sum of sum_n x**n / Gamma(alpha n + beta) over n < terms.

@@ -250,6 +250,13 @@ CASES = {
         ["eval-kml", "--k", "1", "--alpha", "1", "--beta", "1", "--gamma",
          "1", "--tau", "2", "--z", "0.5"], 3,
         EVAL + "nan,0,inf,false\n", BEYOND_RADIUS),
+    # alpha/k = 3.3e-11: the gamma argument never reaches 2 within the
+    # budget, so the certificate is never tested.  An unconverged sum.
+    "eval-kml-term-budget": (
+        ["eval-kml", "--k", "3", "--alpha", "1e-10", "--beta", "1.5",
+         "--gamma", "1", "--tau", "1", "--z", "0.25"], 3,
+        EVAL + "1.5512162828227205,10000,inf,false\n",
+        "error: series did not converge within the term budget\n"),
     # Fast-removal solves: every inner factor at t > 0 takes the contour.
     "solve-stiff-theorem1": (
         ["solve", *STIFF_FLAGS, "--theorem", "1", "--variant", "stated",
@@ -344,6 +351,12 @@ CASES = {
          "--gamma", "1", "--tau", "1", "--k", "1", "--alpha", "1", "--beta",
          "1", "--d", "1e200", "--nu", "2", "--t-max", "1", "--steps", "2"], 3,
         "", "error: series did not converge at t = 0.5\n"),
+    # The inner factor E_{1,1}(-800) = e**-800 is not a normal double: it
+    # does not converge on the per-point path, and the outer sum stops.
+    "solve-unconverged-inner-factor": (
+        ["solve", "--theorem", "1", "--variant", "stated", *DB_FLAGS[:-2],
+         "--d", "800", "--nu", "1", "--t-max", "1", "--steps", "2"], 3, "",
+        "error: series did not converge at t = 1\n"),
     # The grid times t_max * i / steps overflow: the message names the
     # flags, not the times (once "t must be finite and >= 0").
     "solve-overflowing-grid-times": (
@@ -366,6 +379,17 @@ CASES = {
          "--beta", "1e-30", "--d", "3", "--nu", "1", "--t-max", "0.5",
          "--grids", "16,32"], 3, "",
         "error: solver or forcing failed to converge on a grid point\n"),
+    # a**nu overflows while every (a t)**nu on the grid is a double: the
+    # integral is taken on the grid rescaled by a.  This once exited 3 with
+    # the platform's strerror text, where solve exits 0.
+    "verify-overflowing-rate-power": (
+        ["verify", "--theorem", "3", "--variant", "stated", *DB_FLAGS,
+         "--a", "1e300", "--nu", "1.5", "--t-max", "1e-250", "--grids",
+         "16,32"], 4,
+        '{"grids": [16, 32], "max_residuals": [9.279826484998789e+70, '
+        '4.664628529695574e+70], "l2_residuals": [6.698544536523282e-55, '
+        '3.332716629508016e-55], "order_estimate": 0.9923356341437399, '
+        '"pass": false}\n', ""),
 }
 
 # The program under test besides cli.main, as a command line: "fracml" once

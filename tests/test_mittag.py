@@ -704,13 +704,13 @@ def _same(got, want):
     return (_bits(got[0]), got[1]) == (_bits(want[0]), want[1])
 
 
-def _count_calls(monkeypatch, name, replace=None):
+def _count_calls(monkeypatch, name):
     calls = []
     original = getattr(mittag, name)
 
     def counting(*args):
         calls.append(args)
-        return (replace or original)(*args)
+        return original(*args)
 
     monkeypatch.setattr(mittag, name, counting)
     return calls
@@ -766,24 +766,17 @@ class TestInnerFactorRoute:
         assert len(contours) <= 1
 
     @pytest.mark.parametrize("scale", [None, 1e6])
-    def test_rejected_contour_is_computed_once(self, monkeypatch, scale):
+    def test_rejected_route_falls_back_to_ml2(self, monkeypatch, scale):
         # A routed factor whose contour is not taken: uncertified (None), or
-        # certified but (here, made) too large for the bound.  The fallback
-        # gets that contour and computes none of its own.
+        # certified but (here, made) too large for the bound.  It is ml2's.
         p, x = TwoParamML(1.5, 1.0), -40.0
         assert mittag._escalation_bound(p.alpha, p.beta, x) > 0.0
-
-        def contour(*args):
-            return None if scale is None else (scale, 0.0)
-
-        contours = _count_calls(monkeypatch, "_ml2_contour", contour)
+        monkeypatch.setattr(mittag, "_ml2_contour", lambda *args: (
+            None if scale is None else (scale, 0.0)))
         want = _ml2_fields(p, x)
-        assert len(contours) == 1
-        contours.clear()
+        calls = _count_calls(monkeypatch, "ml2")
         assert _same(ml2_value(p, x), want)
-        assert len(contours) == 1
-        if scale is not None:
-            assert want == (scale, True)
+        assert calls == [(p, x, INNER_TOL)]
 
     def test_budget_below_the_bound_falls_back(self, monkeypatch):
         # With too few terms to certify past the peak the series might end
@@ -1126,7 +1119,7 @@ class TestExtendedPrecision:
             mittag, "_ml2_cancelling",
             lambda *a: args.append(a) or (0.0, 0, 0.0, "contour"))
         ml2(TwoParamML(alpha, beta), x, 1e-13)
-        (_, _, _, abs_sum, tol, _), = args
+        (_, _, _, abs_sum, tol), = args
         ref = oracles.mp_ml2_sum(alpha, beta, x)
         evaluations = [
             mittag._ml2_extended(alpha, beta, x, abs_sum),
