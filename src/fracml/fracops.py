@@ -114,16 +114,26 @@ def rl_integral(f: SampledFunction, nu: float) -> SampledFunction:
     """Riemann-Liouville integral of order ``nu > 0`` of sampled data.
 
     Returns samples of (I^nu f) on the same grid; the value at t = 0 is 0.
+    Raises :class:`DomainError` where ``Gamma(nu)`` or a weight overflows.
     """
     if not (math.isfinite(nu) and nu > 0.0):
         raise DomainError("nu must be finite and > 0")
     v = f.values
     n = v.size
     m = np.arange(1, n, dtype=float)
-    pd0 = _pow_diff(m, nu)
-    pd1 = _pow_diff(m, nu + 1.0)
-    c_left = pd1 / (nu + 1.0) - (m - 1.0) * pd0 / nu
-    c_right = m * pd0 / nu - pd1 / (nu + 1.0)
+    with np.errstate(all="ignore"):
+        pd0 = _pow_diff(m, nu)
+        pd1 = _pow_diff(m, nu + 1.0)
+        c_left = pd1 / (nu + 1.0) - (m - 1.0) * pd0 / nu
+        c_right = m * pd0 / nu - pd1 / (nu + 1.0)
+    try:
+        gamma_nu = math.gamma(nu)
+    except OverflowError:
+        gamma_nu = math.inf
+    if not (gamma_nu < math.inf and np.isfinite(c_left).all()
+            and np.isfinite(c_right).all()):
+        raise DomainError(f"nu = {nu:g} is too large for the fractional "
+                          f"integral on {n - 1} steps")
     cl = np.concatenate(([0.0], c_left))
     cr = np.concatenate(([0.0], c_right))
     # g_i = h**nu/Gamma(nu) * sum over elements; node j is the left end of
@@ -133,7 +143,7 @@ def rl_integral(f: SampledFunction, nu: float) -> SampledFunction:
     left = np.convolve(v, cl)[:n]
     right = np.convolve(v, cr)[1:n + 1].copy()
     right[:-1] -= v[0] * cr[1:]
-    g = (f.step**nu / math.gamma(nu)) * (left + right)
+    g = (f.step**nu / gamma_nu) * (left + right)
     g[0] = 0.0
     return SampledFunction(f.step, g)
 

@@ -256,7 +256,7 @@ def forcing_value(prob: KineticProblem, t: Times) -> Evaluation:
         ok = zs < math.inf
         value, terms, tail, converged = (np.full(zs.size, fill) for fill in (
             _UNCONVERGED.value, 0, _UNCONVERGED.tail_bound, False))
-        value[ok], terms[ok], tail[ok], converged[ok] = kml_batch(
+        value[ok], terms[ok], tail[ok], converged[ok], _ = kml_batch(
             prob.ml, zs[ok].tolist())
         return GridEvaluation(t, prob.n0 * value, terms, prob.n0 * tail,
                               converged)

@@ -8,7 +8,8 @@ Two evaluators are provided:
   ``E(k, alpha, beta, gamma, q; z)
   = sum_n (gamma)_{nq,k} z**n / (gamma_k(n alpha + beta) n!)``
   built from the step-k gamma and gamma-ratio Pochhammer of
-  :mod:`fracml.specfun`.
+  :mod:`fracml.specfun`, and summed by :func:`kml_batch`, whose one-point
+  case it is.
 
 Both return a :class:`SeriesEvaluation` carrying truncation diagnostics;
 ``converged`` is True only when the geometric tail certificate of
@@ -74,13 +75,11 @@ cancelling entry's contour or re-sum until it is asked for.  Its
 bit for bit, at every entry, evaluating with :func:`ml2_value` the entries
 its sum did not finish, among them every entry whose gamma argument is not
 positive (its one caller, the kinetic solution series, has none).
-:func:`kml_batch` evaluates :func:`kml` at many arguments, forming each
-term's log-coefficient once for all of them, and returns exactly what
-:func:`kml` returns at each.  It sums only the points ``0 < z <= radius``,
-whose terms are all positive and so cannot cancel, and hands every other
-point to :func:`kml`.  Only IEEE-exact operations are vectorized;
-logarithms, powers, exponentials and gamma values come from the scalar
-calls the per-point evaluators make.
+:func:`kml_batch` is the one summation of the :func:`kml` series, and
+:func:`kml` its one-point case: it sums every argument itself, forming each
+term's log-coefficient once for all of them, and escalates each cancelling
+point on its own.  Only IEEE-exact operations are vectorized; logarithms,
+powers, exponentials and gamma values come from scalar ``math`` calls.
 
 The coefficient ``(gamma)_{nq,k} / gamma_k(n alpha + beta)`` that
 :func:`kml` and the kinetic solution series share is stated once, in
@@ -120,8 +119,9 @@ from .summation import SeriesAbort, sum_series, sum_series_batch
 
 DEFAULT_TOL = 1e-12
 # The tolerance of the kinetic solution series' inner factors and of its
-# forcing (fracml.kinetics): the one tolerance of ml2_value, ML2Rows and
-# kml_batch.  _escalation_bound's derivation needs it at most 1e-8.
+# forcing (fracml.kinetics): the one tolerance of ml2_value and ML2Rows and
+# the default of kml_batch.  _escalation_bound's derivation needs it at
+# most 1e-8.
 INNER_TOL = 1e-13
 MAX_TERMS = 10_000
 MIN_TERMS = 8
@@ -891,49 +891,12 @@ def _ml2_contour(alpha: float, beta: float, x: float,
 
 def kml(p: MLParameters, z: float,
         tol: float = DEFAULT_TOL) -> SeriesEvaluation:
-    """Evaluate the generalized k-Mittag-Leffler series at real ``z``.
-
-    Terms are assembled in log space from the step-k Pochhammer ratio, the
-    step-k gamma and the factorial; convergence semantics match :func:`ml2`.
-    Beyond the radius of convergence (:func:`_radius`) the result is NaN with
-    ``converged=False`` and status ``divergent``, without summing a term.
-    """
-    _check_tol(tol)
-    z = float(z)
-    if not math.isfinite(z):
-        raise DomainError("z must be finite")
-    if z == 0.0:
-        value = recip_k_gamma(p.beta, p.k)
-        ok = math.isfinite(value)
-        return SeriesEvaluation(value, 1, 0.0, ok,
-                                "series" if ok else "overflow")
-    if abs(z) > _radius(p):
-        return SeriesEvaluation(math.nan, 0, math.inf, False, "divergent")
-    coeff = log_coeff_parts(p)
-    log_az = math.log(abs(z))
-    err_units = 0.0
-
-    def term(n: int) -> float:
-        nonlocal err_units
-        num, pw, lg = coeff(n)
-        logmag = (num - ((pw + lg) + math.lgamma(n + 1.0))) + n * log_az
-        if logmag > _LOG_HUGE:
-            raise SeriesAbort("term overflow")
-        t = math.exp(logmag)
-        if z < 0.0 and n % 2:
-            t = -t
-        err_units += _ERR_LOG * abs(t)
-        return t
-
-    start = max(_cert_start(p.alpha, p.beta, p.k), _peak_start(p, log_az))
-    res = sum_series(term, tol, MAX_TERMS, start)
-    value, used, tail = res.value, res.terms, res.tail_bound
-    status = _series_status(res)
-    if res.converged and _should_escalate(z, res.abs_sum, value, err_units, tol):
-        value, used_mp, tail = _kml_extended(p, z, res.abs_sum)
-        used, status = max(used, used_mp), "extended"
-    converged = res.converged and tail <= tol * max(1.0, abs(value))
-    return SeriesEvaluation(value, used, tail, converged, status)
+    """Evaluate the generalized k-Mittag-Leffler series at real ``z``: entry
+    0 of ``kml_batch(p, [z], tol)``, with its status (see :func:`kml_batch`).
+    Convergence semantics match :func:`ml2`."""
+    value, used, tail, converged, status = kml_batch(p, [z], tol)
+    return SeriesEvaluation(float(value[0]), int(used[0]), float(tail[0]),
+                            bool(converged[0]), status[0])
 
 
 def _radius(p: MLParameters) -> float:
@@ -961,8 +924,7 @@ def log_coeff_parts(p: MLParameters) -> Callable[[int], tuple]:
     (gamma)_{nq,k} - log gamma_k(a k)`` that :func:`kml` and the kinetic
     solution series share.  Each caller combines them in its own order,
     which fixes its rounding: the solution series as ``(num - pow) - lg``,
-    :func:`kml` and :func:`kml_batch` as ``num - ((pow + lg) + lgamma(n +
-    1))``.
+    :func:`kml_batch` as ``num - ((pow + lg) + lgamma(n + 1))``.
 
     Where a gamma argument (``a`` or ``gamma/k + n q``) has underflowed to 0
     or passed about 2.6e305, its log-gamma is ``inf``
@@ -986,60 +948,83 @@ def log_coeff_parts(p: MLParameters) -> Callable[[int], tuple]:
     return parts
 
 
-def kml_batch(p: MLParameters, zs: list) -> tuple:
-    """Evaluate the generalized k-Mittag-Leffler series at every real ``zs[i]``
-    at once, to ``INNER_TOL``.
+def kml_batch(p: MLParameters, zs: list, tol: float = INNER_TOL) -> tuple:
+    """Evaluate the generalized k-Mittag-Leffler series at every real
+    ``zs[i]`` at once, to ``tol``: the one summation of the series.
 
-    Returns ``(value, terms_used, tail_bound, converged)`` arrays aligned
-    with ``zs``, each entry equal bit for bit to the field of :func:`kml` at
-    ``zs[i]`` and ``INNER_TOL``.  Only the points ``0 < z <= radius`` are
-    summed here: their terms are all positive, so the sum cannot cancel and
-    never escalates.  The log-coefficient of each term is formed once for
-    all of them with :func:`kml`'s scalar calls; each point adds its own ``n
-    log z`` and takes a scalar ``math.exp``.  A point that aborts or
-    exhausts the budget keeps the batch's result, which is :func:`kml`'s.
-    Every other point (``z <= 0``, beyond the radius of convergence) is
-    evaluated by :func:`kml`.
+    Returns ``(value, terms_used, tail_bound, converged, status)`` arrays
+    aligned with ``zs``, the fields of a :class:`SeriesEvaluation` at each
+    point.  ``z = 0`` gives ``1/gamma_k(beta)``; a point beyond the radius
+    of convergence (:func:`_radius`) is NaN and ``divergent``, with no term
+    summed.  The other points share one
+    :func:`~fracml.summation.sum_series_batch` call: each term's
+    log-coefficient is formed once, with scalar calls, and each point adds
+    its own ``n log|z|``, takes a scalar ``math.exp`` and, if negative,
+    flips the sign of its odd terms.  A point whose sum cancels too much for
+    ``tol`` (:func:`_should_escalate`) is re-summed by :func:`_kml_extended`.
+    No point's result depends on the others.
     """
+    _check_tol(tol)
     zs = [float(z) for z in zs]
     z = np.array(zs)
     if not np.isfinite(z).all():
         raise DomainError("z must be finite")
-    value = np.zeros(z.size)
+    value = np.full(z.size, math.nan)
     used = np.zeros(z.size, dtype=np.int64)
-    tail = np.zeros(z.size)
+    tail = np.full(z.size, math.inf)
     settled = np.zeros(z.size, dtype=bool)
-    summed = (z > 0.0) & (z <= _radius(p))
-    idx = np.flatnonzero(summed)
+    status = np.full(z.size, "divergent", dtype=object)
+    zero = z == 0.0
+    if zero.any():
+        v0 = recip_k_gamma(p.beta, p.k)
+        ok = math.isfinite(v0)
+        value[zero], used[zero], tail[zero], settled[zero] = v0, 1, 0.0, ok
+        status[zero] = "series" if ok else "overflow"
+    idx = np.flatnonzero(~zero & (np.abs(z) <= _radius(p)))
     if idx.size:
         coeff = log_coeff_parts(p)
-        log_az = np.array([math.log(zs[i]) for i in idx.tolist()])
+        log_az = np.array([math.log(abs(zs[i])) for i in idx.tolist()])
+        neg = z[idx] < 0.0
+        signed = bool(neg.any())
+        err_units = np.zeros(idx.size)
 
         def term(n: int, pos: np.ndarray) -> tuple:
             try:
                 num, pw, lg = coeff(n)
-            except SeriesAbort:  # every point aborts; kml says why
+            except SeriesAbort:  # every point aborts
                 return np.zeros(pos.size), np.ones(pos.size, dtype=bool)
             log_c = num - ((pw + lg) + math.lgamma(n + 1.0))
             logmag = log_c + n * log_az[pos]
             over = logmag > _LOG_HUGE
             logmag[over] = 0.0  # an aborting term is not used
             t = np.fromiter(map(math.exp, logmag.tolist()), float, pos.size)
+            if signed:
+                err_units[pos] += _ERR_LOG * t
+                if n % 2:
+                    t = np.where(neg[pos], -t, t)
             return t, over
 
-        # kml's starts; the peak moves out with z, so test the largest first.
+        # The peak moves out with |z|, so test the largest first.
         start = _cert_start(p.alpha, p.beta, p.k)
         if _peak_start(p, float(log_az.max())) > start:
             start = np.array([max(start, _peak_start(p, v))
                               for v in log_az.tolist()])
-        res = sum_series_batch(term, idx.size, INNER_TOL, MAX_TERMS, start)
+        res = sum_series_batch(term, idx.size, tol, MAX_TERMS, start)
         value[idx], used[idx], tail[idx] = res.value, res.terms, res.tail_bound
         settled[idx] = res.converged
-    for i in np.flatnonzero(~summed).tolist():
-        ev = kml(p, zs[i], INNER_TOL)
-        value[i], used[i], tail[i] = ev.value, ev.terms_used, ev.tail_bound
-        settled[i] = ev.converged
-    return value, used, tail, settled
+        # An uncertified sum stopped on an overflow before the budget ran out.
+        status[idx] = np.where(res.converged, "series", np.where(
+            res.terms < MAX_TERMS, "overflow", "budget"))
+        with np.errstate(all="ignore"):  # tol * |value| may overflow
+            escalate = res.converged & _should_escalate(
+                z[idx], res.abs_sum, res.value, err_units, tol)
+        for i, abs_sum in zip(idx[escalate].tolist(),
+                              res.abs_sum[escalate].tolist()):
+            value[i], used_mp, tail[i] = _kml_extended(p, zs[i], abs_sum)
+            used[i], status[i] = max(used[i], used_mp), "extended"
+    with np.errstate(all="ignore"):
+        settled &= tail <= tol * np.fmax(np.abs(value), 1.0)
+    return value, used, tail, settled, status
 
 
 def _kml_extended(p: MLParameters, z: float,

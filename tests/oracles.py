@@ -7,8 +7,9 @@ implementations under test.
 The last section holds reference helpers that no library code calls: the
 plain rising factorial, ``ln Gamma``, the two-step form of the step-s gamma
 function (built on the library's ``k_gamma``, whose scaling identity it
-exercises), and the table of the paper's eighteen special-case
-substitutions.
+exercises), the scalar loop that ``mittag.kml_batch`` must equal point for
+point (built on the library's rules), and the table of the paper's eighteen
+special-case substitutions.
 """
 
 import dataclasses
@@ -18,9 +19,11 @@ from functools import lru_cache
 
 from mpmath import mp, mpf
 
+import fracml.mittag as mittag
 from fracml.errors import DomainError
-from fracml.mittag import MLParameters
-from fracml.specfun import _as_count, _check_finite, k_gamma
+from fracml.mittag import MLParameters, SeriesEvaluation
+from fracml.specfun import _as_count, _check_finite, k_gamma, recip_k_gamma
+from fracml.summation import SeriesAbort, sum_series
 
 DPS = 50
 
@@ -213,6 +216,48 @@ def pochhammer(x: float, n) -> float:
     if math.isinf(p):
         raise OverflowError("pochhammer product overflows double range")
     return p
+
+
+def scalar_kml(p: MLParameters, z: float, tol: float) -> SeriesEvaluation:
+    """The k-Mittag-Leffler series at one point, summed term by term with
+    ``sum_series`` and the library's coefficient, start, escalation and
+    certificate rules: the scalar loop ``mittag.kml`` once had, which the
+    batch, vectorizing only IEEE-exact operations, must equal bit for bit,
+    status included."""
+    if z == 0.0:
+        value = recip_k_gamma(p.beta, p.k)
+        ok = math.isfinite(value)
+        return SeriesEvaluation(value, 1, 0.0, ok,
+                                "series" if ok else "overflow")
+    if abs(z) > mittag._radius(p):
+        return SeriesEvaluation(math.nan, 0, math.inf, False, "divergent")
+    coeff = mittag.log_coeff_parts(p)
+    log_az = math.log(abs(z))
+    err_units = 0.0
+
+    def term(n: int) -> float:
+        nonlocal err_units
+        num, pw, lg = coeff(n)
+        logmag = (num - ((pw + lg) + math.lgamma(n + 1.0))) + n * log_az
+        if logmag > mittag._LOG_HUGE:
+            raise SeriesAbort("term overflow")
+        t = math.exp(logmag)
+        if z < 0.0 and n % 2:
+            t = -t
+        err_units += mittag._ERR_LOG * abs(t)
+        return t
+
+    start = max(mittag._cert_start(p.alpha, p.beta, p.k),
+                mittag._peak_start(p, log_az))
+    res = sum_series(term, tol, mittag.MAX_TERMS, start)
+    value, used, tail = res.value, res.terms, res.tail_bound
+    status = mittag._series_status(res)
+    if res.converged and mittag._should_escalate(z, res.abs_sum, value,
+                                                 err_units, tol):
+        value, used_mp, tail = mittag._kml_extended(p, z, res.abs_sum)
+        used, status = max(used, used_mp), "extended"
+    converged = res.converged and tail <= tol * max(1.0, abs(value))
+    return SeriesEvaluation(value, used, tail, converged, status)
 
 
 class UnknownCaseError(ValueError):

@@ -390,6 +390,32 @@ CASES = {
         '4.664628529695574e+70], "l2_residuals": [6.698544536523282e-55, '
         '3.332716629508016e-55], "order_estimate": 0.9923356341437399, '
         '"pass": false}\n', ""),
+    # Gamma(nu) is not a double at nu >= 171.62, and the weights m**(nu+1)
+    # of 256 steps are not at nu = 130: each once ended in an overflow
+    # message that names no flag, or in numpy warnings and "values must be
+    # finite".
+    "verify-nu-beyond-gamma-range": (
+        ["verify", "--theorem", "1", "--variant", "stated", *DB_FLAGS,
+         "--nu", "172", "--t-max", "0.5", "--grids", "16,32"], 2, "",
+        "error: nu = 172 is too large for the fractional integral on 16 "
+        "steps\n"),
+    "verify-nu-beyond-weight-range": (
+        ["verify", "--theorem", "1", "--variant", "stated", *DB_FLAGS,
+         "--nu", "130", "--t-max", "0.5", "--grids", "64,128,256"], 2, "",
+        "error: nu = 130 is too large for the fractional integral on 256 "
+        "steps\n"),
+    # E_{1,1}(-20) = e**-20 on the extended path, whose tail bound misses a
+    # tolerance of 1e-30; kml reaches it through kml_batch's escalation.
+    "eval-ml-extended-short-of-tol": (
+        ["eval-ml", "--alpha", "1", "--beta", "1", "--x", "-20", "--tol",
+         "1e-30"], 3,
+        EVAL + "2.0611536224385579e-09,114,4.8516519540979024e-29,false\n",
+        "error: extended evaluation did not converge to the tolerance\n"),
+    "eval-kml-extended-short-of-tol": (
+        ["eval-kml", "--k", "1", "--alpha", "1", "--beta", "1", "--gamma",
+         "1", "--tau", "1", "--z", "-20", "--tol", "1e-30"], 3,
+        EVAL + "2.0611536224385579e-09,114,4.8516519540978878e-29,false\n",
+        "error: extended evaluation did not converge to the tolerance\n"),
 }
 
 # The program under test besides cli.main, as a command line: "fracml" once

@@ -1,5 +1,6 @@
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -43,6 +44,21 @@ class TestRlIntegral:
         f = SampledFunction(0.1, np.ones(8))
         with pytest.raises(DomainError):
             rl_integral(f, 0.0)
+
+    @pytest.mark.parametrize("nu, steps", [(172.0, 16), (130.0, 256)])
+    def test_rejects_weights_beyond_the_double_range(self, nu, steps):
+        # Gamma(172) is not a double; neither is 255**131, the weight
+        # m**(nu + 1) of 256 steps at nu = 130.  Either raises, naming nu and
+        # the step count, and no numpy warning escapes.
+        f = SampledFunction(0.5 / steps, np.ones(steps + 1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=f"nu = {nu:g} .* on "
+                               f"{steps} steps"):
+                rl_integral(f, nu)
+        # Just below those limits both still give numbers.
+        assert np.isfinite(rl_integral(f, 171.6 if steps == 16
+                                       else 126.0).values).all()
 
     def test_constant_order_one_is_exact(self):
         f = SampledFunction(1.0 / 256, np.ones(257))

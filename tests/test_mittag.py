@@ -308,10 +308,16 @@ class TestBatchEvaluator:
         assert value.tolist() == [ml2(p, x, INNER_TOL).value for x in xs]
 
 
-def _fields(value, used, tail, converged, i):
+def _fields(value, used, tail, converged, status, i):
     # repr tells NaN, signed zeros and every bit of a float apart.
-    return repr(SeriesEvaluation(float(value[i]), int(used[i]),
-                                 float(tail[i]), bool(converged[i])))
+    ev = SeriesEvaluation(float(value[i]), int(used[i]), float(tail[i]),
+                          bool(converged[i]))
+    return repr(ev), status[i]
+
+
+def _kml_fields(p, z, tol=INNER_TOL):
+    ev = kml(p, z, tol)
+    return repr(ev), ev.status
 
 
 class TestKmlBatch:
@@ -331,7 +337,30 @@ class TestKmlBatch:
         p = MLParameters(k, alpha, beta, gamma, q)
         out = kml_batch(p, zs)
         for i, z in enumerate(zs):
-            assert _fields(*out, i) == repr(kml(p, z, INNER_TOL)), z
+            assert _fields(*out, i) == _kml_fields(p, z), z
+
+    @settings(max_examples=80, deadline=None)
+    @given(k=st.floats(0.5, 2.0), alpha=st.floats(0.5, 4.0),
+           beta=st.one_of(st.floats(0.1, 5.0),
+                          st.sampled_from([2.2250738585e-313, 350.0])),
+           gamma=st.floats(0.1, 5.0),
+           q=st.sampled_from([0.3, 0.5, 1.0, 2.0, 3.0]),
+           on_radius=st.booleans(),
+           tol=st.sampled_from([1e-8, 1e-12, INNER_TOL]),
+           zs=st.lists(st.one_of(st.floats(-12.0, 12.0), st.just(0.0)),
+                       min_size=1, max_size=10))
+    def test_equals_the_scalar_loop(self, k, alpha, beta, gamma, q,
+                                    on_radius, tol, zs):
+        # The batch vectorizes only IEEE-exact operations, so each entry is
+        # the scalar loop's to the bit, status included.  q = 1 + alpha/k
+        # gives a finite radius, with points on both sides of it.
+        if on_radius and q > 1.0:
+            alpha = (q - 1.0) * k
+        p = MLParameters(k, alpha, beta, gamma, q)
+        out = kml_batch(p, zs, tol)
+        for i, z in enumerate(zs):
+            ev = oracles.scalar_kml(p, z, tol)
+            assert _fields(*out, i) == (repr(ev), ev.status), z
 
     def test_escalated_points_equal_kml(self, monkeypatch):
         # k = q = gamma = beta = 1: E(z) = exp(z), which cancels badly at
@@ -351,7 +380,7 @@ class TestKmlBatch:
         for i, z in enumerate(zs):
             ev = kml(p, z, INNER_TOL)
             assert ev.converged
-            assert _fields(*out, i) == repr(ev)
+            assert _fields(*out, i) == (repr(ev), ev.status)
         assert out[0][0] == pytest.approx(math.exp(-20.0), rel=1e-11)
 
     def test_database_grid_is_summed_at_once(self, monkeypatch):
@@ -365,9 +394,11 @@ class TestKmlBatch:
         monkeypatch.setattr(mittag, "kml", recording)
         p = MLParameters(k=2.0, alpha=6.0, beta=7.0, gamma=2.0, q=1.0)
         zs = np.linspace(0.0, 0.5, 257).tolist()
-        value, used, tail, converged = kml_batch(p, zs)
-        assert converged[1:].all()
-        assert len(calls) == 1  # z = 0 only
+        value, used, tail, converged, status = kml_batch(p, zs)
+        assert converged.all()
+        assert calls == []  # z = 0 included
+        assert (value[0], used[0], tail[0], status[0]) == (
+            1.0 / k_gamma(7.0, 2.0), 1, 0.0, "series")
 
     def test_rejects_non_finite_z(self):
         p = MLParameters(1.0, 1.0, 1.0, 1.0, 1.0)
@@ -376,9 +407,10 @@ class TestKmlBatch:
 
     def test_budget_runs_are_not_summed_again(self, monkeypatch):
         # alpha/k = 3.3e-11: (alpha n + beta)/k never reaches 2 within the
-        # budget, so no point certifies and every sum runs all its terms.
-        # The batch's partial sums are kml's; kml is called only for the
-        # negative point, which the batch does not sum.
+        # budget, so no point certifies: the sums at +-0.25 run all their
+        # terms, and the one at 0.5 stops on a term overflow.  The batch's
+        # partial sums are kml's, the negative one's too, and kml is not
+        # called.
         calls = []
         original = mittag.kml
         monkeypatch.setattr(mittag, "kml",
@@ -386,30 +418,48 @@ class TestKmlBatch:
         p = MLParameters(3.0, 1e-10, 1.5, 1.0, 1.0)
         zs = [0.25, 0.5, -0.25]
         out = kml_batch(p, zs)
-        assert calls == [(p, -0.25, INNER_TOL)]
+        assert calls == []
+        assert list(out[4]) == ["budget", "overflow", "budget"]
         monkeypatch.undo()
         for i, z in enumerate(zs):
             ev = kml(p, z, INNER_TOL)
             assert not ev.converged
-            assert _fields(*out, i) == repr(ev)
+            assert _fields(*out, i) == (repr(ev), ev.status)
 
-    def test_sums_only_inside_the_positive_radius(self, monkeypatch):
-        # k = alpha = 1, q = 2: the radius of convergence is 1/4.  The batch
-        # sums 0 < z <= 1/4; kml gets z <= 0 and z beyond the radius, once
-        # each, among them -0.1, whose alternating sum does not escalate.
+    def test_sums_every_point_itself(self, monkeypatch):
+        # k = alpha = 1, q = 2: the radius of convergence is 1/4.  One call
+        # sums every point and calls kml for none: z = 0, the points beyond
+        # the radius (divergent), the one on it (budget), and the negative
+        # ones.  At gamma = 1 none escalates; at gamma = 8, -0.12 and -0.05
+        # cancel and escalate at INNER_TOL but not at 1e-8, and -0.01 does
+        # not.  Each entry equals the scalar loop and kml at that tol.
         calls = []
         original = mittag.kml
         monkeypatch.setattr(mittag, "kml",
-                            lambda *args: calls.append(args[1])
-                            or original(*args))
-        p = MLParameters(1.0, 1.0, 1.0, 1.0, 2.0)
-        zs = [0.1, -0.1, 0.0, 0.3, 0.25, -0.3, 0.2]
-        out = kml_batch(p, zs)
-        assert calls == [-0.1, 0.0, 0.3, -0.3]
+                            lambda *args: calls.append(args) or original(*args))
+        cases = [
+            (1.0, [0.1, -0.1, 0.0, 0.3, 0.25, -0.3, 0.2], {INNER_TOL: [
+                "series", "series", "series", "divergent", "budget",
+                "divergent", "series"]}),
+            (8.0, [0.1, -0.12, 0.0, 0.3, -0.3, 0.2, -0.05, -0.01], {
+                INNER_TOL: ["series", "extended", "series", "divergent",
+                            "divergent", "series", "extended", "series"],
+                1e-8: ["series", "series", "series", "divergent",
+                       "divergent", "series", "series", "series"]}),
+        ]
+        outs = []
+        for gamma, zs, want in cases:
+            p = MLParameters(1.0, 1.0, 1.0, gamma, 2.0)
+            outs += [(p, zs, tol, kml_batch(p, zs, tol), status)
+                     for tol, status in want.items()]
+        assert calls == []
         monkeypatch.undo()
-        assert kml(p, -0.1, INNER_TOL).status == "series"
-        for i, z in enumerate(zs):
-            assert _fields(*out, i) == repr(kml(p, z, INNER_TOL)), z
+        for p, zs, tol, out, status in outs:
+            assert list(out[4]) == status
+            for i, z in enumerate(zs):
+                ev = oracles.scalar_kml(p, z, tol)
+                assert _fields(*out, i) == (repr(ev), ev.status), (tol, z)
+                assert _fields(*out, i) == _kml_fields(p, z, tol), (tol, z)
 
 
 class TestShouldEscalate:
@@ -548,7 +598,7 @@ class TestOutOfRangeParameters:
             out = kml_batch(p, zs)
             for i, z in enumerate(zs):
                 ev = kml(p, z, INNER_TOL)
-                assert _fields(*out, i) == repr(ev)
+                assert _fields(*out, i) == (repr(ev), ev.status)
                 assert ev.status in ("series", "extended", "overflow",
                                      "budget", "divergent")
                 if ev.converged:
@@ -1076,7 +1126,7 @@ class TestPeakStart:
         zs = [z, 1.0, z / 2.0]
         out = kml_batch(p, zs)
         for i, zi in enumerate(zs):
-            assert _fields(*out, i) == repr(kml(p, zi, INNER_TOL)), zi
+            assert _fields(*out, i) == _kml_fields(p, zi), zi
 
     @settings(max_examples=200, deadline=None)
     @given(alpha=st.floats(1e-3, 50.0),
@@ -1252,7 +1302,7 @@ class TestKmlRadius:
         z = scale * radius * (-1.0 if negative else 1.0)
         ev = kml(p, z, INNER_TOL)
         batch = kml_batch(p, [z])
-        assert _fields(*batch, 0) == repr(ev)
+        assert _fields(*batch, 0) == (repr(ev), ev.status)
         if abs(z) > radius:
             assert not ev.converged and ev.status == "divergent"
             assert ev.terms_used == 0
