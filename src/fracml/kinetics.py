@@ -56,12 +56,13 @@ indices at a time, in one :class:`fracml.mittag.ML2Rows` whose rows are the
 offsets ``b(n)``: first ``n = 0..MIN_TERMS+1``, which every outer sum
 computes, then blocks that double the indices covered.  The rows share the
 powers of each point's argument and take one gamma value per row and inner
-term; a cancelling factor goes to the contour or the extended-precision
-path (:func:`fracml.mittag._ml2_cancelling`) only when an outer sum uses
-its term.  Per-point logarithms, powers and exponentials
-come from the same scalar calls the per-point path makes, and the array
-arithmetic is IEEE-exact, so each value, term count and tail bound is
-bit-identical to a per-point call, for every point the batch starts.
+term.  Every factor the batch does not settle, a cancelling one among
+them, is evaluated by :func:`fracml.mittag.ml2_value`, as per point, and
+only when an outer sum uses its term.  Per-point logarithms, powers and
+exponentials come from the same scalar calls the per-point path makes, and
+the array arithmetic is IEEE-exact, so each value, term count and tail
+bound is bit-identical to a per-point call, for every point the batch
+starts.
 Smaller grids and points at a zero argument are evaluated by the per-point
 code.
 

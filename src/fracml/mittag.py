@@ -40,12 +40,12 @@ Every value comes from one of three paths, named by
   one pass at a working precision sized from the absolute term sum the
   double pass measured (:func:`_mp_sum`), in a private mpmath context.
 
-An alternating series whose double-precision term noise would exceed the
-requested tolerance relative to the computed value goes to
-:func:`_ml2_cancelling`: the contour first, the extended-precision re-sum
-only where the contour does not certify (:func:`kml` has no contour and
-re-sums directly).  A negative-axis :func:`ml2` series that aborts on a
-term overflow also tries the contour, with no extended-precision fallback.
+:func:`ml2` states its fallback once.  An alternating series whose
+double-precision term noise would exceed the requested tolerance relative
+to the computed value, and a negative-axis series that aborts on a term
+overflow, go to the contour first; only the cancelling series is re-summed
+in extended precision where the contour does not certify.  :func:`kml` has
+no contour and re-sums a cancelling series directly.
 
 :func:`ml2_value`, the one entry of every inner factor of the kinetic
 solution series that no batch settles, returns :func:`ml2`'s value and
@@ -69,12 +69,13 @@ of convergence).
 
 Batched forms serve the kinetic grid solvers and the residual check.
 :class:`ML2Rows` evaluates ``E_{alpha,beta_r}`` for several offsets
-``beta_r`` at many arguments in one compensated sum, deferring each
-cancelling entry's contour or re-sum until it is asked for.  Its
-``take`` returns the value and the convergence flag :func:`ml2` returns,
-bit for bit, at every entry, evaluating with :func:`ml2_value` the entries
-its sum did not finish, among them every entry whose gamma argument is not
-positive (its one caller, the kinetic solution series, has none).
+``beta_r`` at many arguments in one compensated sum.  Its ``take`` returns
+the value and the convergence flag :func:`ml2` returns, bit for bit, at
+every entry: an entry whose sum converged without cancelling is the
+batch's, and every other one -- cancelling, aborted, over budget, or with a
+gamma argument that is not positive (its one caller, the kinetic solution
+series, has none) -- is evaluated by :func:`ml2_value` when it is asked
+for.
 :func:`kml_batch` is the one summation of the :func:`kml` series, and
 :func:`kml` its one-point case: it sums every argument itself, forming each
 term's log-coefficient once for all of them, and escalates each cancelling
@@ -114,7 +115,8 @@ from mpmath.libmp import (dps_to_prec, fone, from_float, mpf_add, mpf_cos,
                           mpf_pi, mpf_shift, mpf_sub, round_nearest, to_float)
 
 from .errors import DomainError
-from .specfun import is_gamma_pole, recip_gamma, recip_k_gamma, signed_log_gamma
+from .specfun import (STIRLING_MIN, is_gamma_pole, log_gamma_rise, recip_gamma,
+                      recip_k_gamma, signed_log_gamma)
 from .summation import SeriesAbort, sum_series, sum_series_batch
 
 DEFAULT_TOL = 1e-12
@@ -322,14 +324,17 @@ def ml2(p: TwoParamML, x: float, tol: float = DEFAULT_TOL) -> SeriesEvaluation:
     res = sum_series(term, tol, MAX_TERMS, start)
     value, used, tail = res.value, res.terms, res.tail_bound
     converged, status = res.converged, _series_status(res)
-    if converged and _should_escalate(x, res.abs_sum, value, err_units, tol):
-        value, used_x, tail, status = _ml2_cancelling(
-            alpha, beta, x, res.abs_sum, tol)
-        used = max(used, used_x)
-    elif res.abort is not None and x < 0.0:
+    escalate = converged and _should_escalate(x, res.abs_sum, value,
+                                              err_units, tol)
+    # The one fallback: the contour, then for a cancelling sum only the
+    # extended-precision re-sum.
+    if escalate or (res.abort is not None and x < 0.0):
         found = _ml2_contour(alpha, beta, x, tol)
         if found is not None:
             (value, tail), status, converged = found, "contour", True
+        elif escalate:
+            value, used_x, tail = _ml2_extended(alpha, beta, x, res.abs_sum)
+            used, status = max(used, used_x), "extended"
     converged = converged and tail <= tol * max(1.0, abs(value))
     return SeriesEvaluation(value, used, tail, converged, status)
 
@@ -460,12 +465,8 @@ def _peak_start(p: MLParameters, log_az: float) -> int:
 
     def past_peak(n: int) -> bool:
         a = (alpha * n + beta) / k
-        if a > _DIRECT_GAMMA_MAX:
-            # log Gamma(a + s) - log Gamma(a) by Stirling's formula, which
-            # neither cancels nor overflows: off by below s / (12 a**2), it
-            # moves the start at most into the peak, where neither test passes.
-            rise = ((a - 0.5) * math.log1p(s / a)
-                    + s * (math.log(a + s) - 1.0))
+        if a > _DIRECT_GAMMA_MAX:  # where the difference would cancel
+            rise = log_gamma_rise(a, s)
         else:
             rise = signed_log_gamma(a + s)[0] - signed_log_gamma(a)[0]
         return rise > shift + math.log((c0 + n) / (n + 1))
@@ -479,24 +480,6 @@ def _series_status(res) -> str:
     if res.converged:
         return "series"
     return "overflow" if res.abort is not None else "budget"
-
-
-def _ml2_cancelling(alpha: float, beta: float, x: float, abs_sum: float,
-                    tol: float) -> tuple[float, int, float, str]:
-    """``E_{alpha,beta}(x)`` at ``x < 0`` where the double-precision sum
-    (with absolute term sum ``abs_sum``) cancels too much to meet ``tol``.
-
-    The one place both :func:`ml2` and :meth:`ML2Rows.take` send such an
-    entry: the contour (:func:`_ml2_contour`) when it certifies, otherwise
-    the extended-precision re-sum.  Returns ``(value, terms, tail_bound,
-    status)``; ``terms`` counts the extended-precision terms, 0 for the
-    contour.
-    """
-    found = _ml2_contour(alpha, beta, x, tol)
-    if found is not None:
-        return found[0], 0, found[1], "contour"
-    value, used, tail = _ml2_extended(alpha, beta, x, abs_sum)
-    return value, used, tail, "extended"
 
 
 class PowerTable:
@@ -544,9 +527,8 @@ class ML2Rows:
     term.  A gamma argument outside ``[_DIRECT_GAMMA_MIN,
     _DIRECT_GAMMA_MAX]`` -- zero, negative or a pole among them -- is out of
     the branch, so its entries are :func:`ml2_value`'s: the kinetic
-    solution series, the one caller, only has offsets ``b(n) >= 1``.  A
-    cancelling entry goes to :func:`_ml2_cancelling` only when :meth:`take`
-    asks for it.
+    solution series, the one caller, only has offsets ``b(n) >= 1``.  So
+    are the cancelling entries, when :meth:`take` asks for them.
     """
 
     def __init__(self, alpha: float, betas: list, powers: PowerTable,
@@ -577,29 +559,21 @@ class ML2Rows:
         start = [_cert_start(alpha, beta) for beta in betas]
         res = sum_series_batch(term, rows.size, INNER_TOL, MAX_TERMS,
                                np.repeat(start, width))
-        self.res = res
-        self.escalate = res.converged & _should_escalate(
+        self.value = res.value
+        self.settled = res.converged & ~_should_escalate(
             x, res.abs_sum, res.value, err_units, INNER_TOL)
 
     def take(self, row: int, cols: np.ndarray) -> tuple:
         """``(value, converged)`` of row ``row`` at columns ``cols``, each
         entry equal bit for bit to the fields of :func:`ml2` at
-        ``INNER_TOL``.  An entry the batch did not sum to the end (an abort,
-        an exhausted budget, or a term outside the direct branch) is
-        evaluated by :func:`ml2_value`."""
+        ``INNER_TOL``.  An entry the batch did not settle (a cancelling
+        sum, an abort, an exhausted budget, or a term outside the direct
+        branch) is evaluated by :func:`ml2_value`."""
         f = row * self.width + cols
-        value, settled = self.res.value[f], self.res.converged[f]
-        beta = self.betas[row]
-        for j in np.flatnonzero(self.escalate[f]).tolist():
-            i = f[j]
-            v, _, tail, _ = _ml2_cancelling(
-                self.alpha, beta, float(self.x[i]),
-                float(self.res.abs_sum[i]), INNER_TOL)
-            value[j] = v
-            settled[j] = tail <= INNER_TOL * max(1.0, abs(v))
-        for j in np.flatnonzero(~self.res.converged[f]).tolist():
-            value[j], settled[j] = ml2_value(TwoParamML(self.alpha, beta),
-                                             float(self.x[f[j]]))
+        value, settled = self.value[f], self.settled[f]
+        p = TwoParamML(self.alpha, self.betas[row])
+        for j in np.flatnonzero(~settled).tolist():
+            value[j], settled[j] = ml2_value(p, float(self.x[f[j]]))
         return value, settled
 
 
@@ -926,24 +900,34 @@ def log_coeff_parts(p: MLParameters) -> Callable[[int], tuple]:
     which fixes its rounding: the solution series as ``(num - pow) - lg``,
     :func:`kml_batch` as ``num - ((pow + lg) + lgamma(n + 1))``.
 
-    Where a gamma argument (``a`` or ``gamma/k + n q``) has underflowed to 0
-    or passed about 2.6e305, its log-gamma is ``inf``
+    From ``gamma/k >= STIRLING_MIN`` on, ``log (gamma/k)_{nq}`` is
+    :func:`fracml.specfun.log_gamma_rise`, whose difference of log-gammas
+    does not cancel; below, ``lgamma(gamma/k + n q) - lgamma(gamma/k)``.
+    Where a gamma argument (``a``, or ``gamma/k + n q`` below that branch)
+    has underflowed to 0 or passed about 2.6e305, its log-gamma is ``inf``
     (:func:`fracml.specfun.signed_log_gamma`), and so the coefficient is not
-    a finite double: the call raises :class:`SeriesAbort`, so the sum stops
-    there, unconverged.
+    a finite double, nor is it where the rise overflows: the call raises
+    :class:`SeriesAbort`, so the sum stops there, unconverged.
     """
     k, alpha, beta, g, q = p.k, p.alpha, p.beta, p.gamma, p.q
     log_k = math.log(k)
     c0 = g / k
-    lg_c0 = signed_log_gamma(c0)[0]  # if inf, parts(0) raises as well
+    if STIRLING_MIN <= c0 < math.inf:
+        def numerator(n: int) -> float:
+            return n * q * log_k + log_gamma_rise(c0, n * q)
+    else:
+        lg_c0 = signed_log_gamma(c0)[0]  # if inf, parts(0) raises as well
+
+        def numerator(n: int) -> float:
+            return n * q * log_k + signed_log_gamma(c0 + n * q)[0] - lg_c0
 
     def parts(n: int) -> tuple:
         a = (alpha * n + beta) / k
-        lg_c = signed_log_gamma(c0 + n * q)[0]
-        lg = signed_log_gamma(a)[0]
-        if lg_c == math.inf or lg == math.inf:
+        num, lg = numerator(n), signed_log_gamma(a)[0]
+        # Not a double: num is inf or NaN, lg is inf.
+        if not num < math.inf or lg == math.inf:
             raise SeriesAbort("coefficient overflow")
-        return n * q * log_k + lg_c - lg_c0, (a - 1.0) * log_k, lg
+        return num, (a - 1.0) * log_k, lg
 
     return parts
 

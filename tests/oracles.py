@@ -113,9 +113,22 @@ def mp_pole_residues(alpha, beta, x):
     return hi, lo, 4.0 * eps * cond * mag
 
 
+def _rise_dps(a, s):
+    # gamma/k + n q must keep the digits of n q: add those of a / s.
+    if not s:
+        return DPS
+    return DPS + max(0, math.ceil(math.log10(a) - math.log10(s)))
+
+
+def mp_log_gamma_rise(a, s):
+    """log Gamma(a + s) - log Gamma(a) for floats a > 0, s >= 0."""
+    with mp.workdps(_rise_dps(a, s)):
+        return float(mp.loggamma(mpf(a) + mpf(s)) - mp.loggamma(mpf(a)))
+
+
 def mp_kml(k, alpha, beta, gamma, q, z, terms=300):
     """Brute-force sum of the generalized k-Mittag-Leffler series."""
-    with mp.workdps(DPS):
+    with mp.workdps(_rise_dps(gamma / k, min(q, 1.0))):
         k, alpha, beta = mpf(k), mpf(alpha), mpf(beta)
         gamma, q, z = mpf(gamma), mpf(q), mpf(z)
         c0 = gamma / k

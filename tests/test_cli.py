@@ -6,10 +6,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 import fracml
 import fracml.cli as cli
 import fracml.mittag as mittag
@@ -257,6 +259,28 @@ CASES = {
          "--gamma", "1", "--tau", "1", "--z", "0.25"], 3,
         EVAL + "1.5512162828227205,10000,inf,false\n",
         "error: series did not converge within the term budget\n"),
+    # gamma/k = 1e10, 1e4, 1e300: log (gamma/k)_n as a difference of two
+    # log-gammas lost its digits to cancellation, and these once printed
+    # 2.2795813131490279 (off by 6.3e9 times its tail), 2.2796197505238829,
+    # "1,9,0,true" and 2.2795813131488676 (specfun.log_gamma_rise).
+    # TestLargeGamma compares each with mpmath.
+    "eval-kml-large-gamma-1e10": (
+        ["eval-kml", "--k", "1", "--alpha", "1", "--beta", "1", "--gamma",
+         "1e10", "--tau", "1", "--z", "1e-10"], 0,
+        EVAL + "2.2795853023705157,11,6.3283820582976726e-16,true\n", ""),
+    "eval-kml-large-gamma-1e4": (
+        ["eval-kml", "--k", "1", "--alpha", "1", "--beta", "1", "--gamma",
+         "1e4", "--tau", "1", "--z", "1e-4"], 0,
+        EVAL + "2.2796197505310127,11,6.363324801877254e-16,true\n", ""),
+    "eval-kml-large-gamma-1e300": (
+        ["eval-kml", "--k", "1", "--alpha", "1", "--beta", "1", "--gamma",
+         "1e300", "--tau", "1", "--z", "1e-300"], 0,
+        EVAL + "2.2795853023360944,11,6.3283820234382957e-16,true\n", ""),
+    "solve-large-gamma": (
+        ["solve", "--theorem", "1", "--variant", "stated", "--N0", "1",
+         "--gamma", "1e10", "--tau", "1", "--k", "1", "--alpha", "1",
+         "--beta", "1", "--d", "1e-3", "--nu", "1", "--t-max", "1e-10",
+         "--steps", "1"], 0, "t,N\n0,1\n1e-10,2.2795853023703549\n", ""),
     # Fast-removal solves: every inner factor at t > 0 takes the contour.
     "solve-stiff-theorem1": (
         ["solve", *STIFF_FLAGS, "--theorem", "1", "--variant", "stated",
@@ -929,6 +953,38 @@ class TestGoldenBytes:
         # Each row of CASES: a value of the contour, not of the series.
         p = TwoParamML(float(alpha), float(beta))
         assert ml2(p, float(x)).status == "contour"
+
+
+class TestLargeGamma:
+    """The CASES rows at a large gamma/k against mpmath sums."""
+
+    @pytest.mark.parametrize("case, gamma, z, ulps", [
+        ("eval-kml-large-gamma-1e10", 1e10, 1e-10, 4),
+        ("eval-kml-large-gamma-1e4", 1e4, 1e-4, 4),
+        # Each term's logarithm, n log(gamma) + n log(z) and more, rounds
+        # at the size of n log(gamma) = 690 n, which the tail does not
+        # count: the value is 61 ulps off.
+        ("eval-kml-large-gamma-1e300", 1e300, 1e-300, 128)])
+    def test_eval_kml_within_its_tail(self, capsys, case, gamma, z, ulps):
+        _, out, _ = run(CASES[case][0], capsys)
+        value, _, tail, _ = out.splitlines()[1].split(",")
+        ref = float(oracles.mp_kml(1.0, 1.0, 1.0, gamma, 1.0, z, terms=40))
+        assert abs(float(value) - ref) <= float(tail) + ulps * math.ulp(ref)
+
+    def test_solve_within_its_tail(self, capsys):
+        _, out, _ = run(CASES["solve-large-gamma"][0], capsys)
+        ml = MLParameters(k=1.0, alpha=1.0, beta=1.0, gamma=1e10, q=1.0)
+        ev = solve_theorem1(KineticProblem(1.0, ml, 1e-3, 1.0), 1e-10)
+        assert ev.value == float(out.splitlines()[-1].split(",")[1])
+
+        def coeff(n):  # (gamma)_n / n!
+            return mpmath.mp.gamma(1e10 + n) / mpmath.mp.gamma(1e10) / (
+                mpmath.mp.factorial(n))
+
+        ref = float(oracles.mp_stated_solution(1, coeff, 1e-3, 1e-3, 1.0,
+                                                1.0, 1e-10, terms=30,
+                                                inner_terms=30))
+        assert abs(ev.value - ref) <= ev.tail_bound + 4 * math.ulp(ref)
 
 
 class TestArtifacts:

@@ -468,12 +468,10 @@ class TestGridEvaluation:
         # Inner factors of outer indices past the first block escalate.
         assert any(beta > MIN_TERMS + 2 for _, beta, _ in grid_esc[0])
         # Only the factors the outer sums use are evaluated on the
-        # cancelling route: contour and re-sum calls at the same (alpha,
-        # beta, x) as per point, each made once by the grid.  Per point, a
-        # factor whose routed contour is not taken computes it again in ml2.
-        assert [set(calls) for calls in grid_esc] == [
-            set(calls) for calls in point_esc]
-        assert all(len(set(calls)) == len(calls) for calls in grid_esc)
+        # cancelling route, each through ml2_value as per point: the same
+        # contour and re-sum calls, a contour that ml2_value does not take
+        # computed again in ml2 by both.
+        assert grid_esc == point_esc
         assert [_point(grid, i) for i in range(len(ts))] == points
 
     def test_blocks_limited_by_entries(self, monkeypatch):

@@ -27,7 +27,8 @@ from fracml.mittag import (
     ml2,
     ml2_value,
 )
-from fracml.specfun import k_gamma, k_pochhammer, recip_gamma
+from fracml.specfun import (STIRLING_MIN, k_gamma, k_pochhammer,
+                            log_gamma_rise, recip_gamma, signed_log_gamma)
 from fracml.summation import SeriesAbort
 
 # Brute-force oracle value (tests/oracles.py) for the database parameter set
@@ -558,6 +559,9 @@ class TestLogCoeffParts:
                                                   gamma, q, n):
         p = MLParameters(k, alpha, beta, gamma, q)
         parts = mittag.log_coeff_parts(p)
+        if STIRLING_MIN <= gamma / k < math.inf:
+            self._check_stirling_branch(p, n, parts)
+            return
         try:
             solution = _former_solution_log_coeff(p, n)
             kml_coeff = _former_kml_log_coeff(p, n)
@@ -577,6 +581,32 @@ class TestLogCoeffParts:
         assert _bits((num - pw) - lg) == _bits(solution)
         assert (_bits(num - ((pw + lg) + math.lgamma(n + 1.0)))
                 == _bits(kml_coeff))
+
+    @staticmethod
+    def _check_stirling_branch(p, n, parts):
+        # From gamma/k = STIRLING_MIN on, log (gamma/k)_{nq} is
+        # specfun.log_gamma_rise, where the former formulas lost digits to
+        # the cancellation of two log-gammas: num agrees with theirs within
+        # that rounding, the other parts bit for bit.
+        c0, log_k = p.gamma / p.k, math.log(p.k)
+        a = (p.alpha * n + p.beta) / p.k
+        lg = signed_log_gamma(a)[0]
+        rise = log_gamma_rise(c0, n * p.q)
+        try:
+            num, pw, lg_got = parts(n)
+        except SeriesAbort:
+            assert lg == math.inf or not n * p.q * log_k + rise < math.inf
+            return
+        assert (_bits(pw), _bits(lg_got)) == (_bits((a - 1.0) * log_k),
+                                             _bits(lg))
+        try:
+            lg_top = math.lgamma(c0 + n * p.q)
+        except OverflowError:  # past about 2.6e305: the former raised
+            return
+        step = n * p.q * log_k
+        former = step + lg_top - math.lgamma(c0)
+        assert abs(num - former) <= 4 * mittag._EPS * (abs(step)
+                                                       + abs(lg_top))
 
 
 class TestOutOfRangeParameters:
@@ -683,23 +713,23 @@ class TestContour:
         assert not ev.converged and ev.status == "overflow"
 
     def test_cancelling_entries_share_one_route(self, monkeypatch):
-        # ml2 and ML2Rows.take send a cancelling entry to the same
-        # function, with the same arguments, and agree bit for bit.
+        # ML2Rows.take hands each cancelling entry to ml2_value, the one
+        # route of every inner factor no batch settles, and agrees with
+        # ml2 bit for bit.
         calls = []
-        original = mittag._ml2_cancelling
+        original = mittag.ml2_value
 
-        def recording(*args):
-            calls.append(args)
-            return original(*args)
+        def recording(p, x):
+            calls.append((p, x))
+            return original(p, x)
 
-        monkeypatch.setattr(mittag, "_ml2_cancelling", recording)
+        monkeypatch.setattr(mittag, "ml2_value", recording)
         p, xs = TwoParamML(1.5, 1.0), [-40.0, -3.0, -25.0]
         idx = np.arange(3)
         value, settled = ML2Rows(p.alpha, [p.beta], PowerTable(xs),
                                  idx).take(0, idx)
-        batch_calls, calls[:] = list(calls), []
+        assert calls == [(p, -40.0), (p, -25.0)]
         evs = [ml2(p, x, INNER_TOL) for x in xs]
-        assert batch_calls == calls and len(calls) == 2
         assert settled.all()
         assert value.tolist() == [ev.value for ev in evs]
         assert [ev.status for ev in evs] == ["contour", "series", "contour"]
@@ -1161,15 +1191,17 @@ class TestExtendedPrecision:
 
     def test_small_terms_stop_relative_to_the_largest(self, monkeypatch):
         # Every term of this series lies below 1; the stop must be relative
-        # to the largest of them, as the reported tail assumes.  ml2 now
-        # takes the contour here, so the re-sums are called directly.
+        # to the largest of them, as the reported tail assumes.  ml2 takes
+        # the contour here, so it is refused to reach the re-sum, whose
+        # abs_sum is recorded and both re-sums are called with it.
         alpha, beta, x = SMALL_TERMS_POINT
-        args = []
-        monkeypatch.setattr(
-            mittag, "_ml2_cancelling",
-            lambda *a: args.append(a) or (0.0, 0, 0.0, "contour"))
-        ml2(TwoParamML(alpha, beta), x, 1e-13)
-        (_, _, _, abs_sum, tol), = args
+        tol, args = 1e-13, []
+        original = mittag._ml2_extended
+        monkeypatch.setattr(mittag, "_ml2_contour", lambda *a: None)
+        monkeypatch.setattr(mittag, "_ml2_extended",
+                            lambda *a: args.append(a) or original(*a))
+        ml2(TwoParamML(alpha, beta), x, tol)
+        (_, _, _, abs_sum), = args
         ref = oracles.mp_ml2_sum(alpha, beta, x)
         evaluations = [
             mittag._ml2_extended(alpha, beta, x, abs_sum),

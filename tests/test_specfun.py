@@ -7,16 +7,18 @@ from hypothesis import strategies as st
 
 from fracml.errors import DomainError, PoleError
 from fracml.specfun import (
+    STIRLING_MIN,
     gamma,
     generalized_pochhammer,
     k_gamma,
     k_pochhammer,
     k_pochhammer_general,
+    log_gamma_rise,
     recip_gamma,
     recip_k_gamma,
     signed_log_gamma,
 )
-from oracles import k_gamma_general, log_gamma, pochhammer
+from oracles import k_gamma_general, log_gamma, mp_log_gamma_rise, pochhammer
 
 # Reference values computed with a 50-digit brute-force oracle (tests/oracles.py).
 GAMMA_3_5 = 3.3233509704478425512
@@ -218,11 +220,18 @@ class TestGeneralizedPochhammer:
         with pytest.raises(PoleError):
             generalized_pochhammer(-1.0, 1, 1.0)
 
-    @pytest.mark.parametrize("g, n, q", [(1e306, 1, 1.0), (1.0, 1, 1e306)])
+    @pytest.mark.parametrize("g, n, q", [(1e306, 2, 1.0), (1.0, 1, 1e306)])
     def test_log_gamma_beyond_the_double_range(self, g, n, q):
-        # signed_log_gamma gives inf there; the ratio raises, not NaN.
+        # The ratio is not a double, and log Gamma(g + n q) is not either
+        # (signed_log_gamma gives inf): it raises, not NaN.
         with pytest.raises(OverflowError):
             generalized_pochhammer(g, n, q)
+
+    @pytest.mark.parametrize("g", [1e15, 1e306])
+    def test_large_argument_rise(self, g):
+        # (g)_1 = g.  As a difference of log-gammas, exponentiated, it was
+        # 7.896e13 at g = 1e15, and raised at 1e306.
+        assert abs(generalized_pochhammer(g, 1, 1.0) - g) <= 2 * math.ulp(g)
 
     @pytest.mark.parametrize("q", [1, 2, 3])
     @pytest.mark.parametrize("g", [0.7, 1.0, 2.5, 4.0])
@@ -234,6 +243,28 @@ class TestGeneralizedPochhammer:
             for r in range(q):
                 product *= pochhammer((g + r) / q, n)
             assert rel(generalized_pochhammer(g, n, float(q)), product) < 1e-11
+
+
+class TestLogGammaRise:
+    """specfun.log_gamma_rise: log Gamma(a + s) - log Gamma(a), with no
+    cancellation of the two log-gammas."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(a=st.one_of(st.floats(STIRLING_MIN, 1e300),
+                       st.floats(0.0, 300.0).map(lambda e: 10.0 ** e),
+                       st.sampled_from([STIRLING_MIN, 1e15, 1e300])),
+           s=st.one_of(st.floats(0.0, 1e4),
+                       st.floats(-12.0, 4.0).map(lambda e: 10.0 ** e),
+                       st.integers(0, 10_000).map(float)))
+    def test_equals_mpmath(self, a, s):
+        a = max(a, STIRLING_MIN)
+        ref = mp_log_gamma_rise(a, s)
+        assert abs(log_gamma_rise(a, s) - ref) <= 4 * math.ulp(ref)
+
+    def test_rise_that_the_sum_rounds_away(self):
+        # 1e300 + 1 == 1e300, yet the rise is log 1e300.
+        assert log_gamma_rise(1e300, 1.0) == pytest.approx(
+            math.log(1e300), rel=1e-15)
 
 
 class TestKPochhammerGeneral:
