@@ -29,9 +29,11 @@ factors), and takes each coarser grid as every ``G // g``-th sample.
 Because the grids double, ``np.linspace(0, t_max, g + 1)`` equals
 ``np.linspace(0, t_max, G + 1)[::G // g]`` exactly (``t_max / g`` and
 ``t_max / G`` differ by a power of two), so the report is bit-identical to
-sampling every grid afresh.  A report is complete only when the solver and
-the forcing converged at every sample; otherwise it forms no residual, and
-the CLI's ``verify`` exits 3 and prints no report.
+sampling every grid afresh.  Where ``a**nu`` or a step's ``h**nu``
+overflows, ``a**nu I^nu`` is taken as ``I^nu`` on the grid rescaled by ``a``.
+A report is complete only when the solver and the forcing converged at every
+sample; otherwise it forms no residual, and the CLI's ``verify`` exits 3 and
+prints no report.
 
 The verify gate is :meth:`ResidualReport.passes_gate`, stated once here for
 the CLI's ``verify`` and the acceptance tests.
@@ -177,8 +179,10 @@ def residual_report(prob: KineticProblem,
 
     ``solver(prob, ts)`` and ``forcing_value(prob, ts)`` are each called
     once, with the times of the finest grid; the solver returns one value
-    per time.  Unless both the solver and every forcing point converged,
-    the quadrature is skipped and the report has ``complete=False``.
+    per time.  Where ``a**nu`` or ``h**nu`` overflows, the integral is taken
+    on the grid rescaled by ``a`` (step ``a h``).  Unless both the solver and
+    every forcing point converged, the quadrature is skipped and the report
+    has ``complete=False``.
     """
     if not (math.isfinite(t_max) and t_max > 0.0):
         raise DomainError("t_max must be finite and > 0")
@@ -190,21 +194,20 @@ def residual_report(prob: KineticProblem,
     if not (ev.converged and forcing.converged):
         # An unconverged sample may be NaN: there is no residual to form.
         return ResidualReport(grids, (), (), math.nan, complete=False)
-    try:
-        apow, rate = prob.a ** prob.nu, 1.0
-    except OverflowError:
-        # a**nu is not a double, while every (a t)**nu on the grid is: take
-        # the integral on the grid rescaled by a, which is a**nu times it.
-        apow, rate = 1.0, prob.a
     max_res = []
     l2_res = []
     for steps in grids:
         h = t_max / steps
         nvals = ev.value[::finest // steps]
         fvals = forcing.value[::finest // steps]
-        integ = rl_integral(SampledFunction(rate * h, nvals),
-                            prob.nu).values
-        resid = nvals - fvals + apow * integ
+        try:
+            removal = prob.a ** prob.nu * rl_integral(
+                SampledFunction(h, nvals), prob.nu).values
+        except OverflowError:
+            # a**nu or h**nu is not a double, but every (a t)**nu is.
+            removal = rl_integral(SampledFunction(prob.a * h, nvals),
+                                  prob.nu).values
+        resid = nvals - fvals + removal
         max_res.append(float(np.max(np.abs(resid))))
         l2_res.append(float(math.sqrt(h * float(np.sum(resid * resid)))))
     ratios = [math.log2(max(a, 1e-300) / max(b, 1e-300))

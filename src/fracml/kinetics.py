@@ -66,10 +66,11 @@ starts.
 Smaller grids and points at a zero argument are evaluated by the per-point
 code.
 
-An inner factor that is exactly 0.0 at a nonzero argument has underflowed
-(the functions' real zeros are never hit exactly): the outer sum aborts
-there and the point is reported unconverged, because two zero terms would
-otherwise pass the flat-tail certificate.
+An inner factor that is exactly 0.0 at any argument has underflowed (the
+functions' real zeros are never hit exactly, and at a zero argument the
+factor is ``1/Gamma(b(n))``): the outer sum aborts there and the point is
+reported unconverged, because two zero terms would otherwise pass the
+flat-tail certificate.
 
 :func:`forcing_value` likewise takes a time array and evaluates the forcing
 at all of its points with one :func:`fracml.mittag.kml_batch` call.
@@ -285,6 +286,8 @@ def _solution_series(prob: KineticProblem, x: float, y: float,
         value, converged = ml2_value(TwoParamML(nu, inner_beta(n)), y)
         if not converged:
             raise SeriesAbort("inner Mittag-Leffler factor did not converge")
+        if value == 0.0:  # underflowed: real zeros are never hit exactly
+            raise SeriesAbort("inner Mittag-Leffler factor underflowed")
         return value
 
     if x == 0.0:
@@ -298,13 +301,6 @@ def _solution_series(prob: KineticProblem, x: float, y: float,
 
     def term(n: int) -> float:
         iv = inner(n)
-        if iv == 0.0:
-            if y != 0.0:
-                # An entire function's real zeros are never hit exactly:
-                # a zero factor underflowed, and two of them would fake
-                # the flat-tail certificate.
-                raise SeriesAbort("inner Mittag-Leffler factor underflowed")
-            return 0.0
         logmag = (log_n0 + log_coeff(n) + n * log_x + extra_log(n)
                   + math.log(abs(iv)))
         if logmag > _LOG_HUGE:
@@ -353,9 +349,9 @@ def _solution_series_batch(prob: KineticProblem, xs: list, ys: list,
             col[pos] = np.arange(pos.size)
         iv, converged = rows.take(n - start, col[pos])
         # An unconverged factor aborts, as in the per-point sum, and so
-        # does a zero factor at a nonzero argument (it underflowed).  The
-        # terms of aborting points are not used; theirs are formed from
-        # |factor| = 1 and zeroed.
+        # does a zero factor (it underflowed).  The terms of aborting
+        # points are not used; theirs are formed from |factor| = 1 and
+        # zeroed.
         bad = ~converged | (iv == 0.0)
         aiv = np.where(bad, 1.0, np.abs(iv)).tolist()
         # The per-point sum in its order, with scalar log and exp.

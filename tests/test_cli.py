@@ -381,6 +381,16 @@ CASES = {
         ["solve", "--theorem", "1", "--variant", "stated", *DB_FLAGS[:-2],
          "--d", "800", "--nu", "1", "--t-max", "1", "--steps", "2"], 3, "",
         "error: series did not converge at t = 1\n"),
+    # (a t)**nu underflows to 0, and from n ~ 171 the inner factors
+    # E_{2,n+1}(0) = 1/Gamma(n + 1) underflow to 0.0.  Two zero terms once
+    # passed for a flat tail, and the solve printed 2.11e95, where the
+    # value is about N0 E(20) ~ 1.04e174.
+    "solve-underflowed-inner-factor-at-zero-argument": (
+        ["solve", "--theorem", "1", "--variant", "stated", "--N0", "1",
+         "--gamma", "1", "--tau", "1", "--k", "1", "--alpha", "0.5",
+         "--beta", "1", "--d", "1e-320", "--nu", "2", "--t-max", "20",
+         "--steps", "1"], 3, "",
+        "error: series did not converge at t = 20\n"),
     # The grid times t_max * i / steps overflow: the message names the
     # flags, not the times (once "t must be finite and >= 0").
     "solve-overflowing-grid-times": (
@@ -413,6 +423,18 @@ CASES = {
         '{"grids": [16, 32], "max_residuals": [9.279826484998789e+70, '
         '4.664628529695574e+70], "l2_residuals": [6.698544536523282e-55, '
         '3.332716629508016e-55], "order_estimate": 0.9923356341437399, '
+        '"pass": false}\n', ""),
+    # h**nu overflows where a**nu underflows to 0, while every (a t)**nu
+    # on the grid is about 1: the integral is taken on the grid rescaled
+    # by a.  This once exited 3 with the platform's strerror text.
+    "verify-overflowing-step-power": (
+        ["verify", "--theorem", "3", "--variant", "stated", "--N0", "1",
+         "--gamma", "1", "--tau", "1", "--k", "1", "--alpha", "1", "--beta",
+         "1", "--d", "1e-300", "--a", "1e-300", "--nu", "2", "--t-max",
+         "1e300", "--grids", "16,32"], 4,
+        '{"grids": [16, 32], "max_residuals": [1.1751875903245756, '
+        '1.1751977987909215], "l2_residuals": [4.783099160590297e+149, '
+        '4.525143074995327e+149], "order_estimate": -1.253216076012597e-05, '
         '"pass": false}\n', ""),
     # Gamma(nu) is not a double at nu >= 171.62, and the weights m**(nu+1)
     # of 256 steps are not at nu = 130: each once ended in an overflow

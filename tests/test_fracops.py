@@ -17,7 +17,8 @@ from fracml.fracops import (
     residual_report,
     rl_integral,
 )
-from fracml.kinetics import Forcing, KineticProblem, forcing_value, solve_theorem1
+from fracml.kinetics import (Forcing, KineticProblem, forcing_value,
+                              solve_theorem1, solve_theorem3_rederived)
 from fracml.mittag import MLParameters, SeriesEvaluation
 
 
@@ -33,6 +34,11 @@ class TestSampledFunction:
     def test_requires_two_points(self):
         with pytest.raises(DomainError):
             SampledFunction(0.1, [1.0])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_requires_finite_values(self, bad):
+        with pytest.raises(DomainError):
+            SampledFunction(0.1, [1.0, bad])
 
     def test_times(self):
         f = SampledFunction(0.25, [0.0, 1.0, 2.0])
@@ -190,6 +196,28 @@ class TestResidualReport:
             residual_report(prob, solve_theorem1, 0.5, (64,))
         with pytest.raises(DomainError):
             residual_report(prob, solve_theorem1, 0.5, (64, 100))
+
+    def test_overflowing_step_power_takes_the_rescaled_grid(self):
+        # a = d = 1e-300 on t_max = 1e300: a**nu underflows to 0 and h**nu
+        # overflows, while every (a t)**nu is about 1.  The rescaled grid
+        # (step a h) gives the report of the same problem at the scale
+        # 1e-100, where both powers are doubles, to about 1e-11.
+        ml = MLParameters(k=1.0, alpha=1.0, beta=1.0, gamma=1.0, q=1.0)
+        reports = [residual_report(
+            KineticProblem(1.0, ml, rate, 2.0, Forcing.POWERED),
+            solve_theorem3_rederived, 1.0 / rate, (16, 32, 64))
+            for rate in (1e-300, 1e-100)]
+        assert all(rep.complete for rep in reports)
+        tiny, unscaled = reports
+        for a, b in zip(tiny.max_residuals, unscaled.max_residuals):
+            assert abs(a - b) <= 1e-9 * b
+        assert tiny.max_residuals[-1] < 3e-5
+        assert abs(tiny.order_estimate - 2.0) < 0.01
+
+    @pytest.mark.parametrize("t_max", [0.0, -0.5, math.inf, math.nan])
+    def test_t_max_validation(self, t_max):
+        with pytest.raises(DomainError):
+            residual_report(db_problem(), solve_theorem1, t_max, (16, 32))
 
     def test_true_solution_converges_at_second_order(self):
         rep = residual_report(db_problem(), solve_theorem1, 0.5, (16, 32, 64))

@@ -60,6 +60,15 @@ class TestProblemValidation:
         with pytest.raises(DomainError):
             problem(d=-1.0)
 
+    def test_forcing_must_be_a_member(self):
+        with pytest.raises(DomainError):
+            problem(forcing="plain")
+
+    @pytest.mark.parametrize("a", [-1.0, math.inf, math.nan])
+    def test_removal_rate_must_be_finite_and_nonnegative(self, a):
+        with pytest.raises(DomainError):
+            problem(a=a)
+
     def test_removal_rate_defaults_to_forcing_rate(self):
         assert problem(d=3.0).a == 3.0
         assert problem(d=3.0, a=2.0).a == 2.0
@@ -485,12 +494,14 @@ class TestGridEvaluation:
             grid = _assert_grid_matches_points(solve_theorem3_stated, prob, ts)
             assert grid.point_terms.max() > MIN_TERMS + 2
 
-    def test_underflowed_inner_factor_is_not_certified(self):
-        # From n ~ 171 the inner factors E_{1,n+1}(-t) underflow to 0.0; two
-        # zero terms must not pass for a flat, certified tail.  The true
-        # value is N0 E(20) ~ 1.04e174.
+    @pytest.mark.parametrize("d", [1e-12, 0.0])
+    def test_underflowed_inner_factor_is_not_certified(self, d):
+        # From n ~ 171 the inner factors E_{1,n+1}(-d t) underflow to 0.0,
+        # at d = 0 too, where they are 1/Gamma(n + 1); two zero terms must
+        # not pass for a flat, certified tail.  The true value is about
+        # N0 E(20) ~ 1.04e174.
         ml = MLParameters(k=1.0, alpha=0.5, beta=1.0, gamma=1.0, q=1.0)
-        prob = KineticProblem(1.0, ml, 1e-12, 1.0)
+        prob = KineticProblem(1.0, ml, d, 1.0)
         ev = solve_theorem1(prob, 20.0)
         assert not ev.converged
         ts = [20.0 * i / GRID_CROSSOVER for i in range(GRID_CROSSOVER + 1)]

@@ -48,6 +48,11 @@ class TestParameterValidation:
         with pytest.raises(DomainError):
             TwoParamML(-1.0, 1.0)
 
+    @pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf])
+    def test_two_param_requires_finite_beta(self, beta):
+        with pytest.raises(DomainError):
+            TwoParamML(1.0, beta)
+
     def test_two_param_allows_nonpositive_beta(self):
         TwoParamML(1.0, -2.0)
 
@@ -1287,6 +1292,10 @@ class TestStatus:
         # E_{1/2,1}(30) = e**900 erfc(-30) is not a double.
         ev = ml2(TwoParamML(0.5, 1.0), 30.0)
         assert (ev.converged, ev.status) == (False, "overflow")
+        # A directly formed term x**n / Gamma(beta + n) that overflows:
+        # 1e4 / Gamma(-168.5) is not a double.
+        ev = ml2(TwoParamML(1.0, -169.5), 1e4)
+        assert (ev.converged, ev.status) == (False, "overflow")
 
     @pytest.mark.parametrize("beta", [-171.5, -200.5])
     def test_ml2_at_zero_beyond_the_double_range(self, beta):
@@ -1346,3 +1355,8 @@ class TestKmlRadius:
         ev = kml(p, 0.1)
         assert ev.converged
         assert rel(ev.value, 1.0 / math.sqrt(0.6)) < 1e-12
+
+    def test_radius_beyond_the_double_range_is_infinite(self):
+        # q == 1 + alpha/k with k = 5e-324: 1/k is not a double.
+        assert mittag._radius(MLParameters(5e-324, 5e-324, 1.0, 1.0, 2.0)) \
+            == math.inf

@@ -137,6 +137,11 @@ class TestKGamma:
         with pytest.raises(PoleError):
             k_gamma(-4.0, 2.0)
 
+    def test_overflow(self):
+        # 100**149 Gamma(150) is not a double.
+        with pytest.raises(OverflowError):
+            k_gamma(15000.0, 100.0)
+
     @settings(max_examples=200)
     @given(x=st.floats(0.1, 50.0), k=st.sampled_from([0.5, 1.0, 2.0, 3.0]))
     def test_functional_equation(self, x, k):
@@ -195,6 +200,15 @@ class TestKPochhammer:
         with pytest.raises(DomainError):
             k_pochhammer(2.0, 3, 0.0)
 
+    @pytest.mark.parametrize("n", [1.5, "2"])
+    def test_requires_an_integer_count(self, n):
+        with pytest.raises(DomainError):
+            k_pochhammer(2.0, n, 1.0)
+
+    def test_overflow(self):
+        with pytest.raises(OverflowError):
+            k_pochhammer(1e200, 2, 1.0)
+
     @settings(max_examples=200)
     @given(x=st.floats(0.5, 10.0), n=st.integers(0, 20),
            k=st.sampled_from([0.5, 1.0, 2.0]))
@@ -219,6 +233,17 @@ class TestGeneralizedPochhammer:
     def test_pole(self):
         with pytest.raises(PoleError):
             generalized_pochhammer(-1.0, 1, 1.0)
+
+    @pytest.mark.parametrize("q", [0.0, -1.0])
+    def test_requires_positive_step(self, q):
+        with pytest.raises(DomainError):
+            generalized_pochhammer(2.0, 1, q)
+
+    def test_overflow_from_a_large_argument(self):
+        # g >= STIRLING_MIN: 100**154 is a double, but Gamma(254)/Gamma(100)
+        # is not.
+        with pytest.raises(OverflowError):
+            generalized_pochhammer(100.0, 1, 154.0)
 
     @pytest.mark.parametrize("g, n, q", [(1e306, 2, 1.0), (1.0, 1, 1e306)])
     def test_log_gamma_beyond_the_double_range(self, g, n, q):
@@ -268,6 +293,11 @@ class TestLogGammaRise:
 
 
 class TestKPochhammerGeneral:
+    @pytest.mark.parametrize("k", [0.0, -1.0])
+    def test_requires_positive_k(self, k):
+        with pytest.raises(DomainError):
+            k_pochhammer_general(2.0, 1, 1.0, k)
+
     def test_simple(self):
         assert k_pochhammer_general(2.0, 1, 1.0, 2.0) == pytest.approx(2.0, rel=1e-13)
 
