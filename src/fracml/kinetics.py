@@ -169,11 +169,11 @@ OUTER_MAX_TERMS = 2000
 
 # Grids with fewer batchable points than this are evaluated point by point:
 # below it the fixed cost of the array operations per term outweighs the
-# per-point Python work they replace.  Measured with CPython 3.11 and numpy
-# 2.4 on a 2-core x86-64 VM, batched over per-point time at 4 / 8 / 16
-# points: database set 1 (theorem 1) 1.6 / 0.86 / 0.46, sets 2 and 3
-# 0.55-1.3 / 0.54-0.56 / 0.19-0.31, and a theorem-1 problem with d = 30,
-# whose inner factors escalate, 1.10 / 0.87 / 0.81.
+# per-point Python work they replace.  Batched over per-point time at 4 / 8 /
+# 16 points (CPython 3.11, numpy 2.4, 2-core x86-64 VM): database set 1 1.3 /
+# 0.7 / 0.4, sets 2 and 3 1.0 / 0.53 / 0.3, and a theorem-1 problem with d =
+# 30, where many inner factors take the contour, 1.2 / 1.07 / 1.0 (0.91 at
+# 64): at 8 the database sets save 30-47 %, the d = 30 problem loses 7 %.
 GRID_CROSSOVER = 8
 
 # A block of inner factors holds at most this many (row, point) entries (or

@@ -18,9 +18,9 @@ form (or directly through the gamma function while its argument is in
 range), and Gamma poles met inside a series contribute zero terms via the
 reciprocal-gamma convention.  The tail certificate is tested from the index
 :func:`_cert_start` gives, where the gamma argument is past all poles, and
-for :func:`ml2` with ``beta > 170`` and :func:`kml` with ``q = 1`` and
-``gamma >= k`` no earlier than the peak of the terms (:func:`_peak_start`),
-before which they can underflow to zeros that pass the flat-tail test.  A
+for :func:`ml2` with ``beta > 170`` and :func:`kml` with ``q = 1`` no
+earlier than the peak of a majorant of the term ratio (:func:`_peak_start`),
+before which terms can underflow to zeros that pass the flat-tail test.  A
 series is summed to the caller's ``tol`` (``DEFAULT_TOL`` by default,
 ``INNER_TOL`` in the kinetic entries below) within ``MAX_TERMS`` terms, the
 budget of the extended-precision re-sum too.
@@ -443,21 +443,21 @@ def _cert_start(alpha: float, beta: float, k: float = 1.0) -> int:
 
 
 def _peak_start(p: MLParameters, log_az: float) -> int:
-    """The least ``n`` at which the :func:`kml` term ratio at ``q = 1``,
-    ``|z| k**(1 - s) (c0 + n) / (n + 1) Gamma(a) / Gamma(a + s)`` with ``s =
-    alpha / k``, ``a = (alpha n + beta) / k`` and ``c0 = gamma / k``, is
-    below 1 (``log_az = log |z|``); ``MAX_TERMS`` where no index below it
-    is, and 0 where ``q != 1`` or ``c0 < 1``.  At ``k = gamma = 1`` this is
-    the :func:`ml2` ratio, the added logarithms exactly 0.
+    """The least ``n`` at which ``m(n) = |z| k**(1 - s) max(1, (c0 + n) / (n
+    + 1)) Gamma(a) / Gamma(a + s)``, with ``s = alpha / k``, ``a = (alpha n +
+    beta) / k`` and ``c0 = gamma / k``, is below 1 (``log_az = log |z|``);
+    ``MAX_TERMS`` where no index below it is, and 0 where ``q != 1``.  ``m``
+    bounds the :func:`kml` term ratio at ``q = 1``, is it at ``c0 >= 1`` and
+    is the :func:`ml2` ratio at ``k = gamma = 1`` (the added logarithms 0).
 
-    Before the peak the terms can underflow to zeros that pass the flat-tail
-    test, while the geometric one cannot pass.  Gamma is log-convex and
-    ``(c0 + n) / (n + 1)`` does not rise for ``c0 >= 1``, so the ratio falls
-    and a bisection finds the index.  :func:`ml2` needs the rule only at
-    ``beta > 170``: no term before its peak is below ``1/Gamma(170)``
-    otherwise (see :func:`_escalation_bound`).
+    Before the peak, terms can underflow to zeros that pass the flat-tail
+    test; the geometric one cannot, as ``m(n) >= 1`` makes the ratio at
+    least ``(c0 + n)/(n + 1) >= 8/9`` from ``MIN_TERMS`` on.  Gamma is
+    log-convex and ``max(1, (c0 + n)/(n + 1))`` does not rise, so ``m`` falls
+    and a bisection finds the index.  :func:`ml2` needs it only at ``beta >
+    170``: no earlier term is below ``1/Gamma(170)`` otherwise.
     """
-    if p.q != 1.0 or p.gamma < p.k:
+    if p.q != 1.0:
         return 0
     k, alpha, beta, c0 = p.k, p.alpha, p.beta, p.gamma / p.k
     s = alpha / k
@@ -469,7 +469,7 @@ def _peak_start(p: MLParameters, log_az: float) -> int:
             rise = log_gamma_rise(a, s)
         else:
             rise = signed_log_gamma(a + s)[0] - signed_log_gamma(a)[0]
-        return rise > shift + math.log((c0 + n) / (n + 1))
+        return rise > shift + math.log(max(c0 + n, n + 1.0) / (n + 1))
 
     return bisect.bisect_left(range(MAX_TERMS), True, key=past_peak)
 

@@ -1,7 +1,7 @@
 """Compensated summation and certified truncation of power-series tails.
 
 All series in this package are summed through :func:`sum_series`, which adds
-terms with Neumaier's compensated summation and stops once a geometric tail
+terms with TwoSum-compensated summation and stops once a geometric tail
 bound certifies that the remainder is below the requested tolerance.  The
 certificate is: at the first index ``n >= min_terms`` where
 
@@ -54,10 +54,12 @@ def sum_series(
     """Sum ``term(0) + term(1) + ...`` with the geometric-tail certificate,
     tested from index ``min_terms`` on.
 
-    The terms are added with Neumaier's compensated summation: the rounding
-    error of each addition is kept in a carry, so the value is accurate to a
-    couple of ulps of the exact sum of the added floats, however much they
-    cancel.
+    The terms are added with compensated summation: Knuth's branch-free
+    TwoSum keeps the rounding error of each addition in a carry, so the value
+    is accurate to a couple of ulps of the exact sum of the added floats.
+    That exact error is unique, so the carry is bit for bit that of Neumaier's
+    branch on ``|acc| >= |t|`` unless ``s - acc`` overflows (at ``|t|`` the
+    largest double); where ``acc + t`` overflows, both sums become NaN.
     """
     acc = carry = abs_sum = 0.0
     n = 0
@@ -66,10 +68,8 @@ def sum_series(
         at = abs(t)
         while n < max_terms:
             s = acc + t
-            if abs(acc) >= at:
-                carry += (acc - s) + t
-            else:
-                carry += (t - s) + acc
+            bp = s - acc
+            carry += (acc - (s - bp)) + (t - bp)
             acc = s
             abs_sum += at
             t_next = term(n + 1)
@@ -137,9 +137,9 @@ def sum_series_batch(
         at = np.abs(t)
         n = 0
         while n < max_terms and pos.size:
-            # sum_series's compensated addition, elementwise.
             s = acc + t
-            carry += np.where(np.abs(acc) >= at, (acc - s) + t, (t - s) + acc)
+            bp = s - acc
+            carry += (acc - (s - bp)) + (t - bp)
             acc = s
             abs_sum += at
             t_next, bad = term(n + 1, pos)

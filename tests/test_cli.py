@@ -225,6 +225,14 @@ CASES = {
          "1", "--tau", "1", "--z", "2300"], 0,
         EVAL + "6.4132358129095149e+161,4351,1.0398215414616211e-226,true\n",
         ""),
+    # The same at gamma = 0.5 < k: 1F1(0.5; 250; 2300) / Gamma(250) =
+    # 7.99064909299285393e+159 (mpmath).  Its ratio majorant starts it past
+    # the peak too; the value 0 once certified after 9 terms here as well.
+    "eval-kml-past-underflowed-terms-gamma-below-k": (
+        ["eval-kml", "--k", "1", "--alpha", "1", "--beta", "250", "--gamma",
+         "0.5", "--tau", "1", "--z", "2300"], 0,
+        EVAL + "7.9906490929929261e+159,4351,8.8925630034826114e-229,true\n",
+        ""),
     # argparse before Python 3.14 took -1e-5 for a flag ("expected one
     # argument"); it is the value, as in --x=-1e-5.
     "eval-ml-negative-exponent": (

@@ -1,3 +1,4 @@
+import bisect
 import importlib.util
 import math
 import struct
@@ -1105,10 +1106,31 @@ def _ml2_peak_start(alpha, beta, log_x):
     return mittag._peak_start(MLParameters(1.0, alpha, beta, 1.0, 1.0), log_x)
 
 
+def _former_peak_start(p, log_az):
+    """mittag._peak_start before it covered gamma < k: the least n at which
+    the kml term ratio at q = 1 is below 1, and 0 where q != 1 or gamma <
+    k."""
+    if p.q != 1.0 or p.gamma < p.k:
+        return 0
+    k, alpha, beta, c0 = p.k, p.alpha, p.beta, p.gamma / p.k
+    s = alpha / k
+    shift = log_az + (1.0 - s) * math.log(k)
+
+    def past_peak(n):
+        a = (alpha * n + beta) / k
+        if a > 170.0:
+            rise = log_gamma_rise(a, s)
+        else:
+            rise = signed_log_gamma(a + s)[0] - signed_log_gamma(a)[0]
+        return rise > shift + math.log((c0 + n) / (n + 1))
+
+    return bisect.bisect_left(range(mittag.MAX_TERMS), True, key=past_peak)
+
+
 class TestPeakStart:
     """Past beta = 170 the terms before the peak can underflow to 0.0, and
     ml2 may certify only past the peak (mittag._peak_start); so may kml
-    with q = 1 and gamma >= k, whose term ratio falls too."""
+    with q = 1, past the peak of a majorant of its term ratio."""
 
     @settings(max_examples=12, deadline=None)
     @given(alpha=st.floats(0.8, 1.5),
@@ -1162,6 +1184,51 @@ class TestPeakStart:
         out = kml_batch(p, zs)
         for i, zi in enumerate(zs):
             assert _fields(*out, i) == _kml_fields(p, zi), zi
+
+    @settings(max_examples=10, deadline=None)
+    @given(gamma=st.floats(0.01, 1.0, exclude_max=True),
+           beta=st.floats(1.0, 300.0), z=st.floats(1.0, 3000.0))
+    @example(gamma=0.5, beta=250.0, z=2300.0)   # once 0 after 9 terms
+    @example(gamma=0.02, beta=300.0, z=3000.0)
+    @example(gamma=0.99, beta=171.0, z=1.0)     # E below the doubles
+    @example(gamma=0.5, beta=40.0, z=3000.0)    # E above them
+    def test_gamma_below_k_against_the_closed_form(self, gamma, beta, z):
+        # At k = alpha = q = 1 the coefficient is (gamma)_n / n!, so kml is
+        # 1F1(gamma; beta; z) / Gamma(beta).
+        p = MLParameters(1.0, 1.0, beta, gamma, 1.0)
+        ev = kml(p, z)
+        with mpmath.workdps(30):
+            ref = float(mpmath.hyp1f1(gamma, beta, z) / mpmath.gamma(beta))
+        if math.isinf(ref):
+            assert (ev.converged, ev.status) == (False, "overflow")
+        else:
+            assert ev.converged, ev.status
+            assert abs(ev.value - ref) <= (ev.tail_bound + 1e-10 * ref
+                                           + 1e-300)
+        # kml_batch starts each point where kml does, also where the points'
+        # peaks differ.
+        zs = [z, 1.0, z / 2.0]
+        out = kml_batch(p, zs)
+        for i, zi in enumerate(zs):
+            assert _fields(*out, i) == _kml_fields(p, zi), zi
+
+    @settings(max_examples=200, deadline=None)
+    @given(k=st.floats(1e-3, 1e3), alpha=st.floats(1e-3, 50.0),
+           beta=st.floats(1e-3, 1e6), c0=st.floats(1e-3, 1e3),
+           q=st.sampled_from([1.0, 1.0, 0.5, 2.0]),
+           log_az=st.floats(-50.0, 700.0))
+    def test_start_is_the_former_rule_with_its_exception_raised(
+            self, k, alpha, beta, c0, q, log_az):
+        # Where gamma >= k the majorant is the term ratio, and the start is
+        # the former rule's, which was 0 below.  Below, the majorant's factor
+        # max(1, (c0 + n)/(n + 1)) is 1, as the ratio's is at gamma = k.
+        p = MLParameters(k, alpha, beta, c0 * k, q)
+        start = mittag._peak_start(p, log_az)
+        if p.gamma >= p.k:
+            assert start == _former_peak_start(p, log_az)
+        else:
+            at_k = MLParameters(k, alpha, beta, k, q)
+            assert start == _former_peak_start(at_k, log_az)
 
     @settings(max_examples=200, deadline=None)
     @given(alpha=st.floats(1e-3, 50.0),
